@@ -7,19 +7,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def parallel_map(fn, items):
-    """Map fn over items on a thread pool, preserving input order.
+    """Map fn over items, preserving input order.
 
-    Worker count is capped by the STEKLOV_THREADS environment variable; the heavy
-    work in each task is dense linear algebra, which releases the interpreter lock.
+    Runs sequentially unless the STEKLOV_THREADS environment variable asks for
+    more than one worker thread; the heavy work in each task is dense linear
+    algebra, which releases the interpreter lock, but on these small problems a
+    pool has measured slower than a sequential loop.
     """
     items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    env = os.environ.get("STEKLOV_THREADS", "")
     try:
-        cap = int(env) if env else (os.cpu_count() or 1)
+        cap = int(os.environ.get("STEKLOV_THREADS", "1"))
     except ValueError:
-        cap = os.cpu_count() or 1
+        cap = 1
     workers = max(1, min(cap, len(items)))
     if workers == 1:
         return [fn(x) for x in items]

@@ -74,6 +74,8 @@ def make_family(
     "ellipse_like":   trigonometric projection of an ellipse of unit area scaled
     from aspect ratio a/b, parameter = aspect.
     """
+    if mode < 1:
+        raise DomainValidationError(f"mode must be >= 1, got {mode}")
     if family == "perturbed_disk":
         params = _DEFAULT_AMPLITUDES if parameters is None else tuple(parameters)
         out = []

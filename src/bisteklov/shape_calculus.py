@@ -269,8 +269,6 @@ def fd_derivative(
     steps: tuple[float, ...] = (1e-3, 5e-4),
     k_max: int = 10,
     svd_tol: float = 1e-12,
-    n_r: int = 32,
-    n_theta: int = 256,
     n_boundary: int = 512,
 ) -> FDResult:
     """Central finite differences of e_s over the cluster F along the field, per step.
@@ -287,7 +285,7 @@ def fd_derivative(
 
     def eigs_of(dom: StarDomain) -> np.ndarray:
         basis = make_trial_basis(k_max, tau)
-        sol = solve(assemble(dom, tau, basis, n_r=n_r, n_theta=n_theta, n_boundary=n_boundary), svd_tol)
+        sol = solve(assemble(dom, tau, basis, n_boundary=n_boundary), svd_tol)
         return sol.eigenvalues
 
     base = eigs_of(domain)

@@ -7,10 +7,17 @@ from truncating the angular order, which converges spectrally for analytic
 boundaries.  The discrete problem is the pencil a(u, v) = lambda b(u, v) with
 
     a(u, v) = integral over the domain of D^2 u : D^2 v + tau grad u . grad v,
-    b(u, v) = boundary integral of u v,
+    b(u, v) = boundary integral of u v.
 
-solved through a filtered congruence pipeline that tolerates the strong numerical
-dependence of such global bases.
+Because every trial function solves the interior equation, Green's identity turns
+the energy into a boundary integral (a Trefftz form, as in the method of particular
+solutions),
+
+    a(u, v) = boundary integral of (D^2 u nu) . grad v + (tau du/dnu - d(Delta u)/dnu) v,
+
+so both forms are assembled from one evaluation of the basis on the boundary rule.
+The pencil is solved through a filtered congruence pipeline that tolerates the
+strong numerical dependence of such global bases.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainValidationError, NumericalError
-from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry, interior_quadrature
+from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry
 
 _TAU_MAX = 1.0e4
 _CLUSTER_RELGAP = 1e-6
@@ -192,59 +199,84 @@ class AssembledForms:
     boundary_mass: np.ndarray
 
 
+def _boundary_flux_coefficients(basis: TrialBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Row map for tau du/dnu - d(Delta u)/dnu as a multiple of one harmonic normal derivative.
+
+    Harmonic rows have Delta u = 0, so the flux is tau dh/dnu of the row itself.  A
+    Bessel row of order k is the tail u = i_k(s r) T - c_0 s^k h_k with s = sqrt(tau)
+    and h_k the harmonic row of the same order and parity, so Delta u = tau (u + c_0
+    s^k h_k) and the flux is -tau c_0 s^k dh_k/dnu.  Returns (partner index, factor)
+    per row.
+    """
+    from .special_functions import _leading_coefficient
+
+    index = {tag: i for i, tag in enumerate(basis.tags)}
+    s = math.sqrt(basis.tau)
+    partner = np.empty(basis.size, dtype=int)
+    factor = np.empty(basis.size)
+    for i, (family, k, parity) in enumerate(basis.tags):
+        partner[i] = index[("harmonic", k, parity)]
+        factor[i] = basis.tau if family == "harmonic" else -basis.tau * _leading_coefficient(k) * s**k
+    return partner, factor
+
+
 def assemble(
     domain: StarDomain,
     tau: float,
     basis: TrialBasis,
-    n_r: int = 32,
-    n_theta: int = 256,
+    *,
     n_boundary: int = 512,
     check_resolution: bool = False,
 ) -> AssembledForms:
     """Assemble the energy and boundary mass matrices for the given basis.
 
+    The energy is evaluated in its boundary form (see the module docstring), exact
+    for this basis since every trial function solves Delta^2 u = tau Delta u, on
+    the same boundary rule as the mass; no interior quadrature is needed.
+
     Parameters
     ----------
-    n_r, n_theta : int
-        Interior tensor quadrature resolution.
     n_boundary : int
         Boundary quadrature nodes.
     check_resolution : bool
-        When True, reassemble the stiffness at doubled radial resolution and warn
-        if any entry moves by more than 1e-8 relative.
+        When True, reassemble on 2 n_boundary nodes, warn if any stiffness entry
+        moves by more than 1e-8 relative, and return the refined forms.
     """
     if abs(tau - basis.tau) > 1e-14 * max(1.0, tau):
         raise DomainValidationError(
             f"basis was built for tau={basis.tau}, assembly requested tau={tau}"
         )
+    partner, factor = _boundary_flux_coefficients(basis)
 
-    def stiffness_at(nr: int) -> np.ndarray:
-        pts, wts = interior_quadrature(domain, nr, n_theta)
-        _, grad, hess = _eval_all(basis, pts, domain.center)
-        # |D^2 u : D^2 v| in channels (xx, xy, yy): the mixed channel counts twice
-        ch_w = np.array([1.0, 2.0, 1.0])
-        A = np.einsum("ipc,p,c,jpc->ij", hess, wts, ch_w, hess, optimize=True)
-        A += tau * np.einsum("ipc,p,jpc->ij", grad, wts, grad, optimize=True)
-        return 0.5 * (A + A.T)
+    def forms_at(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        bq = boundary_geometry(domain, n_nodes)
+        val, grad, hess = _eval_all(basis, bq.points, domain.center)
+        nx, ny = bq.normals[:, 0], bq.normals[:, 1]
+        # D^2 u nu from the Hessian channels (xx, xy, yy)
+        hess_n = np.stack(
+            [hess[:, :, 0] * nx + hess[:, :, 1] * ny, hess[:, :, 1] * nx + hess[:, :, 2] * ny],
+            axis=2,
+        )
+        dn = grad[:, :, 0] * nx + grad[:, :, 1] * ny
+        flux = factor[:, None] * dn[partner]
+        A = (hess_n * bq.weights[:, None]).reshape(basis.size, -1) @ grad.reshape(basis.size, -1).T
+        A += (flux * bq.weights) @ val.T
+        B = (val * bq.weights) @ val.T
+        return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
-    A = stiffness_at(n_r)
+    A, B = forms_at(n_boundary)
     if check_resolution:
         import warnings
 
-        A2 = stiffness_at(2 * n_r)
+        A2, B2 = forms_at(2 * n_boundary)
         scale = np.abs(A2).max()
         if np.abs(A2 - A).max() > 1e-8 * scale:
             warnings.warn(
-                "interior quadrature appears underresolved: stiffness entries moved "
-                "by more than 1e-8 relative under radial refinement",
+                "boundary quadrature appears underresolved: stiffness entries moved "
+                "by more than 1e-8 relative when the boundary nodes were doubled",
                 stacklevel=2,
             )
-        A = A2
-
-    bq = boundary_geometry(domain, n_boundary)
-    bval, _, _ = _eval_all(basis, bq.points, domain.center)
-    B = (bval * bq.weights) @ bval.T
-    B = 0.5 * (B + B.T)
+        A, B = A2, B2
     return AssembledForms(stiffness=A, boundary_mass=B)
 
 
@@ -290,10 +322,15 @@ def solve(forms: AssembledForms, svd_tol: float = 1e-12) -> EigenSolution:
     """Solve the pencil a(u, v) = lambda b(u, v) on the span of the assembled basis.
 
     Pipeline: symmetric diagonal scaling of both matrices, spectral filtering of the
-    combined Gram matrix a + b at relative threshold svd_tol, whitening, then removal
-    of boundary-trace-free directions (infinite Steklov eigenvalues; counted in the
-    diagnostics) before the final dense symmetric solve.  Coefficients are returned
-    in the original basis and are orthonormal in the boundary inner product.
+    combined Gram matrix g = a + b at relative threshold svd_tol and whitening, then
+    the definite pencil b x = mu g x, whose eigenvalues mu = 1 / (1 + lambda) lie in
+    [0, 1].  Directions with mu below 1e-12 of the largest carry no boundary trace
+    (infinite Steklov eigenvalues; counted in the diagnostics) and are dropped; the
+    rest give lambda = (1 - mu) / mu.  Solving for mu keeps the absolute error of
+    the low eigenvalues at roundoff; a solve for lambda itself, after whitening b,
+    carries the size of the largest spurious eigenvalue into the error of every
+    small one.  Coefficients are returned in the original basis and are orthonormal
+    in the boundary inner product.
     """
     A, B = forms.stiffness, forms.boundary_mass
     if not (0.0 < svd_tol < 1.0):
@@ -320,17 +357,22 @@ def solve(forms: AssembledForms, svd_tol: float = 1e-12) -> EigenSolution:
     Ap = 0.5 * (Ap + Ap.T)
     Bp = 0.5 * (Bp + Bp.T)
 
-    mb, V = np.linalg.eigh(Bp)
-    keep_b = mb > 1e-12 * mb[-1]
+    # Ap + Bp is the identity only up to the whitening's roundoff; reducing by its
+    # Cholesky factor keeps lambda = (1 - mu) / mu true to the computed Ap and Bp
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(Ap + Bp))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"whitened Gram matrix is not definite: {exc}") from exc
+    M = Linv @ Bp @ Linv.T
+    mu, Y = np.linalg.eigh(0.5 * (M + M.T))
+    Z = Linv.T @ Y
+    keep_b = mu > 1e-12 * mu[-1]
     n_bnull = int((~keep_b).sum())
     if not np.any(keep_b):
         raise NumericalError("boundary form is numerically zero on the filtered space")
-    W = V[:, keep_b] / np.sqrt(mb[keep_b])
-
-    C = W.T @ Ap @ W
-    C = 0.5 * (C + C.T)
-    lam, Q = np.linalg.eigh(C)
-    X = (P @ (W @ Q)) / d[:, None]
+    mu, Z = mu[keep_b][::-1], Z[:, keep_b][:, ::-1]
+    lam = (1.0 - mu) / mu
+    X = (P @ (Z / np.sqrt(mu))) / d[:, None]
 
     diagnostics = SolverDiagnostics(
         basis_size=A.shape[0],

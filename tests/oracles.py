@@ -1,13 +1,31 @@
 """Independent brute-force references used by several test modules.
 
-Everything here deliberately avoids the reduced radial formulas under test: energies
-are expanded in full Cartesian second derivatives on a two-dimensional polar grid,
-so agreement with the package's radial reductions is meaningful evidence.
+Everything here deliberately avoids the reduced formulas under test: energies are
+expanded in full Cartesian second derivatives and integrated over the interior on a
+two-dimensional polar grid, so agreement with the package's radial and boundary
+reductions is meaningful evidence.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from bisteklov.geometry import interior_quadrature
+from bisteklov.steklov_solver import _eval_all
+
+
+def interior_stiffness(domain, basis, n_r: int = 32, n_theta: int = 256) -> np.ndarray:
+    """Energy matrix by interior quadrature of D^2 u : D^2 v + tau grad u . grad v.
+
+    The volume form the solver's boundary (Green's identity) stiffness must equal.
+    """
+    pts, wts = interior_quadrature(domain, n_r, n_theta)
+    _, grad, hess = _eval_all(basis, pts, domain.center)
+    # |D^2 u : D^2 v| in channels (xx, xy, yy): the mixed channel counts twice
+    ch_w = np.array([1.0, 2.0, 1.0])
+    A = np.einsum("ipc,p,c,jpc->ij", hess, wts, ch_w, hess, optimize=True)
+    A += basis.tau * np.einsum("ipc,p,jpc->ij", grad, wts, grad, optimize=True)
+    return 0.5 * (A + A.T)
 
 
 def cartesian_energy_2d(f, fp, fpp, k: int, tau: float, n_r: int = 200, n_t: int = 512):

@@ -1,7 +1,10 @@
 """Tests for the command line interface: output formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +97,25 @@ class TestShapeDerivative:
         assert doc["fd_discrepancy"] < 1e-6
         assert len(doc["fd_estimates"]) == 2
 
+    def test_fd_validation_on_many_mode_perturbation(self, capsys, tmp_path):
+        # the realized sin3 perturbations of this domain carry 95-99 Fourier modes,
+        # more than a 256-node angular rule resolves
+        p = tmp_path / "wobbly.json"
+        p.write_text(json.dumps({
+            "a0": 1.0,
+            "cos_coeffs": [0, 0, 0, 0, 0, 0.06540493641798499],
+            "sin_coeffs": [0, 0, 0, 0.09829965766759673, 0, 0],
+            "center": [0.028603558980206167, 0.034418682473059056],
+        }))
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", str(p), "--tau", "1", "--kmax", "14",
+            "--field", "sin3", "--s", "1", "--validate-fd",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        fd = doc["fd_extrapolated"]
+        assert abs(doc["hadamard"] - fd) <= 1e-3 * max(abs(fd), 1.0)
+
     def test_tracking_failure_exit_code(self, capsys, perturbed_file):
         code, _, err = run_cli(
             capsys, "shape-derivative", "--domain", perturbed_file, "--tau", "1.0",
@@ -172,6 +194,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "concentration", "--tau", "1.0", "--eps", "0.1,0.2")
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["0", "-2"])
+    def test_iso_scan_mode_below_one(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "iso-scan", "--family", "perturbed_disk", "--tau", "1.0",
+            "--params", "0.0,0.08", "--mode", mode,
+        )
+        assert code == 2
+        assert out == ""
+        assert "mode" in err
+
     def test_missing_required_argument(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--domain", "x.json")
         assert code == 2
@@ -200,3 +232,19 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("index,eigenvalue,angular_order")
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bisteklov", "ball-spectrum", "--tau", "1", "--count", "6"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert lines[0] == "index,eigenvalue,angular_order"
+    assert len(lines) == 7

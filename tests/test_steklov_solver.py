@@ -1,13 +1,16 @@
 """Tests for the Galerkin eigensolver on star-shaped planar domains."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bisteklov import (
     DomainValidationError,
+    PerturbationField,
     StarDomain,
     area,
     assemble,
@@ -16,11 +19,14 @@ from bisteklov import (
     eigenvalue_of_order,
     eval_basis,
     make_trial_basis,
+    realize_perturbation,
     solve,
     sorted_spectrum,
 )
 from bisteklov.special_functions import ultraspherical_i_tail
+from oracles import interior_stiffness
 
+ROOT = Path(__file__).resolve().parents[1]
 DISK = StarDomain(a0=1.0)
 
 
@@ -154,14 +160,36 @@ class TestAssemble:
             assemble(DISK, 2.0, basis)
 
     def test_resolution_check(self):
-        # high harmonic orders push the radial integrand degree past an 8-point rule
+        # order-12 products carry angular frequencies past what 32 boundary nodes resolve
         domain = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.0, 0.1))
         basis = make_trial_basis(12, 1.0)
         with pytest.warns(UserWarning):
-            assemble(domain, 1.0, basis, n_r=8, check_resolution=True)
+            assemble(domain, 1.0, basis, n_boundary=32, check_resolution=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assemble(domain, 1.0, basis, n_r=32, check_resolution=True)
+            assemble(domain, 1.0, basis, n_boundary=512, check_resolution=True)
+
+    @pytest.mark.parametrize("k_max", [10, 20])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            DISK,
+            StarDomain(**json.loads((ROOT / "domains" / "perturbed.json").read_text())),
+            StarDomain(
+                a0=1.0,
+                cos_coeffs=(0.03, 0.05, 0.0, 0.02),
+                sin_coeffs=(0.0, 0.04, 0.03),
+                center=(0.2, -0.15),
+            ),
+        ],
+        ids=["disk", "perturbed", "offcentre"],
+    )
+    def test_boundary_stiffness_matches_interior_oracle(self, domain, tau, k_max):
+        basis = make_trial_basis(k_max, tau)
+        A = assemble(domain, tau, basis).stiffness
+        ref = interior_stiffness(domain, basis)
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestDiskSpectrum:
@@ -232,9 +260,29 @@ class TestInvariances:
 
     def test_quadrature_refinement_stability(self):
         domain = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.05))
-        s1, _ = solve_domain(domain, 1.0, n_r=32, n_theta=256, n_boundary=512)
-        s2, _ = solve_domain(domain, 1.0, n_r=48, n_theta=384, n_boundary=1024)
+        s1, _ = solve_domain(domain, 1.0, n_boundary=512)
+        s2, _ = solve_domain(domain, 1.0, n_boundary=1024)
         assert np.allclose(s1.eigenvalues[1:9], s2.eigenvalues[1:9], rtol=1e-8)
+
+    @pytest.mark.parametrize("k_max", [10, 20])
+    @pytest.mark.parametrize("tau", [0.1, 1.0])
+    def test_constant_mode_is_exact(self, tau, k_max):
+        domain = StarDomain(
+            a0=1.0,
+            cos_coeffs=(-0.0243, 0.0182, 0.0241, 0.0229),
+            sin_coeffs=(-0.0176, 0.0236, 0.0195, 0.0161),
+            center=(-0.002, -0.027),
+        )
+        sol, _ = solve_domain(domain, tau, k_max=k_max)
+        assert abs(sol.eigenvalues[0]) <= 1e-12 * max(1.0, tau)
+
+    def test_congruent_realized_perturbations(self):
+        # cos 5 theta changes sign under rotation by pi, which fixes the cos 2 theta base
+        base = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.05))
+        field = PerturbationField(cos_coeffs=(0.0, 0.0, 0.0, 0.0, 1.0))
+        plus, _ = solve_domain(realize_perturbation(base, field, 1e-3), 0.1)
+        minus, _ = solve_domain(realize_perturbation(base, field, -1e-3), 0.1)
+        assert np.allclose(plus.eigenvalues[1:9], minus.eigenvalues[1:9], rtol=1e-10)
 
     def test_variational_upper_bound(self):
         # u = x - mean(x) is admissible for the first nonzero eigenvalue
