@@ -2,25 +2,11 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 
 def parallel_map(fn, items):
-    """Map fn over items, preserving input order.
+    """Map fn over items in order, one after another.
 
-    Runs sequentially unless the STEKLOV_THREADS environment variable asks for
-    more than one worker thread; the heavy work in each task is dense linear
-    algebra, which releases the interpreter lock, but on these small problems a
-    pool has measured slower than a sequential loop.
+    A thread pool here measured slower than this loop once assembly became
+    boundary-only; the name stays as the one place scans map over members.
     """
-    items = list(items)
-    try:
-        cap = int(os.environ.get("STEKLOV_THREADS", "1"))
-    except ValueError:
-        cap = 1
-    workers = max(1, min(cap, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    return [fn(x) for x in items]

@@ -6,10 +6,6 @@ validation, criticality residuals, the concentrated-mass sweep, and the
 isoperimetric scans.  CSV floats use 12 significant digits in scientific
 notation; JSON floats carry 17 significant digits.  Output is deterministic:
 identical invocations produce identical bytes.
-
-iso-scan solves its family members one after another unless the environment
-variable STEKLOV_THREADS is set to N > 1, which opts in to a pool of up to N
-worker threads; no other subcommand uses it.
 """
 
 from __future__ import annotations
@@ -257,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bisteklov",
         description="Steklov eigenvalues of the biharmonic operator: spectra, "
         "shape derivatives, concentration limits, isoperimetric scans.",
-        epilog="Set STEKLOV_THREADS=N (N > 1) to solve iso-scan members on N worker threads; "
-        "everything runs sequentially otherwise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,7 +1,6 @@
 """Tests for the fixed-area eigenvalue comparisons and boundary inequalities."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -18,29 +17,7 @@ from bisteklov import (
     weighted_boundary_inequality_check,
 )
 
-from bisteklov._util import parallel_map
-
 DISK = StarDomain(a0=1.0)
-
-
-@pytest.mark.parametrize("setting", [None, "", "1", "x"])
-def test_parallel_map_is_sequential_by_default(monkeypatch, setting):
-    if setting is None:
-        monkeypatch.delenv("STEKLOV_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("STEKLOV_THREADS", setting)
-    caller = threading.get_ident()
-    out = parallel_map(lambda x: (x * x, threading.get_ident()), range(4))
-    assert [v for v, _ in out] == [0, 1, 4, 9]
-    assert {t for _, t in out} == {caller}
-
-
-def test_parallel_map_pool_is_opt_in(monkeypatch):
-    monkeypatch.setenv("STEKLOV_THREADS", "2")
-    caller = threading.get_ident()
-    out = parallel_map(lambda x: (x + 1, threading.get_ident()), range(4))
-    assert [v for v, _ in out] == [1, 2, 3, 4]
-    assert caller not in {t for _, t in out}
 
 
 class TestLambda2Of:
