@@ -4,9 +4,9 @@ from __future__ import annotations
 
 
 def parallel_map(fn, items):
-    """Map fn over items in order, one after another.
+    """Map fn over items in order, in the calling thread.
 
-    A thread pool here measured slower than this loop once assembly became
-    boundary-only; the name stays as the one place scans map over members.
+    iso_scan maps its members through this one call.  Each member is a small
+    dense solve, and a thread pool measured slower than this loop.
     """
     return [fn(x) for x in items]
