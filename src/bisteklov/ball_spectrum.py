@@ -18,16 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainValidationError, NumericalError
-from .special_functions import _leading_coefficient, ultraspherical_i, ultraspherical_i_tail
-
-_TAU_MAX = 1.0e4  # keeps sqrt(tau) inside the validated Bessel range
-
-
-def _check_tau(tau: float) -> None:
-    if not (tau > 0.0):
-        raise DomainValidationError(f"tau must be positive, got {tau}")
-    if tau > _TAU_MAX:
-        raise DomainValidationError(f"tau={tau} outside supported range (0, {_TAU_MAX}]")
+from .special_functions import _check_tau, leading_term, scaled_derivatives, series_derivatives
 
 
 def multiplicity_of_order(l: int, N: int) -> int:
@@ -71,26 +62,29 @@ def eigenvalue_of_order(l: int, N: int, tau: float) -> float:
               + tau ((l-1)(l+2N-3) + tau) i''
               + (l-1) tau s i''',
 
-    with s = sqrt(tau) and all Bessel factors evaluated at s.
+    with s = sqrt(tau) and all Bessel factors evaluated at s.  Written in
+    S_nu(q) = i_l(z) / (c_0 z^l) at q = tau / 4, the terms in S itself cancel
+    exactly in both, and after division by c_0 s^l q
+
+        den = (4l + 2) S' + 4 q S'',
+        num = c1 S' + c2 q S'' + 8 (l-1) q^2 S''',
+        c1 = 2 (l-1) ((3l+2)(l-1) + N (2l+1)) + 2 tau (l+2),
+        c2 = 4 ((l-1)(l+2N-3) + tau) + 12 (l-1)(l+1):
+
+    sums of positive terms, which neither cancel nor underflow at large l or
+    small tau.
     """
     _check_tau(tau)
     if l < 0:
         raise DomainValidationError(f"angular order must be nonnegative, got {l}")
     if l == 0:
         return 0.0
-    s = math.sqrt(tau)
-    ie = ultraspherical_i(l, N, s)
-    den_a = (1.0 - l) * l * ie.value
-    den_b = tau * ie.d2
-    den = den_a + den_b
-    if abs(den) < 1e-12 * (abs(den_a) + abs(den_b)):
-        raise NumericalError(f"degenerate eigenvalue formula for l={l}, N={N}, tau={tau}")
-    num = (
-        3.0 * (l - 1.0) * l * (l + N - 2.0) * ie.value
-        - (l - 1.0) * s * (N - 1.0 + 2.0 * N * l + 2.0 * l * (l - 2.0) + tau) * ie.d1
-        + tau * ((l - 1.0) * (l + 2.0 * N - 3.0) + tau) * ie.d2
-        + (l - 1.0) * tau * s * ie.d3
-    )
+    q = tau / 4.0
+    _, S1, S2, S3 = (float(v) for v in series_derivatives(N / 2.0 - 1.0 + l, q, 3))
+    c1 = 2.0 * (l - 1) * ((3 * l + 2) * (l - 1) + N * (2 * l + 1)) + 2.0 * tau * (l + 2)
+    c2 = 4.0 * ((l - 1) * (l + 2 * N - 3) + tau) + 12.0 * (l - 1) * (l + 1)
+    num = c1 * S1 + c2 * q * S2 + 8.0 * (l - 1) * q * q * S3
+    den = (4 * l + 2) * S1 + 4.0 * q * S2
     return l * num / den
 
 
@@ -107,24 +101,26 @@ class BallMode:
     multiplicity: int
 
     def evaluate(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Profile and its first two radial derivatives at the given radii (ndarray, r > 0)."""
+        """Profile and its first two radial derivatives at the given radii (ndarray, r > 0).
+
+        With beta = coeff_bessel c_0 s^l the profile is r^l (coeff_power + beta S(q)),
+        q = tau r^2 / 4, differentiated through S' = S_(nu+1) / (nu + 1).
+        """
         r = np.asarray(r, dtype=float)
-        s = math.sqrt(self.tau)
-        l = self.l
-        R = self.coeff_power * r**l
-        R1 = self.coeff_power * (l * r ** (l - 1) if l >= 1 else np.zeros_like(r))
-        R2 = self.coeff_power * (l * (l - 1) * r ** (l - 2) if l >= 2 else np.zeros_like(r))
+        l, tau = self.l, self.tau
+        beta, T, S1, S2 = 0.0, 0.0, 0.0, 0.0
         if self.coeff_bessel != 0.0:
-            z = s * r
             nu = self.N / 2.0 - 1.0 + l
-            c0 = _leading_coefficient(nu)
-            tv, td1, td2 = ultraspherical_i_tail(l, self.N, z)
-            iv = c0 * z**l + tv
-            i1 = (c0 * l * z ** (l - 1) if l >= 1 else 0.0) + td1
-            i2 = (c0 * l * (l - 1) * z ** (l - 2) if l >= 2 else 0.0) + td2
-            R = R + self.coeff_bessel * iv
-            R1 = R1 + self.coeff_bessel * s * i1
-            R2 = R2 + self.coeff_bessel * self.tau * i2
+            beta = self.coeff_bessel * float(leading_term(nu, l, math.sqrt(tau)))
+            T, S1, S2 = series_derivatives(nu, tau * r * r / 4.0, 2)
+        F = self.coeff_power + beta * (1.0 + T)
+        R = F * r**l
+        R1 = (l * F * r ** (l - 1) if l >= 1 else 0.0) + beta * tau / 2.0 * r ** (l + 1) * S1
+        R2 = (
+            (l * (l - 1) * F * r ** (l - 2) if l >= 2 else 0.0)
+            + beta * tau * (2 * l + 1) / 2.0 * r**l * S1
+            + beta * tau * tau / 4.0 * r ** (l + 2) * S2
+        )
         return R, R1, R2
 
 
@@ -141,9 +137,12 @@ def radial_profile(l: int, N: int, tau: float) -> BallMode:
     if l <= 1:
         b = 0.0
     else:
-        ie = ultraspherical_i(l, N, math.sqrt(tau))
-        # R''(1) = 0 with A = 1: l(l-1) + B tau i_l''(sqrt(tau)) = 0
-        b = l * (1.0 - l) / (tau * ie.d2)
+        # R''(1) = 0 with A = 1: l(l-1) + B tau i_l''(s) = 0, and tau i_l''(s) = c_0 s^l V_2
+        nu = N / 2.0 - 1.0 + l
+        lead = float(leading_term(nu, l, math.sqrt(tau)))
+        if lead == 0.0:
+            raise NumericalError(f"Bessel coefficient of order l={l} underflows at tau={tau}")
+        b = l * (1.0 - l) / (lead * float(scaled_derivatives(l, nu, tau / 4.0)[2]))
     return BallMode(l, N, tau, lam, 1.0, b, multiplicity_of_order(l, N))
 
 
@@ -210,7 +209,8 @@ def sorted_spectrum(N: int, tau: float, j_max: int) -> SortedSpectrum:
             if lam > kth:
                 break
         l += 1
-        if l > 200:
+        # every order l >= 1 adds at least one eigenvalue, and lambda_(l) increases
+        if l > j_max + 2:
             raise NumericalError("spectrum enumeration failed to terminate")
     collected.sort()
     entries = []

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainValidationError
 
 _POSITIVITY_GRID = 4096
+_COEF_TRIM = 1e-13
 
 
 @dataclass(frozen=True)
@@ -44,35 +45,50 @@ class StarDomain:
         return max(len(self.cos_coeffs), len(self.sin_coeffs))
 
     def rho(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        r = np.full_like(theta, self.a0)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            if a != 0.0:
-                r += a * np.cos(k * theta)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            if b != 0.0:
-                r += b * np.sin(k * theta)
-        return r
+        return trig_series(self.a0, self.cos_coeffs, self.sin_coeffs, theta)
 
     def rho_derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho, rho', rho'') at the given angles."""
-        theta = np.asarray(theta, dtype=float)
-        r = np.full_like(theta, self.a0)
-        r1 = np.zeros_like(theta)
-        r2 = np.zeros_like(theta)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            if a != 0.0:
-                ck, sk = np.cos(k * theta), np.sin(k * theta)
-                r += a * ck
-                r1 -= a * k * sk
-                r2 -= a * k * k * ck
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            if b != 0.0:
-                ck, sk = np.cos(k * theta), np.sin(k * theta)
-                r += b * sk
-                r1 += b * k * ck
-                r2 -= b * k * k * sk
-        return r, r1, r2
+        return trig_series(self.a0, self.cos_coeffs, self.sin_coeffs, theta, derivatives=True)
+
+
+def trig_series(const, cos_coeffs, sin_coeffs, theta, derivatives: bool = False):
+    """const + sum_k (cos_coeffs[k-1] cos k theta + sin_coeffs[k-1] sin k theta) at theta.
+
+    Returns the value, or (value, first, second theta-derivative) when derivatives
+    is set.  Modes are added one at a time, cosines first, in increasing order.
+    """
+    theta = np.asarray(theta, dtype=float)
+    f = np.full_like(theta, const)
+    f1, f2 = np.zeros_like(theta), np.zeros_like(theta)
+    for coeffs, main_fn, other_fn, sign in (
+        (cos_coeffs, np.cos, np.sin, -1.0),
+        (sin_coeffs, np.sin, np.cos, 1.0),
+    ):
+        for k, c in enumerate(coeffs, start=1):
+            if c != 0.0:
+                main = main_fn(k * theta)
+                f += c * main
+                if derivatives:
+                    f1 += sign * (c * k * other_fn(k * theta))
+                    f2 -= c * k * k * main
+    return (f, f1, f2) if derivatives else f
+
+
+def fourier_projection(samples: np.ndarray, center=(0.0, 0.0)) -> StarDomain:
+    """Star domain whose radius series interpolates samples on a uniform angular grid.
+
+    The samples are taken at theta_j = 2 pi j / n.  Trailing modes whose cosine and
+    sine coefficients both lie below 1e-13 of the largest coefficient are dropped.
+    """
+    co = np.fft.rfft(samples) / len(samples)
+    a0 = float(co[0].real)
+    ak = 2.0 * co[1:].real
+    bk = -2.0 * co[1:].imag
+    cutoff = _COEF_TRIM * max(abs(a0), float(np.abs(ak).max()), float(np.abs(bk).max()))
+    big = np.flatnonzero((np.abs(ak) > cutoff) | (np.abs(bk) > cutoff))
+    keep = int(big[-1]) + 1 if big.size else 0
+    return StarDomain(a0=a0, cos_coeffs=tuple(ak[:keep]), sin_coeffs=tuple(bk[:keep]), center=center)
 
 
 @dataclass(frozen=True)

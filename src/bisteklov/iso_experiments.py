@@ -20,6 +20,7 @@ from .geometry import (
     area,
     boundary_geometry,
     center_boundary_centroid,
+    fourier_projection,
     rescale_to_area,
 )
 from .steklov_solver import assemble, make_trial_basis, solve
@@ -44,22 +45,6 @@ def lambda2_of(
     """First nonzero Steklov eigenvalue of the domain (centroid centering applied)."""
     sol, _ = _solve_domain(domain, tau, k_max, svd_tol)
     return float(sol.eigenvalues[1])
-
-
-def _fourier_projection(radius_fn, n: int = 512, trim: float = 1e-13) -> StarDomain:
-    """Project a positive radius function onto a trimmed trigonometric series."""
-    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    r = radius_fn(th)
-    co = np.fft.rfft(r) / n
-    a0 = float(co[0].real)
-    ak = 2.0 * co[1:].real
-    bk = -2.0 * co[1:].imag
-    cutoff = trim * max(abs(a0), float(np.abs(ak).max(initial=0.0)), float(np.abs(bk).max(initial=0.0)))
-    keep = max(
-        [0]
-        + [k for k in range(1, len(ak) + 1) if abs(ak[k - 1]) > cutoff or abs(bk[k - 1]) > cutoff]
-    )
-    return StarDomain(a0=a0, cos_coeffs=tuple(ak[:keep]), sin_coeffs=tuple(bk[:keep]))
 
 
 def make_family(
@@ -91,9 +76,8 @@ def make_family(
             if aspect < 1.0:
                 raise DomainValidationError(f"aspect ratio must be >= 1, got {aspect}")
             a, b = math.sqrt(aspect), 1.0 / math.sqrt(aspect)
-            dom = _fourier_projection(
-                lambda th: a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
-            )
+            th = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+            dom = fourier_projection(a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2))
             out.append((float(aspect), rescale_to_area(dom, target_area)))
         return out
     raise DomainValidationError(f"unknown family {family!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainValidationError, NumericalError
-from .geometry import StarDomain, boundary_geometry
+from .geometry import StarDomain, boundary_geometry, fourier_projection, trig_series
 from .steklov_solver import (
     EigenSolution,
     TrialBasis,
@@ -27,7 +27,6 @@ from .steklov_solver import (
 )
 
 _CLUSTER_SPREAD_TOL = 1e-4
-_COEF_TRIM = 1e-13
 
 
 @dataclass(frozen=True)
@@ -43,15 +42,7 @@ class PerturbationField:
         return max(len(self.cos_coeffs), len(self.sin_coeffs))
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        g = np.full_like(theta, self.const)
-        for k, c in enumerate(self.cos_coeffs, start=1):
-            if c != 0.0:
-                g += c * np.cos(k * theta)
-        for k, c in enumerate(self.sin_coeffs, start=1):
-            if c != 0.0:
-                g += c * np.sin(k * theta)
-        return g
+        return trig_series(self.const, self.cos_coeffs, self.sin_coeffs, theta)
 
 
 def volume_preserving_projection(
@@ -236,21 +227,7 @@ def realize_perturbation(domain: StarDomain, field: PerturbationField, t: float)
     new_r = r + t * g * np.sqrt(r * r + r1 * r1) / r
     if not np.all(new_r > 0.0):
         raise DomainValidationError(f"perturbation with t={t} destroys star-shapedness")
-    co = np.fft.rfft(new_r) / n
-    a0 = float(co[0].real)
-    ak = 2.0 * co[1:].real
-    bk = -2.0 * co[1:].imag
-    cutoff = _COEF_TRIM * max(abs(a0), float(np.abs(ak).max()), float(np.abs(bk).max()))
-    keep = max(
-        [0]
-        + [k for k in range(1, len(ak) + 1) if abs(ak[k - 1]) > cutoff or abs(bk[k - 1]) > cutoff]
-    )
-    return StarDomain(
-        a0=a0,
-        cos_coeffs=tuple(ak[:keep]),
-        sin_coeffs=tuple(bk[:keep]),
-        center=domain.center,
-    )
+    return fourier_projection(new_r, center=domain.center)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 """Modified Bessel functions and their ultraspherical normalization.
 
 The radial factor of a separated solution of (Delta^2 - tau Delta) u = 0 on a ball
-in R^N involves i_l(z) = z^(1-N/2) I_(N/2-1+l)(z), an entire function of z with a
-power series of all-positive terms.  Everything here evaluates that series directly,
-which is cancellation-free and accurate over the supported range 0 < z <= 100.
+in R^N involves i_l(z) = z^(1-N/2) I_(N/2-1+l)(z) = c_0 z^l S_nu(z^2/4), with
+nu = N/2 - 1 + l, c_0 = 2^(-nu) / Gamma(nu + 1) and the entire function
+
+    S_nu(q) = sum_m q^m / (m! (nu + 1)_m),    S_nu' = S_(nu+1) / (nu + 1).
+
+One vectorised loop sums the tail T_nu = S_nu - 1 from m = 1, so small arguments
+lose nothing to cancellation; every derivative follows from the identity above.
+Callers that form ratios (the ball eigenvalue formula) cancel c_0 z^l and never
+meet its underflow.  The supported argument range is 0 < z <= 100.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .errors import DomainValidationError, NumericalError
 _TERM_CUTOFF = 1e-17
 _MAX_TERMS = 200
 _Z_MAX = 100.0
+_TAU_MAX = _Z_MAX**2  # keeps sqrt(tau) r inside the series range on the unit ball
 
 
 @dataclass(frozen=True)
@@ -31,15 +38,82 @@ class BesselEval:
     d3: float
 
 
+def _check_tau(tau: float) -> None:
+    if not (tau > 0.0):
+        raise DomainValidationError(f"tau must be positive, got {tau}")
+    if tau > _TAU_MAX:
+        raise DomainValidationError(f"tau={tau} outside supported range (0, {_TAU_MAX}]")
+
+
+def series_tail(nu, q) -> np.ndarray:
+    """T_nu(q) = S_nu(q) - 1, elementwise over broadcast arrays nu > -1 and q >= 0.
+
+    Every term is positive, so each element stops contributing once its term falls
+    below 1e-17 of its partial sum.  Raises DomainValidationError for q beyond
+    z = 2 sqrt(q) = 100.
+    """
+    nu, q = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(q, dtype=float))
+    q_max = float(q.max(initial=0.0))
+    if q_max > _Z_MAX**2 / 4.0:
+        raise DomainValidationError(
+            f"argument z={2.0 * math.sqrt(q_max)} outside supported range (0, {_Z_MAX}]"
+        )
+    t = q / (nu + 1.0)
+    total = t.copy()
+    for m in range(1, _MAX_TERMS):
+        t = t * q / ((m + 1.0) * (nu + m + 1.0))
+        total += t
+        if np.all(t <= _TERM_CUTOFF * total):
+            return total
+    raise NumericalError(f"Bessel series did not converge for max argument q={q_max}")
+
+
+def series_derivatives(nu: float, q, n: int) -> list[np.ndarray]:
+    """[T_nu(q), S_nu'(q), ..., S_nu^(n)(q)], from S_nu^(j) = S_(nu+j) / ((nu+1)...(nu+j))."""
+    q = np.asarray(q, dtype=float)
+    shape = (-1,) + (1,) * q.ndim
+    T = series_tail(nu + np.arange(n + 1).reshape(shape), q)
+    return [T[0], *((1.0 + T[1:]) / np.cumprod(nu + np.arange(1, n + 1)).reshape(shape))]
+
+
+def leading_term(nu: float, l: float, z):
+    """c_0 z^l with c_0 = 2^(-nu) / Gamma(nu + 1), formed in logarithms (z > 0, any shape)."""
+    return np.exp(l * np.log(z) - nu * math.log(2.0) - math.lgamma(nu + 1.0))
+
+
+def scaled_derivatives(l: int, nu: float, q, tail: bool = False) -> list[np.ndarray]:
+    """z^n i^(n)(z) / (c_0 z^l) for n = 0..3 at z = 2 sqrt(q), each a sum of positive terms.
+
+    With D = z d/dz acting on z^l F(q) as l + 2 q d/dq, the falling factorials of D
+    give the four combinations below.  tail=True drops the leading monomial, i.e.
+    differentiates i_l - c_0 z^l instead of i_l.
+    """
+    T, S1, S2, S3 = series_derivatives(nu, q, 3)
+    q = np.asarray(q, dtype=float)
+    S = T if tail else 1.0 + T
+    d1, d2, d3 = q * S1, q * q * S2, q**3 * S3
+    return [
+        S,
+        l * S + 2.0 * d1,
+        l * (l - 1) * S + (4 * l + 2) * d1 + 4.0 * d2,
+        l * (l - 1) * (l - 2) * S + 6 * l * l * d1 + 12 * (l + 1) * d2 + 8.0 * d3,
+    ]
+
+
 def _check_z(z: float) -> None:
     if not (z > 0.0):
         raise DomainValidationError(f"argument must be positive, got z={z}")
-    if z > _Z_MAX:
-        raise DomainValidationError(f"argument z={z} outside supported range (0, {_Z_MAX}]")
+
+
+def _check_ultraspherical_args(l: int, N: int) -> None:
+    if not isinstance(l, (int, np.integer)) or l < 0:
+        raise DomainValidationError(f"angular order l must be a nonnegative integer, got {l}")
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise DomainValidationError(f"dimension N must be an integer >= 2, got {N}")
 
 
 def modified_bessel_I(order: float, z: float) -> float:
-    """Modified Bessel function of the first kind, I_order(z).
+    """Modified Bessel function of the first kind, I_order(z) = c_0 z^order S_order(z^2/4).
 
     Parameters
     ----------
@@ -56,35 +130,11 @@ def modified_bessel_I(order: float, z: float) -> float:
     if order < 0:
         raise DomainValidationError(f"order must be nonnegative, got {order}")
     _check_z(z)
-    # I_order(z) = (z/2)^order * sum_m (z^2/4)^m / (m! Gamma(m+order+1))
-    t = math.exp(order * math.log(z / 2.0) - math.lgamma(order + 1.0))
-    ratio_num = z * z / 4.0
-    total = t
-    for m in range(_MAX_TERMS):
-        t *= ratio_num / ((m + 1.0) * (m + order + 1.0))
-        total += t
-        if t < _TERM_CUTOFF * total and m >= 3:
-            return total
-    raise NumericalError(f"Bessel series did not converge for order={order}, z={z}")
-
-
-def _check_ultraspherical_args(l: int, N: int) -> None:
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainValidationError(f"angular order l must be a nonnegative integer, got {l}")
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise DomainValidationError(f"dimension N must be an integer >= 2, got {N}")
-
-
-def _leading_coefficient(nu: float) -> float:
-    # c_0 = 2^(-nu) / Gamma(nu + 1)
-    return math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0))
+    return float(leading_term(order, order, z) * (1.0 + series_tail(order, z * z / 4.0)))
 
 
 def ultraspherical_i(l: int, N: int, z: float) -> BesselEval:
     """Evaluate i_l(z) = z^(1-N/2) I_(N/2-1+l)(z) with three derivatives.
-
-    The power series i_l(z) = sum_m c_m z^(2m+l) is differentiated termwise, so the
-    four returned series share coefficients and are each free of cancellation.
 
     Parameters
     ----------
@@ -103,54 +153,8 @@ def ultraspherical_i(l: int, N: int, z: float) -> BesselEval:
     _check_ultraspherical_args(l, N)
     _check_z(z)
     nu = N / 2.0 - 1.0 + l
-    # term t_m = c_m z^(2m+l) tracked multiplicatively; forming z^p on its own
-    # would overflow long before the term itself stops being representable
-    t = math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0) + l * math.log(z))
-    val = d1 = d2 = d3 = 0.0
-    for m in range(_MAX_TERMS):
-        p = 2 * m + l
-        val += t
-        if p >= 1:
-            d1 += p * t / z
-        if p >= 2:
-            d2 += p * (p - 1) * t / z**2
-        if p >= 3:
-            d3 += p * (p - 1) * (p - 2) * t / z**3
-        # all series have positive terms past their first contribution, so a uniform
-        # relative cutoff on the slowest-decaying one (the value series) is safe once
-        # each derivative sum is populated
-        if m >= 4 and t < _TERM_CUTOFF * val and (d3 == 0.0 or p**3 * t < _TERM_CUTOFF * d3 * z**3):
-            return BesselEval(val, d1, d2, d3)
-        t *= z * z / (4.0 * (m + 1.0) * (m + nu + 1.0))
-    raise NumericalError(f"ultraspherical series did not converge for l={l}, N={N}, z={z}")
-
-
-def recurrence_derivatives(l: int, N: int, z: float) -> BesselEval:
-    """Alternative route to the derivatives of i_l using order-raising recurrences.
-
-    Uses i_l'(z) = i_(l+1)(z) + (l/z) i_l(z) and its iterates, with each i_q value
-    taken from its own series.  Exists so the termwise differentiation in
-    ultraspherical_i can be cross-checked against an independent formula.
-    """
-    _check_ultraspherical_args(l, N)
-    _check_z(z)
-
-    def ival(q: int) -> float:
-        nu = N / 2.0 - 1.0 + q
-        t = math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0) + q * math.log(z))
-        total = 0.0
-        for m in range(_MAX_TERMS):
-            total += t
-            if m >= 3 and t < _TERM_CUTOFF * total:
-                return total
-            t *= z * z / (4.0 * (m + 1.0) * (m + nu + 1.0))
-        raise NumericalError(f"series did not converge for order {q}, z={z}")
-
-    i0, i1, i2, i3 = ival(l), ival(l + 1), ival(l + 2), ival(l + 3)
-    d1 = i1 + l / z * i0
-    d2 = i2 + (2 * l + 1) / z * i1 + l * (l - 1) / z**2 * i0
-    d3 = i3 + 3 * (l + 1) / z * i2 + 3 * l**2 / z**2 * i1 + l * (l - 1) * (l - 2) / z**3 * i0
-    return BesselEval(i0, d1, d2, d3)
+    V = scaled_derivatives(l, nu, z * z / 4.0)
+    return BesselEval(*(float(leading_term(nu, l - n, z) * V[n]) for n in range(4)))
 
 
 def ultraspherical_i_tail(l: int, N: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,28 +183,6 @@ def ultraspherical_i_tail(l: int, N: int, z: np.ndarray) -> tuple[np.ndarray, np
         raise DomainValidationError("empty argument array")
     if not np.all(z > 0.0):
         raise DomainValidationError("arguments must be positive")
-    zmax = float(z.max())
-    if zmax > _Z_MAX:
-        raise DomainValidationError(f"argument {zmax} outside supported range (0, {_Z_MAX}]")
-
     nu = N / 2.0 - 1.0 + l
-    c = _leading_coefficient(nu) / (4.0 * (nu + 1.0))  # c_1
-    z2 = z * z
-    p = l + 2
-    t = c * z**p
-    val = t.copy()
-    d1 = p * t / z
-    d2 = p * (p - 1) * t / z2
-    ref = float(val.max())
-    for m in range(1, _MAX_TERMS):
-        c_ratio = 1.0 / (4.0 * (m + 1.0) * (m + 1.0 + nu))
-        t = t * z2 * c_ratio
-        p += 2
-        val += t
-        d1 += p * t / z
-        d2 += p * (p - 1) * t / z2
-        tmax = float(t.max())
-        ref = max(ref, float(val.max()))
-        if tmax < _TERM_CUTOFF * ref and m >= 3:
-            return val, d1, d2
-    raise NumericalError(f"tail series did not converge for l={l}, N={N}, max z={zmax}")
+    V = scaled_derivatives(l, nu, z * z / 4.0, tail=True)
+    return tuple(leading_term(nu, l - n, z) * V[n] for n in range(3))

@@ -29,19 +29,21 @@ import numpy as np
 
 from .errors import DomainValidationError, NumericalError
 from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry
+from .special_functions import _check_tau, leading_term, series_tail
 
-_TAU_MAX = 1.0e4
 _CLUSTER_RELGAP = 1e-6
 
 
 @dataclass(frozen=True)
 class TrialBasis:
-    """Tagged list of trial functions: (family, angular order, parity) per entry.
+    """Tagged list of trial functions: (family, angular order k, parity) per entry.
 
-    family is "harmonic" (Re/Im of complex powers) or "bessel" (regularized radial
-    Bessel profile times cos/sin of k theta).  The Bessel radial part is the series
-    tail i_k(sqrt(tau) r) minus its leading monomial: together with r^k it spans the
-    same space as the plain pair but remains numerically independent at small tau.
+    Each entry is phi(rho) h_k(x, y) about the domain center, with rho = x^2 + y^2
+    and h_k = Re (parity "cos") or Im ("sin") of (x + iy)^k.  family "harmonic" has
+    phi = 1; family "bessel" has phi = c_0 s^k T_k(tau rho / 4), s = sqrt(tau), which
+    is i_k(s r) cos/sin(k theta) minus its leading monomial c_0 s^k h_k.  Together
+    with h_k it spans the same space as the plain pair {h_k, i_k} but remains
+    numerically independent at small tau.
     """
 
     tau: float
@@ -57,8 +59,7 @@ def make_trial_basis(k_max: int, tau: float) -> TrialBasis:
     """Standard basis of size 2 (2 k_max + 1): both families, all orders up to k_max."""
     if k_max < 1:
         raise DomainValidationError(f"k_max must be >= 1, got {k_max}")
-    if not (0.0 < tau <= _TAU_MAX):
-        raise DomainValidationError(f"tau={tau} outside supported range (0, {_TAU_MAX}]")
+    _check_tau(tau)
     tags: list[tuple[str, int, str]] = []
     for family in ("harmonic", "bessel"):
         tags.append((family, 0, "cos"))
@@ -68,98 +69,69 @@ def make_trial_basis(k_max: int, tau: float) -> TrialBasis:
     return TrialBasis(tau=float(tau), k_max=k_max, tags=tuple(tags))
 
 
+def _bessel_scales(basis: TrialBasis) -> np.ndarray:
+    """c_0 s^k for k = 0..k_max, s = sqrt(tau): the Bessel row of order k is c_0 s^k T_k h_k."""
+    s = math.sqrt(basis.tau)
+    return np.array([leading_term(k, k, s) for k in range(basis.k_max + 1)])
+
+
 def _eval_all(
     basis: TrialBasis, pts: np.ndarray, center: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, gradients and Hessians of every basis function at every point.
 
+    Every row is phi(rho) h_k(x, y) in coordinates about the center, with
+    rho = x^2 + y^2 and h_k = Re/Im (x + iy)^k: phi = 1 for harmonic rows and
+    phi = c_0 s^k T_k(tau rho / 4) for Bessel rows.  Derivatives follow from the
+    Cartesian product rule, with grad phi = 2 phi' (x, y) and phi', phi'' taken from
+    T_(k+1) and T_(k+2), so every point, the center included, is evaluated alike.
+    Tables are formed once per order and parity, then copied into the rows.
+
     Returns (val, grad, hess) with shapes (nb, np), (nb, np, 2), (nb, np, 3); the
     Hessian channels are (xx, xy, yy).
     """
-    from .special_functions import ultraspherical_i_tail
-
     x = pts[:, 0] - center[0]
     y = pts[:, 1] - center[1]
-    npts = pts.shape[0]
-    nb = basis.size
-    val = np.zeros((nb, npts))
-    grad = np.zeros((nb, npts, 2))
-    hess = np.zeros((nb, npts, 3))
-
-    s = math.sqrt(basis.tau)
-    # polar data; radius clamped away from 0 so Bessel chain-rule quotients stay
-    # finite (the k = 0 tail starts at r^2, making the clamped limits exact)
-    r = np.hypot(x, y)
-    r = np.maximum(r, 1e-12)
-    ct, st = x / r, y / r
-
+    k_max, tau = basis.k_max, basis.tau
+    k = np.arange(k_max + 1)[:, None]
+    # per order k: w^k and its x-derivatives k w^(k-1), k (k-1) w^(k-2); d/dy = i d/dx
     w = x + 1j * y
-    # complex powers w^k for k = 0..k_max, shared across parities
-    powers = [np.ones_like(w)]
-    for _ in range(basis.k_max):
-        powers.append(powers[-1] * w)
+    P0 = np.ones((k_max + 1, w.size), dtype=complex)
+    P0[1:] = np.cumprod(np.broadcast_to(w, (k_max, w.size)), axis=0)
+    P1 = np.zeros_like(P0)
+    P1[1:] = k[1:] * P0[:-1]
+    P2 = np.zeros_like(P0)
+    P2[2:] = (k * (k - 1))[2:] * P0[:-2]
+    # phi, 2 phi' and 4 phi'' of the Bessel rows from T_nu(tau rho / 4), nu = 0..k_max + 2
+    T = series_tail(np.arange(k_max + 3)[:, None], 0.25 * tau * (x * x + y * y))
+    lead = _bessel_scales(basis)[:, None]
+    phi = lead * T[:-2]
+    p1 = lead * (0.5 * tau) / (k + 1) * (1.0 + T[1:-1])
+    p2 = lead * (0.25 * tau * tau) / ((k + 1) * (k + 2)) * (1.0 + T[2:])
 
-    tail_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # (value, x, y, xx, xy, yy) tables per order, for each family and parity
+    tables = {}
+    for parity, h, hx, hy, hxx, hxy in (
+        ("cos", P0.real, P1.real, -P1.imag, P2.real, -P2.imag),
+        ("sin", P0.imag, P1.imag, P1.real, P2.imag, P2.real),
+    ):
+        tables["harmonic", parity] = (h, hx, hy, hxx, hxy, -hxx)
+        tables["bessel", parity] = (
+            phi * h,
+            phi * hx + p1 * x * h,
+            phi * hy + p1 * y * h,
+            phi * hxx + 2.0 * p1 * x * hx + h * (p1 + p2 * x * x),
+            phi * hxy + p1 * (x * hy + y * hx) + p2 * x * y * h,
+            -phi * hxx + 2.0 * p1 * y * hy + h * (p1 + p2 * y * y),
+        )
 
-    for i, (family, k, parity) in enumerate(basis.tags):
-        if family == "harmonic":
-            pk = powers[k]
-            pk1 = powers[k - 1] if k >= 1 else None
-            pk2 = powers[k - 2] if k >= 2 else None
-            if parity == "cos":
-                val[i] = pk.real
-                if k >= 1:
-                    grad[i, :, 0] = k * pk1.real
-                    grad[i, :, 1] = -k * pk1.imag
-                if k >= 2:
-                    kk = k * (k - 1)
-                    hess[i, :, 0] = kk * pk2.real
-                    hess[i, :, 1] = -kk * pk2.imag
-                    hess[i, :, 2] = -kk * pk2.real
-            else:
-                val[i] = pk.imag
-                if k >= 1:
-                    grad[i, :, 0] = k * pk1.imag
-                    grad[i, :, 1] = k * pk1.real
-                if k >= 2:
-                    kk = k * (k - 1)
-                    hess[i, :, 0] = kk * pk2.imag
-                    hess[i, :, 1] = kk * pk2.real
-                    hess[i, :, 2] = -kk * pk2.imag
-        else:
-            if k not in tail_cache:
-                tail_cache[k] = ultraspherical_i_tail(k, 2, s * r)
-            tv, td1, td2 = tail_cache[k]
-            f = tv
-            fp = s * td1
-            fpp = s * s * td2
-            kt = k * np.arctan2(y, x)
-            if parity == "cos":
-                T, Tp = np.cos(kt), -k * np.sin(kt)
-            else:
-                T, Tp = np.sin(kt), k * np.cos(kt)
-            Tpp = -(k * k) * T
-            u_r = fp * T
-            u_t = f * Tp
-            u_rr = fpp * T
-            u_rt = fp * Tp
-            u_tt = f * Tpp
-            val[i] = f * T
-            grad[i, :, 0] = u_r * ct - u_t * st / r
-            grad[i, :, 1] = u_r * st + u_t * ct / r
-            cs = ct * st
-            hess[i, :, 0] = (
-                u_rr * ct**2 - 2 * u_rt * cs / r + u_tt * st**2 / r**2
-                + u_r * st**2 / r + 2 * u_t * cs / r**2
-            )
-            hess[i, :, 2] = (
-                u_rr * st**2 + 2 * u_rt * cs / r + u_tt * ct**2 / r**2
-                + u_r * ct**2 / r - 2 * u_t * cs / r**2
-            )
-            hess[i, :, 1] = (
-                u_rr * cs + u_rt * (ct**2 - st**2) / r - u_tt * cs / r**2
-                - u_r * cs / r - u_t * (ct**2 - st**2) / r**2
-            )
+    val = np.empty((basis.size, w.size))
+    grad = np.empty((basis.size, w.size, 2))
+    hess = np.empty((basis.size, w.size, 3))
+    channels = (val, grad[..., 0], grad[..., 1], hess[..., 0], hess[..., 1], hess[..., 2])
+    for i, (family, order, parity) in enumerate(basis.tags):
+        for out, table in zip(channels, tables[family, parity]):
+            out[i] = table[order]
     return val, grad, hess
 
 
@@ -171,19 +143,13 @@ def eval_basis(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian of one trial function at one point.
 
-    Returns (value, gradient (2,), hessian (2, 2)).  Bessel modes with k >= 1 are
-    singular in polar coordinates at the expansion center and may not be evaluated
-    within 1e-12 of it.
+    Returns (value, gradient (2,), hessian (2, 2)).  Every point is accepted, the
+    expansion center included: the rows are smooth Cartesian products (see
+    _eval_all), so no polar singularity arises there.
     """
     if not (0 <= index < basis.size):
         raise DomainValidationError(f"basis index {index} outside 0..{basis.size - 1}")
     pt = np.asarray(point, dtype=float).reshape(1, 2)
-    family, k, _ = basis.tags[index]
-    if family == "bessel" and k >= 1:
-        if math.hypot(pt[0, 0] - center[0], pt[0, 1] - center[1]) < 1e-12:
-            raise DomainValidationError(
-                f"Bessel mode k={k} cannot be evaluated at the expansion center"
-            )
     val, grad, hess = _eval_all(basis, pt, center)
     H = np.array(
         [[hess[index, 0, 0], hess[index, 0, 1]], [hess[index, 0, 1], hess[index, 0, 2]]]
@@ -208,15 +174,13 @@ def _boundary_flux_coefficients(basis: TrialBasis) -> tuple[np.ndarray, np.ndarr
     s^k h_k) and the flux is -tau c_0 s^k dh_k/dnu.  Returns (partner index, factor)
     per row.
     """
-    from .special_functions import _leading_coefficient
-
     index = {tag: i for i, tag in enumerate(basis.tags)}
-    s = math.sqrt(basis.tau)
+    lead = _bessel_scales(basis)
     partner = np.empty(basis.size, dtype=int)
     factor = np.empty(basis.size)
     for i, (family, k, parity) in enumerate(basis.tags):
         partner[i] = index[("harmonic", k, parity)]
-        factor[i] = basis.tau if family == "harmonic" else -basis.tau * _leading_coefficient(k) * s**k
+        factor[i] = basis.tau if family == "harmonic" else -basis.tau * lead[k]
     return partner, factor
 
 

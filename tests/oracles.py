@@ -8,9 +8,12 @@ reductions is meaningful evidence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from bisteklov.geometry import interior_quadrature
+from bisteklov.special_functions import BesselEval, ultraspherical_i_tail
 from bisteklov.steklov_solver import _eval_all
 
 
@@ -77,3 +80,124 @@ def cartesian_quotient_2d(f, fp, fpp, k: int, tau: float, n_r: int = 200, n_t: i
     ang = 2.0 * np.pi if k == 0 else np.pi
     f1 = float(f(np.array([1.0]))[0])
     return num / (f1 * f1 * ang)
+
+
+def polar_eval_all(
+    basis: TrialBasis, pts: np.ndarray, center: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, gradients and Hessians of every basis function, through polar coordinates.
+
+    Reference for the solver's Cartesian `_eval_all`: Bessel rows are the tail
+    i_k(s r) - c_0 (s r)^k times cos/sin(k theta), differentiated by the full
+    polar-to-Cartesian chain rule.  The radius is clamped away from 0, so points
+    at the center are out of scope.  Same shapes and channels as `_eval_all`.
+    """
+
+    x = pts[:, 0] - center[0]
+    y = pts[:, 1] - center[1]
+    npts = pts.shape[0]
+    nb = basis.size
+    val = np.zeros((nb, npts))
+    grad = np.zeros((nb, npts, 2))
+    hess = np.zeros((nb, npts, 3))
+
+    s = math.sqrt(basis.tau)
+    # polar data; radius clamped away from 0 so Bessel chain-rule quotients stay
+    # finite (the k = 0 tail starts at r^2, making the clamped limits exact)
+    r = np.hypot(x, y)
+    r = np.maximum(r, 1e-12)
+    ct, st = x / r, y / r
+
+    w = x + 1j * y
+    # complex powers w^k for k = 0..k_max, shared across parities
+    powers = [np.ones_like(w)]
+    for _ in range(basis.k_max):
+        powers.append(powers[-1] * w)
+
+    tail_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    for i, (family, k, parity) in enumerate(basis.tags):
+        if family == "harmonic":
+            pk = powers[k]
+            pk1 = powers[k - 1] if k >= 1 else None
+            pk2 = powers[k - 2] if k >= 2 else None
+            if parity == "cos":
+                val[i] = pk.real
+                if k >= 1:
+                    grad[i, :, 0] = k * pk1.real
+                    grad[i, :, 1] = -k * pk1.imag
+                if k >= 2:
+                    kk = k * (k - 1)
+                    hess[i, :, 0] = kk * pk2.real
+                    hess[i, :, 1] = -kk * pk2.imag
+                    hess[i, :, 2] = -kk * pk2.real
+            else:
+                val[i] = pk.imag
+                if k >= 1:
+                    grad[i, :, 0] = k * pk1.imag
+                    grad[i, :, 1] = k * pk1.real
+                if k >= 2:
+                    kk = k * (k - 1)
+                    hess[i, :, 0] = kk * pk2.imag
+                    hess[i, :, 1] = kk * pk2.real
+                    hess[i, :, 2] = -kk * pk2.imag
+        else:
+            if k not in tail_cache:
+                tail_cache[k] = ultraspherical_i_tail(k, 2, s * r)
+            tv, td1, td2 = tail_cache[k]
+            f = tv
+            fp = s * td1
+            fpp = s * s * td2
+            kt = k * np.arctan2(y, x)
+            if parity == "cos":
+                T, Tp = np.cos(kt), -k * np.sin(kt)
+            else:
+                T, Tp = np.sin(kt), k * np.cos(kt)
+            Tpp = -(k * k) * T
+            u_r = fp * T
+            u_t = f * Tp
+            u_rr = fpp * T
+            u_rt = fp * Tp
+            u_tt = f * Tpp
+            val[i] = f * T
+            grad[i, :, 0] = u_r * ct - u_t * st / r
+            grad[i, :, 1] = u_r * st + u_t * ct / r
+            cs = ct * st
+            hess[i, :, 0] = (
+                u_rr * ct**2 - 2 * u_rt * cs / r + u_tt * st**2 / r**2
+                + u_r * st**2 / r + 2 * u_t * cs / r**2
+            )
+            hess[i, :, 2] = (
+                u_rr * st**2 + 2 * u_rt * cs / r + u_tt * ct**2 / r**2
+                + u_r * ct**2 / r - 2 * u_t * cs / r**2
+            )
+            hess[i, :, 1] = (
+                u_rr * cs + u_rt * (ct**2 - st**2) / r - u_tt * cs / r**2
+                - u_r * cs / r - u_t * (ct**2 - st**2) / r**2
+            )
+    return val, grad, hess
+
+
+def recurrence_derivatives(l: int, N: int, z: float) -> BesselEval:
+    """Derivatives of i_l by order-raising recurrences, each i_q from its own series loop.
+
+    Uses i_l'(z) = i_(l+1)(z) + (l/z) i_l(z) and its iterates, independently of the
+    package's normalised series core, so `ultraspherical_i` can be cross-checked.
+    """
+
+    def ival(q: int) -> float:
+        nu = N / 2.0 - 1.0 + q
+        t = math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0) + q * math.log(z))
+        total = 0.0
+        for m in range(200):
+            total += t
+            if m >= 3 and t < 1e-17 * total:
+                return total
+            t *= z * z / (4.0 * (m + 1.0) * (m + nu + 1.0))
+        raise ArithmeticError(f"series did not converge for order {q}, z={z}")
+
+    i0, i1, i2, i3 = ival(l), ival(l + 1), ival(l + 2), ival(l + 3)
+    d1 = i1 + l / z * i0
+    d2 = i2 + (2 * l + 1) / z * i1 + l * (l - 1) / z**2 * i0
+    d3 = i3 + 3 * (l + 1) / z * i2 + 3 * l**2 / z**2 * i1 + l * (l - 1) * (l - 2) / z**3 * i0
+    return BesselEval(i0, d1, d2, d3)

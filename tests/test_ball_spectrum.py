@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bisteklov import (
     BallMode,
     DomainValidationError,
+    NumericalError,
     eigenvalue_of_order,
     multiplicity_of_order,
     radial_profile,
@@ -79,6 +80,29 @@ class TestEigenvalueFormula:
         with pytest.raises(DomainValidationError):
             eigenvalue_of_order(-1, 2, 1.0)
 
+    @pytest.mark.parametrize("N", [2, 5])
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e4])
+    def test_against_mpmath(self, N, tau):
+        # the unreduced formula of the docstring, in 60 digits with mpmath's Bessel
+        # function and numerical derivatives
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            t = mp.mpf(tau)
+            s = mp.sqrt(t)
+            for l in (2, 20, 60, 150):
+                nu = mp.mpf(N) / 2 - 1 + l
+                i_l = lambda z: z ** (1 - mp.mpf(N) / 2) * mp.besseli(nu, z)  # noqa: E731
+                i = [mp.diff(i_l, s, n) for n in range(4)]
+                den = (1 - l) * l * i[0] + t * i[2]
+                num = (
+                    3 * (l - 1) * l * (l + N - 2) * i[0]
+                    - (l - 1) * s * (N - 1 + 2 * N * l + 2 * l * (l - 2) + t) * i[1]
+                    + t * ((l - 1) * (l + 2 * N - 3) + t) * i[2]
+                    + (l - 1) * t * s * i[3]
+                )
+                want = float(l * num / den)
+                assert eigenvalue_of_order(l, N, tau) == pytest.approx(want, rel=1e-8), l
+
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(
         l=st.integers(min_value=2, max_value=12),
@@ -126,7 +150,7 @@ class TestRadialProfile:
                     assert abs(r2) <= 1e-10 * l * (l - 1), (l, N, tau)
 
     def test_evaluate_matches_scalar_series(self):
-        # the vectorized tail-plus-monomial evaluation against plain series calls
+        # the vectorized normalised-series evaluation against scalar series calls
         mode = radial_profile(3, 2, 2.0)
         s = math.sqrt(2.0)
         radii = np.array([0.05, 0.3, 0.7, 1.0])
@@ -139,6 +163,12 @@ class TestRadialProfile:
             assert R[j] == pytest.approx(want, rel=1e-12)
             assert R1[j] == pytest.approx(want1, rel=1e-12)
             assert R2[j] == pytest.approx(want2, rel=1e-12, abs=1e-12)
+
+    def test_unrepresentable_bessel_coefficient(self):
+        # c_0 s^3 underflows at tau = 1e-300, so the i_l coefficient has no double value
+        assert eigenvalue_of_order(3, 2, 1e-300) > 0.0
+        with pytest.raises(NumericalError):
+            radial_profile(3, 2, 1e-300)
 
     def test_constant_mode(self):
         mode = radial_profile(0, 3, 1.0)

@@ -49,6 +49,26 @@ class TestBallSpectrum:
         # lambda = tau has multiplicity N = 3
         assert [r[2] for r in rows] == ["0", "1", "1", "1"]
 
+    @staticmethod
+    def _eigenvalues(out):
+        return [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+
+    def test_many_orders(self, capsys):
+        # 400 eigenvalues reach order 200, past both the old series underflow and order cap
+        code, out, err = run_cli(capsys, "ball-spectrum", "--tau", "1", "--count", "400")
+        assert code == 0, err
+        lam = self._eigenvalues(out)
+        assert len(lam) == 400
+        assert lam[1] == pytest.approx(1.0, rel=1e-10)
+        assert lam[2] == pytest.approx(1.0, rel=1e-10)
+
+    def test_tiny_tau(self, capsys):
+        code, out, err = run_cli(capsys, "ball-spectrum", "--tau", "1e-300", "--count", "4")
+        assert code == 0, err
+        lam = self._eigenvalues(out)
+        assert lam[1] == pytest.approx(1e-300, rel=1e-10)
+        assert lam[2] == pytest.approx(1e-300, rel=1e-10)
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         code, out, _ = run_cli(

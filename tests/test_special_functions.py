@@ -11,10 +11,10 @@ from bisteklov.errors import DomainValidationError
 from bisteklov.special_functions import (
     BesselEval,
     modified_bessel_I,
-    recurrence_derivatives,
     ultraspherical_i,
     ultraspherical_i_tail,
 )
+from oracles import recurrence_derivatives
 
 # reference values frozen from a 60-digit series evaluation
 I_REFERENCE = {

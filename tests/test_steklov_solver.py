@@ -23,11 +23,23 @@ from bisteklov import (
     solve,
     sorted_spectrum,
 )
+from bisteklov.geometry import interior_quadrature
 from bisteklov.special_functions import ultraspherical_i_tail
-from oracles import interior_stiffness
+from bisteklov.steklov_solver import _eval_all
+from oracles import interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
 DISK = StarDomain(a0=1.0)
+ORACLE_DOMAINS = [
+    DISK,
+    StarDomain(**json.loads((ROOT / "domains" / "perturbed.json").read_text())),
+    StarDomain(
+        a0=1.0,
+        cos_coeffs=(0.03, 0.05, 0.0, 0.02),
+        sin_coeffs=(0.0, 0.04, 0.03),
+        center=(0.2, -0.15),
+    ),
+]
 
 
 def disk_reference(tau: float, count: int) -> np.ndarray:
@@ -104,11 +116,45 @@ class TestEvalBasis:
         assert H[0, 1] == pytest.approx(fd_xy, rel=1e-5, abs=1e-6)
         assert H[1, 0] == H[0, 1]
 
-    def test_singular_center_rejected(self):
-        basis = make_trial_basis(2, 1.0)
-        idx = next(i for i, t in enumerate(basis.tags) if t == ("bessel", 1, "cos"))
-        with pytest.raises(DomainValidationError):
-            eval_basis(basis, idx, (0.0, 0.0))
+    def test_center_is_regular(self):
+        tau, h = 2.0, 1e-5
+        basis = make_trial_basis(3, tau)
+        zero = np.zeros(2)
+        v, g, H = eval_basis(basis, basis.tags.index(("bessel", 0, "cos")), zero)
+        assert v == 0.0
+        assert np.all(g == 0.0)
+        assert np.allclose(H, 0.5 * tau * np.eye(2), rtol=1e-15, atol=0.0)
+        for idx, (family, k, _) in enumerate(basis.tags):
+            if family != "bessel" or k == 0:
+                continue
+            v, g, H = eval_basis(basis, idx, zero)
+            assert np.all(np.isfinite(g)) and np.all(np.isfinite(H)) and math.isfinite(v)
+
+            def val(q):
+                return eval_basis(basis, idx, q)[0]
+
+            for c in range(2):
+                e = np.zeros(2)
+                e[c] = h
+                assert g[c] == pytest.approx((val(e) - val(-e)) / (2 * h), abs=1e-10)
+                assert H[c, c] == pytest.approx((val(e) - 2 * v + val(-e)) / h**2, abs=1e-6)
+            ex, ey = np.array([h, 0.0]), np.array([0.0, h])
+            fd_xy = (val(ex + ey) - val(ex - ey) - val(-ex + ey) + val(-ex - ey)) / (4 * h * h)
+            assert H[0, 1] == pytest.approx(fd_xy, abs=1e-6)
+
+    @pytest.mark.parametrize("k_max", [10, 20, 30])
+    @pytest.mark.parametrize("tau", [1e-3, 0.01, 0.1, 1.0, 5.0, 20.0, 1e3, 5e3])
+    def test_matches_polar_oracle(self, tau, k_max):
+        basis = make_trial_basis(k_max, tau)
+        for domain in ORACLE_DOMAINS:
+            interior, _ = interior_quadrature(domain, 8, 64)
+            for pts in (boundary_geometry(domain, 256).points, interior):
+                got = _eval_all(basis, pts, domain.center)
+                want = polar_eval_all(basis, pts, domain.center)
+                for a, b in zip(got, want):
+                    a, b = a.reshape(basis.size, -1), b.reshape(basis.size, -1)
+                    scale = np.abs(b).max(axis=1)
+                    assert np.all(np.abs(a - b).max(axis=1) <= 1e-13 * scale)
 
     def test_index_validation(self):
         basis = make_trial_basis(2, 1.0)
@@ -172,18 +218,7 @@ class TestAssemble:
     @pytest.mark.parametrize("k_max", [10, 20])
     @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
     @pytest.mark.parametrize(
-        "domain",
-        [
-            DISK,
-            StarDomain(**json.loads((ROOT / "domains" / "perturbed.json").read_text())),
-            StarDomain(
-                a0=1.0,
-                cos_coeffs=(0.03, 0.05, 0.0, 0.02),
-                sin_coeffs=(0.0, 0.04, 0.03),
-                center=(0.2, -0.15),
-            ),
-        ],
-        ids=["disk", "perturbed", "offcentre"],
+        "domain", ORACLE_DOMAINS, ids=["disk", "perturbed", "offcentre"]
     )
     def test_boundary_stiffness_matches_interior_oracle(self, domain, tau, k_max):
         basis = make_trial_basis(k_max, tau)
