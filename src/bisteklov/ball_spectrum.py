@@ -32,13 +32,13 @@ def multiplicity_of_order(l: int, N: int) -> int:
     return math.comb(N + l - 1, l) - math.comb(N + l - 3, l - 2)
 
 
-def eigenvalue_of_order(l: int, N: int, tau: float) -> float:
+def eigenvalue_of_order(l, N: int, tau: float):
     """Steklov eigenvalue attached to spherical harmonics of degree l on the unit ball.
 
     Parameters
     ----------
-    l : int
-        Angular order.  l = 0 gives the trivial eigenvalue 0, l = 1 gives tau.
+    l : int or ndarray of int
+        Angular order(s).  l = 0 gives the trivial eigenvalue 0, l = 1 gives tau.
     N : int
         Space dimension, N >= 2.
     tau : float
@@ -46,8 +46,8 @@ def eigenvalue_of_order(l: int, N: int, tau: float) -> float:
 
     Returns
     -------
-    float
-        The eigenvalue lambda_(l).
+    float or ndarray
+        The eigenvalue lambda_(l), shaped like l.
 
     Notes
     -----
@@ -75,17 +75,17 @@ def eigenvalue_of_order(l: int, N: int, tau: float) -> float:
     small tau.
     """
     _check_tau(tau)
-    if l < 0:
+    l = np.asarray(l)
+    if np.any(l < 0):
         raise DomainValidationError(f"angular order must be nonnegative, got {l}")
-    if l == 0:
-        return 0.0
     q = tau / 4.0
-    _, S1, S2, S3 = (float(v) for v in series_derivatives(N / 2.0 - 1.0 + l, q, 3))
+    _, S1, S2, S3 = series_derivatives(N / 2.0 - 1.0 + l, q, 3)
     c1 = 2.0 * (l - 1) * ((3 * l + 2) * (l - 1) + N * (2 * l + 1)) + 2.0 * tau * (l + 2)
     c2 = 4.0 * ((l - 1) * (l + 2 * N - 3) + tau) + 12.0 * (l - 1) * (l + 1)
     num = c1 * S1 + c2 * q * S2 + 8.0 * (l - 1) * q * q * S3
     den = (4 * l + 2) * S1 + 4.0 * q * S2
-    return l * num / den
+    lam = np.where(l == 0, 0.0, l * num / den)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 @dataclass(frozen=True)
@@ -183,39 +183,21 @@ class SortedSpectrum:
 def sorted_spectrum(N: int, tau: float, j_max: int) -> SortedSpectrum:
     """Enumerate the first j_max ball eigenvalues in ascending order.
 
-    Walks angular orders upward and stops once the eigenvalue of the current order
-    exceeds the j_max-th smallest value found so far; this is justified by the
-    monotonicity of lambda_(l) in l for l >= 2.
+    lambda_(1) = tau lies below lambda_(2), and lambda_(l) increases in l for
+    l >= 2, so the orders up to the first l >= 2 whose multiplicities bring the
+    count to j_max hold the j_max smallest eigenvalues.  They are evaluated in one
+    call and sorted.
     """
     _check_tau(tau)
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
-    collected: list[tuple[float, int, int]] = []  # (eigenvalue, order, multiplicity)
-    cum = 0
-    l = 0
-    while True:
-        lam = eigenvalue_of_order(l, N, tau)
-        mult = multiplicity_of_order(l, N)
-        collected.append((lam, l, mult))
-        cum += mult
-        if cum >= j_max and l >= 2:
-            ordered = sorted(collected)
-            c, kth = 0, math.inf
-            for lam_i, _, m_i in ordered:
-                c += m_i
-                if c >= j_max:
-                    kth = lam_i
-                    break
-            if lam > kth:
-                break
-        l += 1
-        # every order l >= 1 adds at least one eigenvalue, and lambda_(l) increases
-        if l > j_max + 2:
-            raise NumericalError("spectrum enumeration failed to terminate")
-    collected.sort()
+    mults: list[int] = []
+    while len(mults) < 3 or sum(mults) < j_max:
+        mults.append(multiplicity_of_order(len(mults), N))
+    lams = eigenvalue_of_order(np.arange(len(mults)), N, tau).tolist()
     entries = []
     start = 1
-    for lam, order, mult in collected:
+    for lam, order, mult in sorted(zip(lams, range(len(mults)), mults)):
         if start > j_max:
             break
         entries.append(SpectrumEntry(lam, order, (start, start + mult - 1)))
@@ -309,6 +291,6 @@ def verify_order_monotonicity(N: int, tau: float, l_max: int) -> MonotonicityRep
     """Check lambda_(1) < lambda_(2) and strict increase of lambda_(l) for 2 <= l <= l_max."""
     if l_max < 2:
         raise DomainValidationError(f"l_max must be >= 2, got {l_max}")
-    vals = tuple(eigenvalue_of_order(l, N, tau) for l in range(1, l_max + 1))
+    vals = tuple(eigenvalue_of_order(np.arange(1, l_max + 1), N, tau).tolist())
     ok = vals[0] < vals[1] and all(vals[i] < vals[i + 1] for i in range(1, len(vals) - 1))
     return MonotonicityReport(vals, ok)

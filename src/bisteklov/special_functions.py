@@ -68,12 +68,15 @@ def series_tail(nu, q) -> np.ndarray:
     raise NumericalError(f"Bessel series did not converge for max argument q={q_max}")
 
 
-def series_derivatives(nu: float, q, n: int) -> list[np.ndarray]:
-    """[T_nu(q), S_nu'(q), ..., S_nu^(n)(q)], from S_nu^(j) = S_(nu+j) / ((nu+1)...(nu+j))."""
-    q = np.asarray(q, dtype=float)
-    shape = (-1,) + (1,) * q.ndim
-    T = series_tail(nu + np.arange(n + 1).reshape(shape), q)
-    return [T[0], *((1.0 + T[1:]) / np.cumprod(nu + np.arange(1, n + 1)).reshape(shape))]
+def series_derivatives(nu, q, n: int) -> list[np.ndarray]:
+    """[T_nu(q), S_nu'(q), ..., S_nu^(n)(q)], from S_nu^(j) = S_(nu+j) / ((nu+1)...(nu+j)).
+
+    nu and q broadcast against each other.
+    """
+    nu, q = np.asarray(nu, dtype=float), np.asarray(q, dtype=float)
+    nu_j = nu + np.arange(n + 1).reshape((-1,) + (1,) * max(nu.ndim, q.ndim))
+    T = series_tail(nu_j, q)
+    return [T[0], *((1.0 + T[1:]) / np.cumprod(nu_j[1:], axis=0))]
 
 
 def leading_term(nu: float, l: float, z):

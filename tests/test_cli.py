@@ -191,6 +191,13 @@ class TestExitCodes:
         assert code == 2
         assert "unknown domain fields" in err
 
+    def test_bessel_argument_beyond_range(self, capsys, perturbed_file):
+        # radius 1.05 at tau = 1e4 puts sqrt(tau) r past the series range of 100
+        code, out, err = run_cli(capsys, "solve", "--domain", perturbed_file, "--tau", "10000")
+        assert code == 2
+        assert out == ""
+        assert "outside supported range" in err
+
     def test_missing_a0(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"cos_coeffs": [0.1]}\n')
