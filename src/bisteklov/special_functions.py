@@ -58,12 +58,13 @@ def series_tail(nu, q) -> np.ndarray:
         raise DomainValidationError(
             f"argument z={2.0 * math.sqrt(q_max)} outside supported range (0, {_Z_MAX}]"
         )
-    t = q / (nu + 1.0)
+    a = nu + 1.0
+    t = q / a
     total = t.copy()
     for m in range(1, _MAX_TERMS):
-        t = t * q / ((m + 1.0) * (nu + m + 1.0))
+        t = t * q / ((m + 1.0) * (a + m))
         total += t
-        if np.all(t <= _TERM_CUTOFF * total):
+        if (t <= _TERM_CUTOFF * total).all():
             return total
     raise NumericalError(f"Bessel series did not converge for max argument q={q_max}")
 
