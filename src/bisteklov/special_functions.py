@@ -95,25 +95,18 @@ def scaled_derivatives(l: int, nu: float, q, tail: bool = False) -> list[np.ndar
     T, S1, S2, S3 = series_derivatives(nu, q, 3)
     q = np.asarray(q, dtype=float)
     S = T if tail else 1.0 + T
-    d1, d2, d3 = q * S1, q * q * S2, q**3 * S3
+    q1, q2, q3 = q * S1, q * q * S2, q**3 * S3  # q^j S^(j)
     return [
         S,
-        l * S + 2.0 * d1,
-        l * (l - 1) * S + (4 * l + 2) * d1 + 4.0 * d2,
-        l * (l - 1) * (l - 2) * S + 6 * l * l * d1 + 12 * (l + 1) * d2 + 8.0 * d3,
+        l * S + 2.0 * q1,
+        l * (l - 1) * S + (4 * l + 2) * q1 + 4.0 * q2,
+        l * (l - 1) * (l - 2) * S + 6 * l * l * q1 + 12 * (l + 1) * q2 + 8.0 * q3,
     ]
 
 
 def _check_z(z: float) -> None:
     if not (z > 0.0):
         raise DomainValidationError(f"argument must be positive, got z={z}")
-
-
-def _check_ultraspherical_args(l: int, N: int) -> None:
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainValidationError(f"angular order l must be a nonnegative integer, got {l}")
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise DomainValidationError(f"dimension N must be an integer >= 2, got {N}")
 
 
 def modified_bessel_I(order: float, z: float) -> float:
@@ -135,6 +128,13 @@ def modified_bessel_I(order: float, z: float) -> float:
         raise DomainValidationError(f"order must be nonnegative, got {order}")
     _check_z(z)
     return float(leading_term(order, order, z) * (1.0 + series_tail(order, z * z / 4.0)))
+
+
+def _check_ultraspherical_args(l: int, N: int) -> None:
+    if not isinstance(l, (int, np.integer)) or l < 0:
+        raise DomainValidationError(f"angular order l must be a nonnegative integer, got {l}")
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise DomainValidationError(f"dimension N must be an integer >= 2, got {N}")
 
 
 def ultraspherical_i(l: int, N: int, z: float) -> BesselEval:
