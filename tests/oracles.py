@@ -3,7 +3,10 @@
 Everything here deliberately avoids the reduced formulas under test: energies are
 expanded in full Cartesian second derivatives and integrated over the interior on a
 two-dimensional polar grid, so agreement with the package's radial and boundary
-reductions is meaningful evidence.
+reductions is meaningful evidence.  The trial basis is also evaluated through
+polar coordinates, and the Bessel derivatives through order-raising recurrences
+with their own series loop, as references for the package's Cartesian evaluator
+and its single normalised series.
 """
 
 from __future__ import annotations
