@@ -6,7 +6,10 @@ plate eigenvalues approach the Steklov eigenvalues of the same operator, with th
 surviving mass acting as a boundary measure.  Rotational symmetry splits the
 problem into angular modes; each mode is discretized with cubic Hermite elements
 in the radius, so values and radial derivatives are both nodal unknowns and the
-bending energy is represented exactly within the element space.
+bending energy is represented exactly within the element space.  Assembly is
+vectorised per mesh: the element arrays, the mass matrix and its factor are built
+once and every mode's stiffness is formed over all elements at once.  The pencil
+is solved per mode.
 """
 
 from __future__ import annotations
@@ -96,17 +99,21 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
         raise DomainValidationError("need at least one element in each region")
     h_c = eps / n_collar
     L = 1.0 - eps
-    # a single bulk element, or collar elements coarser than a uniform bulk,
-    # leave nothing to grade
-    if n_bulk == 1 or h_c * n_bulk >= L:
+
+    # sizes h_c * g^j for j = 0..n-1 moving from the interface toward the center;
+    # solve sum = L for the growth ratio g
+    def total(g: float) -> float:
+        return h_c * (g**n_bulk - 1.0) / (g - 1.0) - L
+
+    # a single bulk element, or collar elements coarser than a uniform bulk, leave
+    # nothing to grade; nor does a ratio g^n below 1 + 1e-6, where total is noise
+    if n_bulk == 1 or h_c * n_bulk >= L or total(1.0 + 1e-6 / n_bulk) >= 0.0:
         bulk = np.linspace(0.0, L, n_bulk + 1)
     else:
-        # sizes h_c * g^j for j = 0..n-1 moving from the interface toward the center;
-        # solve sum = L for the growth ratio g
-        def total(g: float) -> float:
-            return h_c * (g**n_bulk - 1.0) / (g - 1.0) - L
-
-        g = brentq(total, 1.0 + 1e-12, 1e3)
+        g_hi = min(1e3, 10.0 ** (300 / n_bulk))  # g**n_bulk finite; 1e3 up to n_bulk = 100
+        if total(g_hi) < 0.0:  # root beyond: the largest size h_c g^(n-1) alone bounds it
+            g_hi = (L / h_c) ** (1.0 / (n_bulk - 1))
+        g = brentq(total, 1.0 + 1e-12, g_hi)
         sizes = h_c * g ** np.arange(n_bulk)
         bulk = L - np.concatenate(([0.0], np.cumsum(sizes)))[::-1]
         bulk[0] = 0.0
@@ -116,41 +123,50 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
     return RadialMesh(nodes=nodes, eps=eps)
 
 
-def _hermite_shapes(h: float, xi: np.ndarray):
-    """Cubic Hermite shape functions on an element of length h at local points xi in [0, 1].
+def _mesh_forms(profile: DensityProfile, mesh: RadialMesh):
+    """What every angular mode of one mesh shares.
 
-    Rows are the four DOFs (value left, slope left, value right, slope right);
-    returns (H, H', H'') with derivatives in the physical coordinate.
+    Cubic Hermite shapes (H, H', H'') at each element's Gauss points as (n_elements,
+    4, n_gauss) arrays (rows: value and slope left, value and slope right; physical
+    derivatives), radii r and weights of r dr, the unconstrained mass matrix and the
+    Cholesky factor of its k >= 2 block.
     """
-    one = np.ones_like(xi)
-    H = np.stack(
-        [
-            1.0 - 3.0 * xi**2 + 2.0 * xi**3,
-            h * (xi - 2.0 * xi**2 + xi**3),
-            3.0 * xi**2 - 2.0 * xi**3,
-            h * (-(xi**2) + xi**3),
-        ]
-    )
-    H1 = np.stack(
-        [
-            (-6.0 * xi + 6.0 * xi**2) / h,
-            one - 4.0 * xi + 3.0 * xi**2,
-            (6.0 * xi - 6.0 * xi**2) / h,
-            -2.0 * xi + 3.0 * xi**2,
-        ]
-    )
-    H2 = np.stack(
-        [
-            (-6.0 + 12.0 * xi) / h**2,
-            (-4.0 + 6.0 * xi) / h,
-            (6.0 - 12.0 * xi) / h**2,
-            (-2.0 + 6.0 * xi) / h,
-        ]
-    )
-    return H, H1, H2
+    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
+    h = np.diff(mesh.nodes)[:, None]
+    xi = np.broadcast_to(0.5 * (gx + 1.0), (len(h), len(gx)))
+    r = mesh.nodes[:-1, None] + xi * h
+    w = 0.5 * gw * h * r
+    H = np.stack([1.0 - 3.0 * xi**2 + 2.0 * xi**3, h * (xi - 2.0 * xi**2 + xi**3),
+                  3.0 * xi**2 - 2.0 * xi**3, h * (-(xi**2) + xi**3)], axis=1)
+    H1 = np.stack([(-6.0 * xi + 6.0 * xi**2) / h, 1.0 - 4.0 * xi + 3.0 * xi**2,
+                   (6.0 * xi - 6.0 * xi**2) / h, -2.0 * xi + 3.0 * xi**2], axis=1)
+    H2 = np.stack([(-6.0 + 12.0 * xi) / h**2, (-4.0 + 6.0 * xi) / h,
+                   (6.0 - 12.0 * xi) / h**2, (-2.0 + 6.0 * xi) / h], axis=1)
+    mass = _assemble(_element_gram(H, w * profile.value(r)))
+    return H, H1, H2, r, w, mass, _cholesky(mass[2:, 2:].copy())
 
 
-def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh):
+def _element_gram(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Element matrices sum_g t[e, a, g] w[e, g] t[e, b, g], shape (n_elements, 4, 4)."""
+    return np.einsum("eag,eg,ebg->eab", t, w, t)
+
+
+def _assemble(Ae: np.ndarray) -> np.ndarray:
+    """Global matrix from element matrices; element e owns DOFs 2e .. 2e + 3."""
+    idx = 2 * np.arange(len(Ae))[:, None] + np.arange(4)
+    A = np.zeros((2 * len(Ae) + 2,) * 2)
+    np.add.at(A, (idx[:, :, None], idx[:, None, :]), Ae)
+    return A
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    try:
+        return cholesky(A, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pencil factorization failed: {exc}") from exc
+
+
+def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh, forms=None):
     """Stiffness and mass for angular mode k after essential constraints at the center.
 
     The energy density per unit radius for u = f(r) trig(k theta) is the sum of
@@ -161,49 +177,26 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
 
     integrated against r dr (angular factor normalized away; it is common to both
     matrices).  Center regularity removes f'(0) for k = 0, f(0) for k = 1, and both
-    for k >= 2.
+    for k >= 2.  Each term is formed on all elements at once (`forms`, from
+    `_mesh_forms`, is built if not given) and the terms are added in the order
+    written; a global entry sums at most two element entries, in either order.
     """
-    nodes = mesh.nodes
-    n_nodes = len(nodes)
-    ndof = 2 * n_nodes
-    S = np.zeros((ndof, ndof))
-    Mm = np.zeros((ndof, ndof))
-    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
-    xi = 0.5 * (gx + 1.0)
-    wq = 0.5 * gw
+    H, H1, H2, r, w, mass, _ = _mesh_forms(profile, mesh) if forms is None else forms
     k2 = float(k * k)
-    for e in range(mesh.n_elements):
-        a, b = nodes[e], nodes[e + 1]
-        h = b - a
-        r = a + xi * h
-        w = wq * h * r
-        H, H1, H2 = _hermite_shapes(h, xi)
-        t_bend = H2
-        t_shear = (H1 - H / r) / r
-        t_ring = H1 / r - k2 * H / r**2
-        Se = np.einsum("ag,g,bg->ab", t_bend, w, t_bend)
-        if k >= 1:
-            Se += 2.0 * k2 * np.einsum("ag,g,bg->ab", t_shear, w, t_shear)
-        Se += np.einsum("ag,g,bg->ab", t_ring, w, t_ring)
-        Se += tau * np.einsum("ag,g,bg->ab", H1, w, H1)
-        if k >= 1:
-            Se += tau * k2 * np.einsum("ag,g,bg->ab", H / r, w, H / r)
-        Me = np.einsum("ag,g,bg->ab", H, w * profile.value(r), H)
-        idx = [2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]
-        S[np.ix_(idx, idx)] += Se
-        Mm[np.ix_(idx, idx)] += Me
-
-    if k == 0:
-        drop = [1]
-    elif k == 1:
-        drop = [0]
-    else:
-        drop = [0, 1]
-    keep = [i for i in range(ndof) if i not in drop]
-    return S[np.ix_(keep, keep)], Mm[np.ix_(keep, keep)], keep
+    r = r[:, None]
+    Se = _element_gram(H2, w)
+    if k >= 1:
+        Se += 2.0 * k2 * _element_gram((H1 - H / r) / r, w)
+    Se += _element_gram(H1 / r - k2 * H / r**2, w)
+    Se += tau * _element_gram(H1, w)
+    if k >= 1:
+        Se += tau * k2 * _element_gram(H / r, w)
+    keep = [i for i in range(len(mass)) if i not in {0: [1], 1: [0]}.get(k, [0, 1])]
+    return _assemble(Se)[np.ix_(keep, keep)], mass[np.ix_(keep, keep)], keep
 
 
-def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None):
+def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None,
+                  mass_factor: np.ndarray | None = None):
     """Smallest eigenvalues of S x = lambda M x with S >= 0, M > 0.
 
     Works on the shifted inverse: with K = S + M and Cholesky factors K = L L^T,
@@ -211,7 +204,8 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
     so the smallest lambda are read off the LARGEST mu.  This keeps the small end
     of the spectrum accurate even when the stiffness scale is enormous, which dense
     solves on (S, M) do not.  An optional known eigenvector with eigenvalue 0 is
-    deflated exactly through a Householder complement.
+    deflated exactly through a Householder complement.  `mass_factor`, when
+    given, is the lower Cholesky factor R of M, used as is (not with `deflate`).
     """
     prepend_zero = False
     if deflate is not None:
@@ -232,11 +226,8 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
         prepend_zero = True
         count -= 1
 
-    try:
-        L = cholesky(S + M, lower=True)
-        R = cholesky(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pencil factorization failed: {exc}") from exc
+    L = _cholesky(S + M)
+    R = _cholesky(M) if mass_factor is None else mass_factor
     Y = solve_triangular(L, R, lower=True)
     C = Y @ Y.T
     C = 0.5 * (C + C.T)
@@ -255,12 +246,14 @@ def neumann_mode_eigenvalues(
     profile: DensityProfile,
     mesh: RadialMesh,
     count: int = 6,
+    forms=None,
 ) -> np.ndarray:
     """Lowest eigenvalues of the free plate in angular mode k with the given density.
 
     For k = 0 the constant function is an exact eigenfunction with eigenvalue 0 in
     both the continuous and the discrete problem; it is deflated explicitly so the
-    returned leading eigenvalue is exactly 0.
+    returned leading eigenvalue is exactly 0.  `forms` (from `_mesh_forms`) lets
+    several modes of one mesh share their element arrays and mass factor.
     """
     if k < 0:
         raise DomainValidationError(f"angular mode must be nonnegative, got {k}")
@@ -276,13 +269,14 @@ def neumann_mode_eigenvalues(
             "eigenvalues may be inaccurate",
             stacklevel=2,
         )
-    S, M, keep = _mode_matrices(k, tau, profile, mesh)
+    forms = _mesh_forms(profile, mesh) if forms is None else forms
+    S, M, keep = _mode_matrices(k, tau, profile, mesh, forms)
     deflate = None
     if k == 0:
         full = np.zeros(2 * len(mesh.nodes))
         full[0::2] = 1.0  # value DOFs of the constant profile
         deflate = full[keep]
-    return _solve_pencil(S, M, count, deflate)
+    return _solve_pencil(S, M, count, deflate, forms[-1] if k >= 2 else None)
 
 
 def merged_spectrum(
@@ -296,8 +290,9 @@ def merged_spectrum(
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
     vals: list[float] = []
+    forms = _mesh_forms(profile, mesh)
     for k in range(k_cap + 1):
-        ev = neumann_mode_eigenvalues(k, tau, profile, mesh, count=j_max)
+        ev = neumann_mode_eigenvalues(k, tau, profile, mesh, count=j_max, forms=forms)
         reps = 1 if k == 0 else 2
         for lam in ev:
             vals.extend([float(lam)] * reps)

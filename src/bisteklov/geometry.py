@@ -33,8 +33,7 @@ class StarDomain:
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "a0", float(self.a0))
-        th = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
-        r = self.rho(th)
+        r = _grid_samples(self.a0, self.cos_coeffs, self.sin_coeffs, _POSITIVITY_GRID)
         if not np.all(r > 0.0):
             raise DomainValidationError(
                 f"radius series is not positive (min {r.min():.3e}); domain is invalid"
@@ -73,6 +72,23 @@ def trig_series(const, cos_coeffs, sin_coeffs, theta, derivatives: bool = False)
                     f1 += sign * (c * k * other_fn(k * theta))
                     f2 -= c * k * k * main
     return (f, f1, f2) if derivatives else f
+
+
+def _grid_samples(const, cos_coeffs, sin_coeffs, n: int) -> np.ndarray:
+    """trig_series at theta_j = 2 pi j / n (n even), to rounding, by one inverse real FFT.
+
+    Modes at or above n/2 are folded onto the modes they alias on the grid.
+    """
+    c = np.zeros(max(len(cos_coeffs), len(sin_coeffs)) + 1, dtype=complex)
+    c[0] = const
+    c[1 : len(cos_coeffs) + 1] += cos_coeffs
+    c[1 : len(sin_coeffs) + 1] -= 1j * np.asarray(sin_coeffs)
+    k = np.arange(len(c)) % n
+    c = np.where(k > n // 2, c.conj(), c)  # mode k and n - k agree up to conjugation
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    np.add.at(spec, np.minimum(k, n - k), c)
+    spec[1 : n // 2] *= 0.5  # irfft counts the modes strictly between 0 and n/2 twice
+    return np.fft.irfft(n * spec, n)
 
 
 def fourier_projection(samples: np.ndarray, center=(0.0, 0.0)) -> StarDomain:

@@ -6,7 +6,9 @@ two-dimensional polar grid, so agreement with the package's radial and boundary
 reductions is meaningful evidence.  The trial basis is also evaluated through
 polar coordinates, and the Bessel derivatives through order-raising recurrences
 with their own series loop, as references for the package's Cartesian evaluator
-and its single normalised series.
+and its single normalised series.  The plate mode matrices are also assembled
+element by element, the form the package's all-elements assembly must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 
+from bisteklov.concentration import _GAUSS_PER_ELEMENT
 from bisteklov.geometry import interior_quadrature
 from bisteklov.special_functions import BesselEval, ultraspherical_i_tail
 from bisteklov.steklov_solver import _eval_all
@@ -204,3 +207,84 @@ def recurrence_derivatives(l: int, N: int, z: float) -> BesselEval:
     d2 = i2 + (2 * l + 1) / z * i1 + l * (l - 1) / z**2 * i0
     d3 = i3 + 3 * (l + 1) / z * i2 + 3 * l**2 / z**2 * i1 + l * (l - 1) * (l - 2) / z**3 * i0
     return BesselEval(i0, d1, d2, d3)
+
+
+def _hermite_shapes(h: float, xi: np.ndarray):
+    """Cubic Hermite shape functions on an element of length h at local points xi in [0, 1].
+
+    Rows are the four DOFs (value left, slope left, value right, slope right);
+    returns (H, H', H'') with derivatives in the physical coordinate.
+    """
+    one = np.ones_like(xi)
+    H = np.stack(
+        [
+            1.0 - 3.0 * xi**2 + 2.0 * xi**3,
+            h * (xi - 2.0 * xi**2 + xi**3),
+            3.0 * xi**2 - 2.0 * xi**3,
+            h * (-(xi**2) + xi**3),
+        ]
+    )
+    H1 = np.stack(
+        [
+            (-6.0 * xi + 6.0 * xi**2) / h,
+            one - 4.0 * xi + 3.0 * xi**2,
+            (6.0 * xi - 6.0 * xi**2) / h,
+            -2.0 * xi + 3.0 * xi**2,
+        ]
+    )
+    H2 = np.stack(
+        [
+            (-6.0 + 12.0 * xi) / h**2,
+            (-4.0 + 6.0 * xi) / h,
+            (6.0 - 12.0 * xi) / h**2,
+            (-2.0 + 6.0 * xi) / h,
+        ]
+    )
+    return H, H1, H2
+
+
+def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
+    """Plate stiffness, mass and kept DOFs for angular mode k, one element at a time.
+
+    Reference for `concentration._mode_matrices`: the same energy terms in the
+    same order (bend, shear, ring, tau H1, tau k^2 H/r), each element matrix
+    added into the global one by its own scatter.
+    """
+    nodes = mesh.nodes
+    n_nodes = len(nodes)
+    ndof = 2 * n_nodes
+    S = np.zeros((ndof, ndof))
+    Mm = np.zeros((ndof, ndof))
+    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
+    xi = 0.5 * (gx + 1.0)
+    wq = 0.5 * gw
+    k2 = float(k * k)
+    for e in range(mesh.n_elements):
+        a, b = nodes[e], nodes[e + 1]
+        h = b - a
+        r = a + xi * h
+        w = wq * h * r
+        H, H1, H2 = _hermite_shapes(h, xi)
+        t_bend = H2
+        t_shear = (H1 - H / r) / r
+        t_ring = H1 / r - k2 * H / r**2
+        Se = np.einsum("ag,g,bg->ab", t_bend, w, t_bend)
+        if k >= 1:
+            Se += 2.0 * k2 * np.einsum("ag,g,bg->ab", t_shear, w, t_shear)
+        Se += np.einsum("ag,g,bg->ab", t_ring, w, t_ring)
+        Se += tau * np.einsum("ag,g,bg->ab", H1, w, H1)
+        if k >= 1:
+            Se += tau * k2 * np.einsum("ag,g,bg->ab", H / r, w, H / r)
+        Me = np.einsum("ag,g,bg->ab", H, w * profile.value(r), H)
+        idx = [2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]
+        S[np.ix_(idx, idx)] += Se
+        Mm[np.ix_(idx, idx)] += Me
+
+    if k == 0:
+        drop = [1]
+    elif k == 1:
+        drop = [0]
+    else:
+        drop = [0, 1]
+    keep = [i for i in range(ndof) if i not in drop]
+    return S[np.ix_(keep, keep)], Mm[np.ix_(keep, keep)], keep

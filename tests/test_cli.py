@@ -170,6 +170,15 @@ class TestConcentration:
                 errs[float(eps)] = float(err)
         assert errs[0.1] < errs[0.2]
 
+    def test_fine_bulk_mesh(self, capsys):
+        # above 102 bulk elements the mesh grading once overflowed a float
+        code, out, _ = run_cli(
+            capsys, "concentration", "--tau", "1", "--eps", "0.05,0.025",
+            "--mesh-bulk", "103", "--modes", "2",
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 5
+
 
 class TestIsoScan:
     def test_verdict_line(self, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bisteklov import (
     DensityProfile,
@@ -15,9 +17,9 @@ from bisteklov import (
     merged_spectrum,
     neumann_mode_eigenvalues,
 )
-from bisteklov.concentration import _mode_matrices
+from bisteklov.concentration import _mesh_forms, _mode_matrices, _solve_pencil
 
-from oracles import cartesian_energy_2d
+from oracles import cartesian_energy_2d, elementwise_mode_matrices
 
 # converged second eigenvalues at tau = 1, M = 2 pi, obtained from mesh sequences
 # refined well past the default resolution
@@ -100,6 +102,34 @@ class TestRadialMesh:
         with pytest.raises(DomainValidationError):
             make_radial_mesh(0.2, n_bulk=0)
 
+    @pytest.mark.parametrize("eps,n_bulk", [(0.025, 103), (1e-3, 500), (1e-4, 5000)])
+    def test_many_bulk_elements(self, eps, n_bulk):
+        # the growth-ratio bracket once reached g**n_bulk = 1e3**n_bulk, which
+        # overflows a float beyond about 102 elements
+        mesh = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=8)
+        bulk_sizes = np.diff(mesh.nodes[: n_bulk + 1])
+        assert np.all(np.diff(bulk_sizes) < 0.0)
+        assert bulk_sizes[-1] == pytest.approx(eps / 8, rel=1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=1e-6, max_value=0.99),
+        st.integers(min_value=1, max_value=5000),
+        st.integers(min_value=1, max_value=1000),
+    )
+    @example(0.125, 2, 144)  # growth ratio above 1e3
+    @example(0.11818181818181815, 97, 13)  # just short of uniform: total is noise near 1
+    @example(0.9970089730807575, 3, 1000)
+    def test_nodes_or_clean_refusal(self, eps, n_bulk, n_collar):
+        try:
+            nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar).nodes
+        except DomainValidationError:
+            return
+        assert nodes[0] == 0.0
+        assert nodes[-1] == 1.0
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.any(nodes == 1.0 - eps)
+
 
 class TestModeAssembly:
     def test_constant_spans_the_kernel(self):
@@ -146,6 +176,47 @@ class TestModeAssembly:
         got = angular * float(x @ S @ x)
         want = cartesian_energy_2d(f, fp, fpp, k, tau, n_r=240, n_t=512)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+# bulk/collar element counts of the plate sweeps, up to the one defect (b) breaks
+ORACLE_MESHES = [(40, 8), (40, 40), (100, 100), (40, 200)]
+
+
+class TestElementwiseOracle:
+    """The all-elements assembly must reproduce the element-by-element one bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.2, 0.025])
+    @pytest.mark.parametrize("n_bulk,n_collar", ORACLE_MESHES)
+    def test_mode_matrices_identical(self, eps, n_bulk, n_collar):
+        profile = DensityProfile(eps)
+        mesh = make_radial_mesh(eps, n_bulk, n_collar)
+        forms = _mesh_forms(profile, mesh)
+        for tau in (0.1, 1.0, 20.0):
+            for k in range(9):
+                S, M, keep = _mode_matrices(k, tau, profile, mesh, forms)
+                S_ref, M_ref, keep_ref = elementwise_mode_matrices(k, tau, profile, mesh)
+                assert np.array_equal(S, S_ref), (tau, k)
+                assert np.array_equal(M, M_ref), (tau, k)
+                assert keep == keep_ref
+
+    @pytest.mark.parametrize(
+        "n_bulk,n_collar,tau",
+        [(40, 8, 0.1), (40, 8, 1.0), (40, 8, 20.0), (40, 40, 0.1), (40, 40, 20.0),
+         (100, 100, 1.0), (40, 200, 1.0)],
+    )
+    def test_merged_spectrum_identical(self, n_bulk, n_collar, tau):
+        # reference sweep: oracle matrices, a mass factorisation per mode (the
+        # factor merged_spectrum shares between modes does not depend on tau)
+        profile = DensityProfile(0.025)
+        mesh = make_radial_mesh(0.025, n_bulk, n_collar)
+        want = []
+        for k in range(9):
+            S, M, keep = elementwise_mode_matrices(k, tau, profile, mesh)
+            deflate = np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
+            ev = _solve_pencil(S, M, 6, deflate)
+            want.extend([float(v) for v in ev] * (1 if k == 0 else 2))
+        want.sort()
+        assert np.array_equal(merged_spectrum(tau, profile, mesh, 6), want[:6])
 
 
 class TestModeEigenvalues:

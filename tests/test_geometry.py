@@ -14,6 +14,7 @@ from bisteklov import (
     interior_quadrature,
     rescale_to_area,
 )
+from bisteklov.geometry import _POSITIVITY_GRID, _grid_samples, trig_series
 
 DISK = StarDomain(a0=1.0)
 WOBBLY = StarDomain(a0=1.0, cos_coeffs=(0.05, 0.0, 0.08), sin_coeffs=(0.0, 0.03), center=(0.2, -0.1))
@@ -25,6 +26,23 @@ class TestStarDomain:
             StarDomain(a0=1.0, cos_coeffs=(1.2,))
         with pytest.raises(DomainValidationError):
             StarDomain(a0=0.0)
+
+    @pytest.mark.parametrize("n_cos,n_sin", [(0, 0), (1, 0), (0, 3), (34, 34), (2049, 2047), (6200, 6150)])
+    def test_positivity_grid_matches_trig_series(self, n_cos, n_sin):
+        # above 2048 modes alias on the 4096-point grid and are folded
+        rng = np.random.default_rng(n_cos + n_sin)
+        a = 0.1 * rng.standard_normal(n_cos) / np.arange(1, n_cos + 1) ** 1.5
+        b = 0.1 * rng.standard_normal(n_sin) / np.arange(1, n_sin + 1) ** 1.5
+        th = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
+        want = trig_series(1.0, a, b, th)
+        got = _grid_samples(1.0, a, b, _POSITIVITY_GRID)
+        assert abs(got.min() - want.min()) <= 1e-14
+        assert np.abs(got - want).max() <= 5e-14
+
+    def test_positivity_rejected_above_half_grid(self):
+        # mode 3000 aliases to mode 1096, which reaches -1 on the grid
+        with pytest.raises(DomainValidationError):
+            StarDomain(a0=0.5, cos_coeffs=(0.0,) * 2999 + (0.6,))
 
     def test_coercion(self):
         d = StarDomain(a0=1, cos_coeffs=[0.1], center=[1, 2])
