@@ -7,9 +7,7 @@ surviving mass acting as a boundary measure.  Rotational symmetry splits the
 problem into angular modes; each mode is discretized with cubic Hermite elements
 in the radius, so values and radial derivatives are both nodal unknowns and the
 bending energy is represented exactly within the element space.  Assembly is
-vectorised per mesh: the element arrays, the mass matrix and its factor are built
-once and every mode's stiffness is formed over all elements at once.  The pencil
-is solved per mode.
+vectorised per mesh, over all elements at once; the pencil is solved per mode.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
@@ -123,13 +122,14 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
     return RadialMesh(nodes=nodes, eps=eps)
 
 
-def _mesh_forms(profile: DensityProfile, mesh: RadialMesh):
+def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
     """What every angular mode of one mesh shares.
 
-    Cubic Hermite shapes (H, H', H'') at each element's Gauss points as (n_elements,
-    4, n_gauss) arrays (rows: value and slope left, value and slope right; physical
-    derivatives), radii r and weights of r dr, the unconstrained mass matrix and the
-    Cholesky factor of its k >= 2 block.
+    Cubic Hermite shapes H, H1 = H', H2 = H'' at each element's Gauss points as
+    (n_elements, 4, n_gauss) arrays (rows: value and slope left, value and slope
+    right; physical derivatives), radii r and weights w of r dr, the element mass
+    matrices, and a slot for the Cholesky factor of the k >= 2 mass, filled by the
+    first such mode.  No n_dof x n_dof matrix is kept before it is needed.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
     h = np.diff(mesh.nodes)[:, None]
@@ -142,8 +142,8 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh):
                    (6.0 * xi - 6.0 * xi**2) / h, -2.0 * xi + 3.0 * xi**2], axis=1)
     H2 = np.stack([(-6.0 + 12.0 * xi) / h**2, (-4.0 + 6.0 * xi) / h,
                    (6.0 - 12.0 * xi) / h**2, (-2.0 + 6.0 * xi) / h], axis=1)
-    mass = _assemble(_element_gram(H, w * profile.value(r)))
-    return H, H1, H2, r, w, mass, _cholesky(mass[2:, 2:].copy())
+    mass = _element_gram(H, w * profile.value(r))
+    return SimpleNamespace(H=H, H1=H1, H2=H2, r=r, w=w, mass=mass, mass_factor=None)
 
 
 def _element_gram(t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -181,18 +181,18 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
     `_mesh_forms`, is built if not given) and the terms are added in the order
     written; a global entry sums at most two element entries, in either order.
     """
-    H, H1, H2, r, w, mass, _ = _mesh_forms(profile, mesh) if forms is None else forms
+    f = _mesh_forms(profile, mesh) if forms is None else forms
+    H, H1, r, w = f.H, f.H1, f.r[:, None], f.w
     k2 = float(k * k)
-    r = r[:, None]
-    Se = _element_gram(H2, w)
+    Se = _element_gram(f.H2, w)
     if k >= 1:
         Se += 2.0 * k2 * _element_gram((H1 - H / r) / r, w)
     Se += _element_gram(H1 / r - k2 * H / r**2, w)
     Se += tau * _element_gram(H1, w)
     if k >= 1:
         Se += tau * k2 * _element_gram(H / r, w)
-    keep = [i for i in range(len(mass)) if i not in {0: [1], 1: [0]}.get(k, [0, 1])]
-    return _assemble(Se)[np.ix_(keep, keep)], mass[np.ix_(keep, keep)], keep
+    keep = [i for i in range(2 * len(w) + 2) if i not in {0: [1], 1: [0]}.get(k, [0, 1])]
+    return _assemble(Se)[np.ix_(keep, keep)], _assemble(f.mass)[np.ix_(keep, keep)], keep
 
 
 def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None,
@@ -271,12 +271,16 @@ def neumann_mode_eigenvalues(
         )
     forms = _mesh_forms(profile, mesh) if forms is None else forms
     S, M, keep = _mode_matrices(k, tau, profile, mesh, forms)
+    if k >= 2:  # every such mode drops the same two DOFs, so M and its factor agree
+        if forms.mass_factor is None:
+            forms.mass_factor = _cholesky(M)
+        return _solve_pencil(S, M, count, None, forms.mass_factor)
     deflate = None
     if k == 0:
         full = np.zeros(2 * len(mesh.nodes))
         full[0::2] = 1.0  # value DOFs of the constant profile
         deflate = full[keep]
-    return _solve_pencil(S, M, count, deflate, forms[-1] if k >= 2 else None)
+    return _solve_pencil(S, M, count, deflate)
 
 
 def merged_spectrum(

@@ -77,18 +77,14 @@ def trig_series(const, cos_coeffs, sin_coeffs, theta, derivatives: bool = False)
 def _grid_samples(const, cos_coeffs, sin_coeffs, n: int) -> np.ndarray:
     """trig_series at theta_j = 2 pi j / n (n even), to rounding, by one inverse real FFT.
 
-    Modes at or above n/2 are folded onto the modes they alias on the grid.
+    The series is Re sum_k c_k e^(ik theta) with c_k = a_k - i b_k: fold the modes
+    modulo n, and the Hermitian part of that spectrum has the same real samples.
     """
-    c = np.zeros(max(len(cos_coeffs), len(sin_coeffs)) + 1, dtype=complex)
-    c[0] = const
-    c[1 : len(cos_coeffs) + 1] += cos_coeffs
-    c[1 : len(sin_coeffs) + 1] -= 1j * np.asarray(sin_coeffs)
-    k = np.arange(len(c)) % n
-    c = np.where(k > n // 2, c.conj(), c)  # mode k and n - k agree up to conjugation
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    np.add.at(spec, np.minimum(k, n - k), c)
-    spec[1 : n // 2] *= 0.5  # irfft counts the modes strictly between 0 and n/2 twice
-    return np.fft.irfft(n * spec, n)
+    c = np.zeros(n, dtype=complex)
+    np.add.at(c, np.arange(1, len(cos_coeffs) + 1) % n, cos_coeffs)
+    np.add.at(c, np.arange(1, len(sin_coeffs) + 1) % n, -1j * np.asarray(sin_coeffs))
+    c[0] += const
+    return np.fft.irfft(0.5 * n * (c + np.roll(c[::-1], 1).conj())[: n // 2 + 1], n)
 
 
 def fourier_projection(samples: np.ndarray, center=(0.0, 0.0)) -> StarDomain:
