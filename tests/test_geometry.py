@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bisteklov import (
@@ -38,6 +38,26 @@ class TestStarDomain:
         got = _grid_samples(1.0, a, b, _POSITIVITY_GRID)
         assert abs(got.min() - want.min()) <= 1e-14
         assert np.abs(got - want).max() <= 5e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-0.5, max_value=2.0),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=6),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=6),
+    )
+    def test_accepts_exactly_the_series_positive_on_the_grid(self, a0, cos, sin):
+        th = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
+        r_min = trig_series(a0, cos, sin, th).min()
+        # within rounding of zero either answer is right: the FFT and the
+        # mode-by-mode sum round differently
+        assume(abs(r_min) > 1e-14 * (abs(a0) + sum(map(abs, cos + sin))))
+        positive = bool(r_min > 0.0)
+        try:
+            StarDomain(a0=a0, cos_coeffs=cos, sin_coeffs=sin)
+        except DomainValidationError:
+            assert not positive
+        else:
+            assert positive
 
     def test_positivity_rejected_above_half_grid(self):
         # mode 3000 aliases to mode 1096, which reaches -1 on the grid
