@@ -166,7 +166,8 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
         raise NumericalError(f"pencil factorization failed: {exc}") from exc
 
 
-def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh, forms=None):
+def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
+                   forms: SimpleNamespace | None = None):
     """Stiffness and mass for angular mode k after essential constraints at the center.
 
     The energy density per unit radius for u = f(r) trig(k theta) is the sum of
@@ -246,7 +247,7 @@ def neumann_mode_eigenvalues(
     profile: DensityProfile,
     mesh: RadialMesh,
     count: int = 6,
-    forms=None,
+    forms: SimpleNamespace | None = None,
 ) -> np.ndarray:
     """Lowest eigenvalues of the free plate in angular mode k with the given density.
 

@@ -119,7 +119,7 @@ class TestRadialMesh:
     )
     @example(0.125, 2, 144)  # growth ratio above 1e3
     @example(0.11818181818181815, 97, 13)  # just short of uniform: total is noise near 1
-    @example(0.9970089730807575, 3, 1000)
+    @example(0.9970089730807575, 3, 1000)  # the same, with few bulk elements
     def test_nodes_or_clean_refusal(self, eps, n_bulk, n_collar):
         try:
             nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar).nodes
@@ -178,7 +178,8 @@ class TestModeAssembly:
         assert got == pytest.approx(want, rel=1e-9)
 
 
-# bulk/collar element counts of the plate sweeps, up to the one defect (b) breaks
+# bulk/collar element counts of the plate sweeps; defect (b) spoils the 40/200
+# eigenvalues, but they must not change either
 ORACLE_MESHES = [(40, 8), (40, 40), (100, 100), (40, 200)]
 
 
