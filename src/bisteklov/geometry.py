@@ -33,14 +33,12 @@ class StarDomain:
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "a0", float(self.a0))
-        # a0 above the sum of |coefficients| (with room for rounding) proves it
-        if not self.a0 > (1.0 + 1e-9) * sum(map(abs, self.cos_coeffs + self.sin_coeffs)):
-            with np.errstate(invalid="ignore"):  # infinite coefficients: nan samples, rejected
-                r = _grid_samples(self.a0, self.cos_coeffs, self.sin_coeffs, _POSITIVITY_GRID)
-            if not np.all(r > 0.0):
-                raise DomainValidationError(
-                    f"radius series is not positive (min {r.min():.3e}); domain is invalid"
-                )
+        with np.errstate(invalid="ignore"):  # infinite coefficients: nan samples, rejected
+            r = _grid_samples(self.a0, self.cos_coeffs, self.sin_coeffs, _POSITIVITY_GRID)
+        if not np.all(r > 0.0):
+            raise DomainValidationError(
+                f"radius series is not positive (min {r.min():.3e}); domain is invalid"
+            )
 
     @property
     def max_mode(self) -> int:
@@ -87,7 +85,7 @@ def _grid_samples(const, cos_coeffs, sin_coeffs, n: int) -> np.ndarray:
     np.add.at(c, np.arange(1, len(cos_coeffs) + 1) % n, cos_coeffs)
     np.add.at(c, np.arange(1, len(sin_coeffs) + 1) % n, -1j * np.asarray(sin_coeffs))
     c[0] += const
-    return 0.5 * n * np.fft.irfft((c + np.roll(c[::-1], 1).conj())[: n // 2 + 1], n)
+    return np.fft.irfft(0.5 * (c + np.roll(c[::-1], 1).conj())[: n // 2 + 1], n, norm="forward")
 
 
 def fourier_projection(samples: np.ndarray, center=(0.0, 0.0)) -> StarDomain:
