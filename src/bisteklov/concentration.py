@@ -192,7 +192,8 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
     Se += tau * _element_gram(H1, w)
     if k >= 1:
         Se += tau * k2 * _element_gram(H / r, w)
-    keep = [i for i in range(2 * len(w) + 2) if i not in {0: [1], 1: [0]}.get(k, [0, 1])]
+    drop = {0: (1,), 1: (0,)}.get(k, (0, 1))
+    keep = [i for i in range(2 * len(w) + 2) if i not in drop]
     return _assemble(Se)[np.ix_(keep, keep)], _assemble(f.mass)[np.ix_(keep, keep)], keep
 
 
@@ -247,19 +248,23 @@ def neumann_mode_eigenvalues(
     profile: DensityProfile,
     mesh: RadialMesh,
     count: int = 6,
-    forms: SimpleNamespace | None = None,
 ) -> np.ndarray:
     """Lowest eigenvalues of the free plate in angular mode k with the given density.
 
     For k = 0 the constant function is an exact eigenfunction with eigenvalue 0 in
     both the continuous and the discrete problem; it is deflated explicitly so the
-    returned leading eigenvalue is exactly 0.  `forms` (from `_mesh_forms`) lets
-    several modes of one mesh share their element arrays and mass factor.
+    returned leading eigenvalue is exactly 0.
     """
     if k < 0:
         raise DomainValidationError(f"angular mode must be nonnegative, got {k}")
     if count < 1:
         raise DomainValidationError(f"count must be >= 1, got {count}")
+    _check_mesh(profile, mesh)
+    return _mode_eigenvalues(k, tau, profile, mesh, count, _mesh_forms(profile, mesh))
+
+
+def _check_mesh(profile: DensityProfile, mesh: RadialMesh) -> None:
+    """Reject a mesh built for another eps; warn, at the caller's caller, on a coarse collar."""
     if abs(mesh.eps - profile.eps) > 1e-14:
         raise DomainValidationError(
             f"mesh was built for eps={mesh.eps}, profile has eps={profile.eps}"
@@ -268,11 +273,20 @@ def neumann_mode_eigenvalues(
         warnings.warn(
             f"collar resolved by only {mesh.n_collar_elements} elements; "
             "eigenvalues may be inaccurate",
-            stacklevel=2,
+            stacklevel=3,
         )
-    forms = _mesh_forms(profile, mesh) if forms is None else forms
+
+
+def _mode_eigenvalues(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
+                      count: int, forms: SimpleNamespace) -> np.ndarray:
+    """neumann_mode_eigenvalues on checked arguments; `forms` is `_mesh_forms(profile, mesh)`.
+
+    The modes of one mesh may share `forms`: the first k >= 2 mode stores the
+    Cholesky factor of the mass in it, and later k >= 2 modes, which drop the same
+    two DOFs and so have the same mass, reuse that factor.
+    """
     S, M, keep = _mode_matrices(k, tau, profile, mesh, forms)
-    if k >= 2:  # every such mode drops the same two DOFs, so M and its factor agree
+    if k >= 2:
         if forms.mass_factor is None:
             forms.mass_factor = _cholesky(M)
         return _solve_pencil(S, M, count, None, forms.mass_factor)
@@ -294,10 +308,11 @@ def merged_spectrum(
     """First j_max plate eigenvalues over all angular modes, multiplicity two for k >= 1."""
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
+    _check_mesh(profile, mesh)
     vals: list[float] = []
     forms = _mesh_forms(profile, mesh)
     for k in range(k_cap + 1):
-        ev = neumann_mode_eigenvalues(k, tau, profile, mesh, count=j_max, forms=forms)
+        ev = _mode_eigenvalues(k, tau, profile, mesh, j_max, forms)
         reps = 1 if k == 0 else 2
         for lam in ev:
             vals.extend([float(lam)] * reps)
