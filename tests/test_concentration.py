@@ -250,12 +250,18 @@ class TestModeEigenvalues:
     def test_coarse_collar_warns(self):
         profile = DensityProfile(0.2)
         mesh = make_radial_mesh(0.2, n_bulk=10, n_collar=2)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             neumann_mode_eigenvalues(0, 1.0, profile, mesh, count=2)
+        with pytest.warns(UserWarning) as record_merged:
+            merged_spectrum(1.0, profile, mesh, 2)
+        # attributed to the caller, not to the module
+        assert record[0].filename == record_merged[0].filename == __file__
 
     def test_mesh_profile_mismatch(self):
         with pytest.raises(DomainValidationError):
             neumann_mode_eigenvalues(0, 1.0, DensityProfile(0.2), make_radial_mesh(0.1), count=2)
+        with pytest.raises(DomainValidationError):
+            merged_spectrum(1.0, DensityProfile(0.2), make_radial_mesh(0.1), 2)
 
     def test_validation(self):
         profile = DensityProfile(0.2)
