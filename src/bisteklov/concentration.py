@@ -7,7 +7,9 @@ surviving mass acting as a boundary measure.  Rotational symmetry splits the
 problem into angular modes; each mode is discretized with cubic Hermite elements
 in the radius, so values and radial derivatives are both nodal unknowns and the
 bending energy is represented exactly within the element space.  Assembly is
-vectorised per mesh, over all elements at once; the pencil is solved per mode.
+vectorised per mesh, over all elements at once.  Each mode's matrices have
+half-bandwidth 3, so its pencil is solved from one banded Cholesky factor of
+S + M, by Lanczos iteration for only the few eigenvalues the merged spectrum keeps.
 """
 
 from __future__ import annotations
@@ -18,14 +20,18 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg import cholesky_banded, eigh
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .ball_spectrum import sorted_spectrum
 from .errors import DomainValidationError, NumericalError
 
 _DEFAULT_MASS = 2.0 * math.pi  # boundary length of the unit disk
 _GAUSS_PER_ELEMENT = 10
+_BAND = 4  # diagonals in the lower band of a mode matrix: element e owns DOFs 2e .. 2e + 3
 
 
 @dataclass(frozen=True)
@@ -127,9 +133,8 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
 
     Cubic Hermite shapes H, H1 = H', H2 = H'' at each element's Gauss points as
     (n_elements, 4, n_gauss) arrays (rows: value and slope left, value and slope
-    right; physical derivatives), radii r and weights w of r dr, the element mass
-    matrices, and a slot for the Cholesky factor of the k >= 2 mass, filled by the
-    first such mode.  No n_dof x n_dof matrix is kept before it is needed.
+    right; physical derivatives), radii r and weights w of r dr, and the element
+    mass matrices.  No n_dof x n_dof matrix is kept: each mode assembles its own.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
     h = np.diff(mesh.nodes)[:, None]
@@ -143,7 +148,7 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
     H2 = np.stack([(-6.0 + 12.0 * xi) / h**2, (-4.0 + 6.0 * xi) / h,
                    (6.0 - 12.0 * xi) / h**2, (-2.0 + 6.0 * xi) / h], axis=1)
     mass = _element_gram(H, w * profile.value(r))
-    return SimpleNamespace(H=H, H1=H1, H2=H2, r=r, w=w, mass=mass, mass_factor=None)
+    return SimpleNamespace(H=H, H1=H1, H2=H2, r=r, w=w, mass=mass)
 
 
 def _element_gram(t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -157,13 +162,6 @@ def _assemble(Ae: np.ndarray) -> np.ndarray:
     A = np.zeros((2 * len(Ae) + 2,) * 2)
     np.add.at(A, (idx[:, :, None], idx[:, None, :]), Ae)
     return A
-
-
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    try:
-        return cholesky(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pencil factorization failed: {exc}") from exc
 
 
 def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
@@ -197,49 +195,75 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
     return _assemble(Se)[np.ix_(keep, keep)], _assemble(f.mass)[np.ix_(keep, keep)], keep
 
 
-def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None,
-                  mass_factor: np.ndarray | None = None):
+def _lower_band(A: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage of a symmetric mode matrix: row d holds diagonal -d."""
+    return np.stack([np.concatenate([np.diagonal(A, -d), np.zeros(d)]) for d in range(_BAND)])
+
+
+def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None):
     """Smallest eigenvalues of S x = lambda M x with S >= 0, M > 0.
 
-    Works on the shifted inverse: with K = S + M and Cholesky factors K = L L^T,
-    M = R R^T, the matrix C = (L^-1 R)(L^-1 R)^T has eigenvalues mu = 1/(lambda+1),
-    so the smallest lambda are read off the LARGEST mu.  This keeps the small end
-    of the spectrum accurate even when the stiffness scale is enormous, which dense
-    solves on (S, M) do not.  An optional known eigenvector with eigenvalue 0 is
-    deflated exactly through a Householder complement.  `mass_factor`, when
-    given, is the lower Cholesky factor R of M, used as is (not with `deflate`).
+    Works on the shifted inverse: with the banded Cholesky factor K = S + M = L L^T,
+    the operator C = L^-1 M L^-T has eigenvalues mu = 1/(lambda+1), so the smallest
+    lambda are read off the LARGEST mu.  This keeps the small end of the spectrum
+    accurate even when the stiffness scale is enormous, which dense solves on
+    (S, M) do not.  C is never formed: Lanczos (ARPACK) finds only the `count`
+    largest mu, applying C by two banded triangular solves and a banded product
+    with M, from a fixed start vector so that repeated runs agree bit for bit.  An
+    optional known eigenvector c with S c = 0 is deflated exactly: y = L^T c is
+    the eigenvector of C with mu = 1, it is projected out of the operator, and an
+    exact 0 is prepended.  Meshes too small for a Lanczos basis form C instead.
     """
-    prepend_zero = False
-    if deflate is not None:
-        w = M @ deflate
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise NumericalError("deflation vector has zero mass norm")
-        u = w / nw
-        v = u.copy()
-        v[0] += math.copysign(1.0, u[0] if u[0] != 0.0 else 1.0)
-        v /= np.linalg.norm(v)
-        Hh = np.eye(len(u)) - 2.0 * np.outer(v, v)
-        Z = Hh[:, 1:]
-        S = Z.T @ S @ Z
-        M = Z.T @ M @ Z
-        S = 0.5 * (S + S.T)
-        M = 0.5 * (M + M.T)
-        prepend_zero = True
-        count -= 1
+    n = len(S)
+    Mb = _lower_band(M)
+    try:
+        L = cholesky_banded(_lower_band(S) + Mb, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pencil factorization failed: {exc}") from exc
 
-    L = _cholesky(S + M)
-    R = _cholesky(M) if mass_factor is None else mass_factor
-    Y = solve_triangular(L, R, lower=True)
-    C = Y @ Y.T
-    C = 0.5 * (C + C.T)
-    mu = eigh(C, eigvals_only=True)
-    need = min(count, len(mu)) if count > 0 else 0
-    # only the largest mu carry meaningful small eigenvalues; the tiny ones are
-    # roundoff images of the huge end of the pencil spectrum
-    lam = 1.0 / mu[::-1][:need] - 1.0
-    out = np.concatenate([[0.0], lam]) if prepend_zero else lam
-    return out
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = _triangular_solve(L, x, "T")
+        return _triangular_solve(L, dsbmv(_BAND - 1, 1.0, Mb, y, lower=1), "N")
+
+    matvec = apply
+    if deflate is not None:
+        y = L[0] * deflate  # L^T c from the band
+        for d in range(1, _BAND):
+            y[:n - d] += L[d, :n - d] * deflate[d:]
+        u = y / np.linalg.norm(y)
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            x = apply(x - (u @ x) * u)
+            return x - (u @ x) * u
+
+    # the deflated direction gives the prepended 0 and, projected, a mu = 0 of C
+    need = min(count, n) - (deflate is not None)
+    if need < 1:
+        mu = np.empty(0)
+    elif need >= n - 2:  # ARPACK needs a basis of need < ncv <= n - 2 vectors: form C
+        C = np.column_stack([matvec(e) for e in np.eye(n)])
+        mu = eigh(0.5 * (C + C.T), eigvals_only=True)[::-1][:need]
+    else:
+        v0 = np.ones(n)
+        if deflate is not None:
+            v0 -= (u @ v0) * u
+        op = LinearOperator((n, n), matvec=matvec, dtype=float)
+        try:
+            mu = eigsh(op, k=need, which="LA", ncv=min(n - 2, max(2 * need + 1, 20)), tol=0,
+                       v0=v0, return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise NumericalError(f"pencil Lanczos iteration did not converge: {exc}") from exc
+        mu = np.sort(mu)[::-1]
+    lam = 1.0 / mu - 1.0
+    return np.concatenate([[0.0], lam]) if deflate is not None else lam
+
+
+def _triangular_solve(L: np.ndarray, x: np.ndarray, trans: str) -> np.ndarray:
+    """L^-1 x (trans "N") or L^-T x (trans "T") for a lower band factor L."""
+    y, info = dtbtrs(L, x[:, None], uplo="L", trans=trans)
+    if info != 0:
+        raise NumericalError(f"banded triangular solve failed (info {info})")
+    return y[:, 0]
 
 
 def neumann_mode_eigenvalues(
@@ -279,17 +303,8 @@ def _check_mesh(profile: DensityProfile, mesh: RadialMesh) -> None:
 
 def _mode_eigenvalues(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
                       count: int, forms: SimpleNamespace) -> np.ndarray:
-    """neumann_mode_eigenvalues on checked arguments; `forms` is `_mesh_forms(profile, mesh)`.
-
-    The modes of one mesh may share `forms`: the first k >= 2 mode stores the
-    Cholesky factor of the mass in it, and later k >= 2 modes, which drop the same
-    two DOFs and so have the same mass, reuse that factor.
-    """
+    """neumann_mode_eigenvalues on checked arguments; `forms` is `_mesh_forms(profile, mesh)`."""
     S, M, keep = _mode_matrices(k, tau, profile, mesh, forms)
-    if k >= 2:
-        if forms.mass_factor is None:
-            forms.mass_factor = _cholesky(M)
-        return _solve_pencil(S, M, count, None, forms.mass_factor)
     deflate = None
     if k == 0:
         full = np.zeros(2 * len(mesh.nodes))
@@ -343,16 +358,27 @@ def convergence_sweep(
     """Plate eigenvalues against their Steklov limits for a decreasing sequence of eps.
 
     Returns one row per (eps, j) pair with the concentrated-mass eigenvalue, the
-    limiting ball eigenvalue, and their absolute difference.
+    limiting ball eigenvalue, and their absolute difference.  Every limit up to
+    the largest j must have angular order at most k_cap (j <= 17 at k_cap = 8).
     """
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise DomainValidationError(f"eps values must decrease strictly, got {eps_list}")
     j_list = sorted(int(j) for j in j_list)
+    if not j_list:
+        raise DomainValidationError("no eigenvalue indexes requested")
     if j_list[0] < 1:
         raise DomainValidationError(f"eigenvalue indexes must be >= 1, got {j_list}")
     j_max = j_list[-1]
     limit = sorted_spectrum(2, tau, j_max)
+    # merged_spectrum holds angular modes up to k_cap only; a limit of higher
+    # order would be paired with a plate eigenvalue of another mode
+    order = max(o for _, _, o in limit.flatten())
+    if order > k_cap:
+        raise DomainValidationError(
+            f"limit eigenvalue {j_max} has angular order {order}, above the plate's "
+            f"mode cap {k_cap}"
+        )
     rows = []
     for eps in eps_list:
         profile = DensityProfile(eps, M)

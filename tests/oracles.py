@@ -8,7 +8,8 @@ polar coordinates, and the Bessel derivatives through order-raising recurrences
 with their own series loop, as references for the package's Cartesian evaluator
 and its single normalised series.  The plate mode matrices are also assembled
 element by element, the form the package's all-elements assembly must match bit
-for bit.
+for bit, and their pencil is solved densely, every eigenvalue at once, as a
+reference for the package's banded Lanczos solve.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import cholesky, eigh, solve_triangular
 
 from bisteklov.concentration import _GAUSS_PER_ELEMENT
 from bisteklov.geometry import interior_quadrature
@@ -288,3 +290,34 @@ def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
         drop = [0, 1]
     keep = [i for i in range(ndof) if i not in drop]
     return S[np.ix_(keep, keep)], Mm[np.ix_(keep, keep)], keep
+
+
+def dense_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None):
+    """The `count` smallest eigenvalues of S x = lambda M x from a dense shifted inverse.
+
+    Reference for `concentration._solve_pencil`: with K = S + M = L L^T and
+    M = R R^T, every eigenvalue mu = 1/(lambda + 1) of C = (L^-1 R)(L^-1 R)^T is
+    computed by a full `eigh` and the largest are kept.  A known eigenvector with
+    eigenvalue 0 is deflated through a Householder complement and an exact 0 is
+    prepended.
+    """
+    prepend_zero = False
+    if deflate is not None:
+        u = M @ deflate
+        u /= np.linalg.norm(u)
+        v = u.copy()
+        v[0] += math.copysign(1.0, u[0] if u[0] != 0.0 else 1.0)
+        v /= np.linalg.norm(v)
+        Z = (np.eye(len(u)) - 2.0 * np.outer(v, v))[:, 1:]
+        S = Z.T @ S @ Z
+        M = Z.T @ M @ Z
+        S = 0.5 * (S + S.T)
+        M = 0.5 * (M + M.T)
+        prepend_zero = True
+        count -= 1
+    L = cholesky(S + M, lower=True)
+    Y = solve_triangular(L, cholesky(M, lower=True), lower=True)
+    C = Y @ Y.T
+    mu = eigh(0.5 * (C + C.T), eigvals_only=True)
+    lam = 1.0 / mu[::-1][:max(count, 0)] - 1.0
+    return np.concatenate([[0.0], lam]) if prepend_zero else lam

@@ -170,6 +170,27 @@ class TestConcentration:
                 errs[float(eps)] = float(err)
         assert errs[0.1] < errs[0.2]
 
+    def test_deterministic_bytes(self, capsys):
+        # the pencil's Lanczos iteration starts from a fixed vector
+        argv = ("concentration", "--tau", "1", "--eps", "0.2,0.05,0.025", "--modes", "6")
+        _, out1, _ = run_cli(capsys, *argv)
+        _, out2, _ = run_cli(capsys, *argv)
+        assert out1 == out2
+
+    @pytest.mark.parametrize("modes", ["0", "-1"])
+    def test_no_indexes(self, capsys, modes):
+        code, out, err = run_cli(capsys, "concentration", "--tau", "1", "--eps", "0.2", "--modes", modes)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_limit_beyond_mode_cap(self, capsys):
+        # the plate modes stop at k = 8; index 18 of the limit has angular order 9
+        code, out, err = run_cli(capsys, "concentration", "--tau", "1", "--eps", "0.2", "--modes", "18")
+        assert code == 2
+        assert out == ""
+        assert "angular order 9" in err
+
     def test_fine_bulk_mesh(self, capsys):
         # above 102 bulk elements the mesh grading once overflowed a float
         code, out, _ = run_cli(

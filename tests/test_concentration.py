@@ -16,10 +16,11 @@ from bisteklov import (
     make_radial_mesh,
     merged_spectrum,
     neumann_mode_eigenvalues,
+    sorted_spectrum,
 )
 from bisteklov.concentration import _mesh_forms, _mode_matrices, _solve_pencil
 
-from oracles import cartesian_energy_2d, elementwise_mode_matrices
+from oracles import cartesian_energy_2d, dense_pencil, elementwise_mode_matrices
 
 # converged second eigenvalues at tau = 1, M = 2 pi, obtained from mesh sequences
 # refined well past the default resolution
@@ -29,6 +30,11 @@ LAMBDA2_CONVERGED = {
     0.05: 1.0636337793,
     0.025: 1.0315387513,
 }
+
+
+def _deflation(k, keep):
+    """The deflation vector _mode_eigenvalues passes for mode k: the constant for k = 0."""
+    return np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
 
 
 class ConstantDensity:
@@ -206,18 +212,72 @@ class TestElementwiseOracle:
          (100, 100, 1.0), (40, 200, 1.0)],
     )
     def test_merged_spectrum_identical(self, n_bulk, n_collar, tau):
-        # reference sweep: oracle matrices, a mass factorisation per mode (the
-        # factor merged_spectrum shares between modes does not depend on tau)
+        # reference sweep: oracle matrices, one pencil solve per mode
         profile = DensityProfile(0.025)
         mesh = make_radial_mesh(0.025, n_bulk, n_collar)
         want = []
         for k in range(9):
             S, M, keep = elementwise_mode_matrices(k, tau, profile, mesh)
-            deflate = np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
-            ev = _solve_pencil(S, M, 6, deflate)
+            ev = _solve_pencil(S, M, 6, _deflation(k, keep))
             want.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         want.sort()
         assert np.array_equal(merged_spectrum(tau, profile, mesh, 6), want[:6])
+
+
+class TestPencil:
+    """The banded Lanczos pencil against the dense one it replaced (`oracles.dense_pencil`)."""
+
+    @staticmethod
+    def _both(n_bulk, n_collar, eps, tau, k, count=6):
+        profile = DensityProfile(eps)
+        S, M, keep = _mode_matrices(k, tau, profile, make_radial_mesh(eps, n_bulk, n_collar))
+        deflate = _deflation(k, keep)
+        return _solve_pencil(S, M, count, deflate), dense_pencil(S, M, count, deflate)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.025])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    def test_matches_dense_oracle(self, eps, tau):
+        for k in range(9):
+            got, want = self._both(40, 8, eps, tau, k)
+            assert len(got) == len(want) == 6
+            if k == 0:
+                assert got[0] == want[0] == 0.0
+            assert np.allclose(got, want, rtol=1e-7, atol=0), (k, got, want)
+
+    @pytest.mark.parametrize("n_bulk,n_collar", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("count", [6, 30])
+    def test_tiny_meshes(self, n_bulk, n_collar, count):
+        # 3 to 9 DOFs: C is formed where Lanczos has no room, and every
+        # eigenvalue the mesh has is returned when more are asked for
+        for k in range(9):
+            got, want = self._both(n_bulk, n_collar, 0.2, 1.0, k, count)
+            assert len(got) == len(want), k
+            if k == 0:
+                assert got[0] == 0.0
+            assert np.allclose(got, want, rtol=1e-9, atol=0), (k, got, want)
+
+    def test_no_less_accurate_than_dense_oracle(self):
+        # against a 40-digit eigen-solve of the same float S and M.  Both pencils
+        # carry the conditioning error of defect (b) in a mode's leading values
+        # (up to 4e-7 here); the rest agree with the reference to roundoff, whose
+        # size varies from solve to solve, so each mode is judged by its largest
+        # error.  n is 56-57: the reference takes about 1.4 s per mode
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        profile = DensityProfile(0.025)
+        mesh = make_radial_mesh(0.025, 20, 8)
+        for k in range(3):
+            S, M, keep = _mode_matrices(k, 1.0, profile, mesh)
+            deflate = _deflation(k, keep)
+            Ri = mp.inverse(mp.cholesky(mp.matrix(M.tolist())))
+            A = Ri * mp.matrix(S.tolist()) * Ri.T
+            ref = sorted(mp.eigsy((A + A.T) / 2, eigvals_only=True))[:6]
+            ref = np.array([float(x) for x in ref])
+            errors = []
+            for ev in (_solve_pencil(S, M, 6, deflate), dense_pencil(S, M, 6, deflate)):
+                skip = 1 if k == 0 else 0  # the exact 0 against a roundoff-sized reference
+                errors.append(np.max(np.abs(ev[skip:] - ref[skip:]) / ref[skip:]))
+            assert errors[0] <= 2.0 * errors[1], (k, errors)
 
 
 class TestModeEigenvalues:
@@ -328,3 +388,14 @@ class TestConvergenceSweep:
             convergence_sweep(1.0, (0.1, 0.2), (2,))
         with pytest.raises(DomainValidationError):
             convergence_sweep(1.0, (0.2, 0.1), (0,))
+        with pytest.raises(DomainValidationError):
+            convergence_sweep(1.0, (0.2, 0.1), ())
+
+    def test_limits_within_mode_cap(self):
+        # the limits up to index 17 have angular orders 0..8, index 18 has order 9
+        rows = convergence_sweep(1.0, (0.2,), (17,))
+        assert rows[0].lambda_limit == pytest.approx(sorted_spectrum(2, 1.0, 17).eigenvalue(17))
+        with pytest.raises(DomainValidationError, match="angular order 9"):
+            convergence_sweep(1.0, (0.2,), (18,))
+        with pytest.raises(DomainValidationError, match="angular order 3"):
+            convergence_sweep(1.0, (0.2,), (6,), k_cap=2)
