@@ -209,10 +209,11 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
     accurate even when the stiffness scale is enormous, which dense solves on
     (S, M) do not.  C is never formed: Lanczos (ARPACK) finds only the `count`
     largest mu, applying C by two banded triangular solves and a banded product
-    with M, from a fixed start vector so that repeated runs agree bit for bit.  An
-    optional known eigenvector c with S c = 0 is deflated exactly: y = L^T c is
-    the eigenvector of C with mu = 1, it is projected out of the operator, and an
-    exact 0 is prepended.  Meshes too small for a Lanczos basis form C instead.
+    with M, from a fixed start vector so that repeated runs at fixed BLAS thread
+    settings agree bit for bit.  An optional known eigenvector c with S c = 0 is
+    deflated exactly: y = L^T c is the eigenvector of C with mu = 1, it is
+    projected out of the operator, and an exact 0 is prepended.  Meshes too small
+    for a Lanczos basis form C instead.
     """
     n = len(S)
     Mb = _lower_band(M)

@@ -179,14 +179,18 @@ class TestConcentration:
 
     @pytest.mark.parametrize("modes", ["0", "-1"])
     def test_no_indexes(self, capsys, modes):
-        code, out, err = run_cli(capsys, "concentration", "--tau", "1", "--eps", "0.2", "--modes", modes)
+        code, out, err = run_cli(
+            capsys, "concentration", "--tau", "1", "--eps", "0.2", "--modes", modes
+        )
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_limit_beyond_mode_cap(self, capsys):
         # the plate modes stop at k = 8; index 18 of the limit has angular order 9
-        code, out, err = run_cli(capsys, "concentration", "--tau", "1", "--eps", "0.2", "--modes", "18")
+        code, out, err = run_cli(
+            capsys, "concentration", "--tau", "1", "--eps", "0.2", "--modes", "18"
+        )
         assert code == 2
         assert out == ""
         assert "angular order 9" in err

@@ -218,7 +218,8 @@ class TestElementwiseOracle:
         want = []
         for k in range(9):
             S, M, keep = elementwise_mode_matrices(k, tau, profile, mesh)
-            ev = _solve_pencil(S, M, 6, _deflation(k, keep))
+            deflate = np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
+            ev = _solve_pencil(S, M, 6, deflate)
             want.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         want.sort()
         assert np.array_equal(merged_spectrum(tau, profile, mesh, 6), want[:6])
