@@ -199,8 +199,8 @@ def _cmd_criticality(args) -> int:
     domain = _load_domain(args.domain)
     solution, basis = _solve_for(args, domain)
     F = _resolve_F(args.F, solution)
+    c_best, residual = criticality_residual(domain, solution, basis, F)  # validates F
     lam_f = float(np.mean(solution.eigenvalues[[j - 1 for j in F]]))
-    c_best, residual = criticality_residual(domain, solution, basis, F)
     doc = {
         "domain": _domain_as_dict(domain),
         "tau": args.tau,

@@ -7,9 +7,9 @@ surviving mass acting as a boundary measure.  Rotational symmetry splits the
 problem into angular modes; each mode is discretized with cubic Hermite elements
 in the radius, so values and radial derivatives are both nodal unknowns and the
 bending energy is represented exactly within the element space.  Assembly is
-vectorised per mesh, over all elements at once.  Each mode's matrices have
-half-bandwidth 3, so its pencil is solved from one banded Cholesky factor of
-S + M, by Lanczos iteration for only the few eigenvalues the merged spectrum keeps.
+vectorised per mesh, over all elements at once, straight into each mode's lower
+band (half-bandwidth 3), and its pencil is solved from one banded Cholesky factor
+of S + M, by Lanczos iteration for only the few eigenvalues the merged spectrum keeps.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class DensityProfile:
     M: float = _DEFAULT_MASS
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise DomainValidationError(f"eps must lie in (0, 1), got {self.eps}")
+        if not (0.0 < self.eps < 1.0 and 1.0 - self.eps < 1.0):
+            raise DomainValidationError(f"eps must lie in (0, 1) with 1 - eps < 1, got {self.eps}")
         if not (self.M > 0.0):
             raise DomainValidationError(f"total mass must be positive, got {self.M}")
         if self.collar_value <= 0.0:
@@ -68,11 +68,6 @@ class DensityProfile:
     def value(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return np.where(r < 1.0 - self.eps, self.bulk_value, self.collar_value)
-
-    def mass(self) -> float:
-        """Total mass integral, exact for the piecewise-constant profile."""
-        r_in = 1.0 - self.eps
-        return self.bulk_value * math.pi * r_in**2 + self.collar_value * math.pi * (1.0 - r_in**2)
 
 
 @dataclass(frozen=True)
@@ -125,6 +120,8 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
         bulk[-1] = L
     collar = np.linspace(L, 1.0, n_collar + 1)
     nodes = np.concatenate([bulk, collar[1:]])
+    if not np.all(np.diff(nodes) > 0.0):  # elements below the spacing of floats near 1
+        raise DomainValidationError(f"eps={eps} too small for {n_collar} collar elements")
     return RadialMesh(nodes=nodes, eps=eps)
 
 
@@ -134,7 +131,7 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
     Cubic Hermite shapes H, H1 = H', H2 = H'' at each element's Gauss points as
     (n_elements, 4, n_gauss) arrays (rows: value and slope left, value and slope
     right; physical derivatives), radii r and weights w of r dr, and the element
-    mass matrices.  No n_dof x n_dof matrix is kept: each mode assembles its own.
+    mass matrices.  No n_dof x n_dof matrix is built: each mode assembles its bands.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
     h = np.diff(mesh.nodes)[:, None]
@@ -156,17 +153,25 @@ def _element_gram(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("eag,eg,ebg->eab", t, w, t)
 
 
-def _assemble(Ae: np.ndarray) -> np.ndarray:
-    """Global matrix from element matrices; element e owns DOFs 2e .. 2e + 3."""
-    idx = 2 * np.arange(len(Ae))[:, None] + np.arange(4)
-    A = np.zeros((2 * len(Ae) + 2,) * 2)
-    np.add.at(A, (idx[:, :, None], idx[:, None, :]), Ae)
-    return A
+def _assemble(Ae: np.ndarray, k: int) -> np.ndarray:
+    """Lower band of mode k's global matrix, shape (n, 4): row i holds A[i, i] .. A[i + 3, i].
+
+    Element e owns DOFs 2e .. 2e + 3, so its column b adds Ae[e, b:, b] to band row 2e + b.
+    Center regularity drops DOF 1 for k = 0, DOF 0 for k = 1 and both for k >= 2.
+    """
+    b = np.arange(_BAND)[:, None]
+    cols = np.pad(Ae, ((0, 0), (0, _BAND - 1), (0, 0)))[:, b + b.T, b]  # Ae[e, b + d, b]
+    B = np.zeros((2 * len(Ae) + 2, _BAND))
+    B[:-2] += cols[:, :2].reshape(-1, _BAND)
+    B[2:] += cols[:, 2:].reshape(-1, _BAND)
+    if k == 0:  # DOF 0 keeps its couplings to DOFs 2 and 3
+        B[1] = B[0, 0], B[0, 2], B[0, 3], 0.0
+    return B[1:] if k <= 1 else B[2:]
 
 
 def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
                    forms: SimpleNamespace | None = None):
-    """Stiffness and mass for angular mode k after essential constraints at the center.
+    """Lower bands (see `_assemble`) of stiffness and mass for angular mode k.
 
     The energy density per unit radius for u = f(r) trig(k theta) is the sum of
     squares
@@ -190,18 +195,11 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
     Se += tau * _element_gram(H1, w)
     if k >= 1:
         Se += tau * k2 * _element_gram(H / r, w)
-    drop = {0: (1,), 1: (0,)}.get(k, (0, 1))
-    keep = [i for i in range(2 * len(w) + 2) if i not in drop]
-    return _assemble(Se)[np.ix_(keep, keep)], _assemble(f.mass)[np.ix_(keep, keep)], keep
-
-
-def _lower_band(A: np.ndarray) -> np.ndarray:
-    """LAPACK lower band storage of a symmetric mode matrix: row d holds diagonal -d."""
-    return np.stack([np.concatenate([np.diagonal(A, -d), np.zeros(d)]) for d in range(_BAND)])
+    return _assemble(Se, k), _assemble(f.mass, k)
 
 
 def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None):
-    """Smallest eigenvalues of S x = lambda M x with S >= 0, M > 0.
+    """Smallest eigenvalues of S x = lambda M x, S >= 0 and M > 0 as (n, 4) lower bands.
 
     Works on the shifted inverse: with the banded Cholesky factor K = S + M = L L^T,
     the operator C = L^-1 M L^-T has eigenvalues mu = 1/(lambda+1), so the smallest
@@ -216,15 +214,14 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
     for a Lanczos basis form C instead.
     """
     n = len(S)
-    Mb = _lower_band(M)
     try:
-        L = cholesky_banded(_lower_band(S) + Mb, lower=True)
+        L = cholesky_banded((S + M).T, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pencil factorization failed: {exc}") from exc
 
     def apply(x: np.ndarray) -> np.ndarray:
         y = _triangular_solve(L, x, "T")
-        return _triangular_solve(L, dsbmv(_BAND - 1, 1.0, Mb, y, lower=1), "N")
+        return _triangular_solve(L, dsbmv(_BAND - 1, 1.0, M.T, y, lower=1), "N")
 
     matvec = apply
     if deflate is not None:
@@ -305,12 +302,9 @@ def _check_mesh(profile: DensityProfile, mesh: RadialMesh) -> None:
 def _mode_eigenvalues(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
                       count: int, forms: SimpleNamespace) -> np.ndarray:
     """neumann_mode_eigenvalues on checked arguments; `forms` is `_mesh_forms(profile, mesh)`."""
-    S, M, keep = _mode_matrices(k, tau, profile, mesh, forms)
-    deflate = None
-    if k == 0:
-        full = np.zeros(2 * len(mesh.nodes))
-        full[0::2] = 1.0  # value DOFs of the constant profile
-        deflate = full[keep]
+    S, M = _mode_matrices(k, tau, profile, mesh, forms)
+    # k = 0 deflates the constant: value DOFs 0, 2, 4, ... are 0, 1, 3, ... without f'(0)
+    deflate = np.r_[1.0, np.resize([1.0, 0.0], len(S) - 1)] if k == 0 else None
     return _solve_pencil(S, M, count, deflate)
 
 
@@ -329,9 +323,7 @@ def merged_spectrum(
     forms = _mesh_forms(profile, mesh)
     for k in range(k_cap + 1):
         ev = _mode_eigenvalues(k, tau, profile, mesh, j_max, forms)
-        reps = 1 if k == 0 else 2
-        for lam in ev:
-            vals.extend([float(lam)] * reps)
+        vals.extend([float(lam) for lam in ev] * (1 if k == 0 else 2))
     vals.sort()
     if len(vals) < j_max:
         raise NumericalError("angular mode cap too small for requested index range")
@@ -363,6 +355,8 @@ def convergence_sweep(
     the largest j must have angular order at most k_cap (j <= 17 at k_cap = 8).
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise DomainValidationError("no eps values given")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise DomainValidationError(f"eps values must decrease strictly, got {eps_list}")
     j_list = sorted(int(j) for j in j_list)

@@ -115,8 +115,8 @@ class BoundaryQuadrature:
     curvatures: np.ndarray  # (n,), signed, +1 on the unit circle
 
 
-def _check_n_nodes(domain: StarDomain, n_nodes: int) -> None:
-    need = 4 * (domain.max_mode + 1)
+def _check_n_nodes(domain: StarDomain, n_nodes: int, field_modes: int = 0) -> None:
+    need = 4 * (domain.max_mode + field_modes + 1)
     if n_nodes < need:
         raise DomainValidationError(
             f"n_nodes={n_nodes} too small for mode content; need at least {need}"

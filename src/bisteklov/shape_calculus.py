@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainValidationError, NumericalError
 from .geometry import StarDomain, boundary_geometry, fourier_projection, trig_series
+from .geometry import _check_n_nodes
 from .steklov_solver import (
     EigenSolution,
     TrialBasis,
@@ -53,6 +54,7 @@ def volume_preserving_projection(
     The linearized volume change under normal velocity g is the boundary integral
     of g, so subtracting its arc-length mean makes the field volume preserving.
     """
+    _check_n_nodes(domain, n_nodes, field.max_mode)
     bq = boundary_geometry(domain, n_nodes)
     g = field.evaluate(bq.thetas)
     mean = float(np.dot(bq.weights, g) / bq.weights.sum())
@@ -65,6 +67,7 @@ def is_volume_preserving(
     field: PerturbationField, domain: StarDomain, n_nodes: int = 512, tol: float = 1e-12
 ) -> bool:
     """Whether the boundary integral of g vanishes to the given tolerance."""
+    _check_n_nodes(domain, n_nodes, field.max_mode)
     bq = boundary_geometry(domain, n_nodes)
     g = field.evaluate(bq.thetas)
     total = float(np.dot(bq.weights, g))
@@ -101,8 +104,8 @@ def _check_cluster(solution: EigenSolution, F: tuple[int, ...]) -> float:
     if list(F) != list(range(F[0], F[-1] + 1)):
         raise DomainValidationError(f"F must be a contiguous index range, got {F}")
     lam = solution.eigenvalues
-    if F[-1] > len(lam):
-        raise DomainValidationError(f"F={F} exceeds the number of computed eigenvalues")
+    if F[0] < 1 or F[-1] > len(lam):
+        raise DomainValidationError(f"F={F} lies outside the computed indexes 1..{len(lam)}")
     vals = lam[[j - 1 for j in F]]
     lam_f = float(vals.mean())
     spread = float(vals.max() - vals.min())
@@ -167,8 +170,10 @@ def hadamard_derivative(
                                           - tau |grad v_m|^2 - |D^2 v_m|^2 ) ] g.
 
     The trivial cluster F = {1} (lambda = 0, constant eigenfunction) has an
-    identically vanishing density and returns exactly 0.
+    identically vanishing density and returns exactly 0.  A field whose modes the
+    n_nodes rule cannot resolve together with the domain's is rejected.
     """
+    _check_n_nodes(domain, n_nodes, field.max_mode)
     F = tuple(sorted(F))
     if not (1 <= s <= len(F)):
         raise DomainValidationError(f"s must lie in 1..{len(F)}, got {s}")

@@ -7,9 +7,10 @@ reductions is meaningful evidence.  The trial basis is also evaluated through
 polar coordinates, and the Bessel derivatives through order-raising recurrences
 with their own series loop, as references for the package's Cartesian evaluator
 and its single normalised series.  The plate mode matrices are also assembled
-element by element, the form the package's all-elements assembly must match bit
-for bit, and their pencil is solved densely, every eigenvalue at once, as a
-reference for the package's banded Lanczos solve.
+element by element into dense matrices, whose lower bands (`lower_band`) the
+package's all-elements band assembly must match bit for bit, and their pencil is
+solved densely, every eigenvalue at once, as a reference for the package's
+banded Lanczos solve.
 """
 
 from __future__ import annotations
@@ -248,9 +249,10 @@ def _hermite_shapes(h: float, xi: np.ndarray):
 def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
     """Plate stiffness, mass and kept DOFs for angular mode k, one element at a time.
 
-    Reference for `concentration._mode_matrices`: the same energy terms in the
-    same order (bend, shear, ring, tau H1, tau k^2 H/r), each element matrix
-    added into the global one by its own scatter.
+    Reference for `concentration._mode_matrices`, whose bands must equal
+    `lower_band` of these dense matrices: the same energy terms in the same order
+    (bend, shear, ring, tau H1, tau k^2 H/r), each element matrix added into the
+    global one by its own scatter.
     """
     nodes = mesh.nodes
     n_nodes = len(nodes)
@@ -290,6 +292,31 @@ def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
         drop = [0, 1]
     keep = [i for i in range(ndof) if i not in drop]
     return S[np.ix_(keep, keep)], Mm[np.ix_(keep, keep)], keep
+
+
+def lower_band(A: np.ndarray) -> np.ndarray:
+    """Lower band of a mode matrix in the storage of `concentration._mode_matrices`.
+
+    Shape (n, 4): row i holds A[i, i], A[i + 1, i], A[i + 2, i], A[i + 3, i], with
+    zeros past the end of the matrix.
+    """
+    return np.stack([np.concatenate([np.diagonal(A, -d), np.zeros(d)]) for d in range(4)], axis=1)
+
+
+def band_to_dense(B: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band (see `lower_band`) is B."""
+    n = len(B)
+    A = np.zeros((n, n))
+    for d in range(B.shape[1]):
+        i = np.arange(n - d)
+        A[i + d, i] = A[i, i + d] = B[: n - d, d]
+    return A
+
+
+def profile_mass(profile) -> float:
+    """Total mass of a `concentration.DensityProfile`, exact for its two constant levels."""
+    r_in = 1.0 - profile.eps
+    return profile.bulk_value * math.pi * r_in**2 + profile.collar_value * math.pi * (1.0 - r_in**2)
 
 
 def dense_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None):

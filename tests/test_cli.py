@@ -1,5 +1,7 @@
 """Tests for the command line interface: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bisteklov.cli import run
 
@@ -255,6 +259,24 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "concentration", "--tau", "1.0", "--eps", "0.1,0.2")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["", ","])
+    def test_no_eps(self, capsys, eps):
+        # an empty list once printed only the CSV header and exited 0
+        code, out, err = run_cli(capsys, "concentration", "--tau", "1.0", "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert "eps" in err
+
+    def test_field_beyond_boundary_rule(self, capsys, disk_file):
+        # the disk is critical, but cos512 aliases to a constant on the 512-node rule
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", disk_file, "--tau", "1.0",
+            "--field", "cos512",
+        )
+        assert code == 2
+        assert out == ""
+        assert "n_nodes" in err
+
     @pytest.mark.parametrize("mode", ["0", "-2"])
     def test_iso_scan_mode_below_one(self, capsys, mode):
         code, out, err = run_cli(
@@ -309,3 +331,91 @@ def test_module_entry_point():
     lines = proc.stdout.strip().split("\n")
     assert lines[0] == "index,eigenvalue,angular_order"
     assert len(lines) == 7
+
+
+# Robustness: any invocation on bounded inputs exits 0, 1 or 2 and never raises.
+# Bounds: meshes of at most 200 elements, field modes up to 1000, --kmax up to 20
+# and --count up to 300; beyond them a run may exhaust memory rather than fail.
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1e-3, 50.0).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "x", "1e-300", "1e300", "-0"]),
+)
+_LIST = st.lists(st.one_of(_NUMBER, st.floats(0.0, 1.0).map(repr)), max_size=4).map(",".join)
+_COEFFS = st.tuples(
+    st.sampled_from([0, 0, 3, 40, 200, 999]),  # zeros ahead of the nonzero tail
+    st.lists(st.one_of(st.floats(-0.3, 0.3), st.floats(allow_nan=False)), max_size=5),
+).map(lambda t: [0.0] * t[0] + t[1] if t[1] else [])
+_DOMAIN = st.fixed_dictionaries(
+    {"a0": st.one_of(st.floats(0.2, 3.0), st.floats(allow_nan=False), st.just("one"))},
+    optional={
+        "cos_coeffs": _COEFFS,
+        "sin_coeffs": _COEFFS,
+        "center": st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats()), min_size=1, max_size=3),
+    },
+)
+_SOLVER = st.tuples(st.just("--kmax"), st.integers(-2, 20).map(str),
+                    st.just("--svd-tol"), st.one_of(st.just("1e-12"), _NUMBER))
+_FIELD = st.one_of(
+    st.just("const"),
+    st.builds("{}{}".format, st.sampled_from(["cos", "sin"]), st.integers(0, 1000)),
+    st.text(max_size=4),
+)
+_INDEXES = st.one_of(
+    st.just("AUTO"), st.lists(st.integers(-2, 30).map(str), max_size=4).map(",".join)
+)
+
+
+@st.composite
+def _argv(draw):
+    """One CLI invocation; {domain} stands for a domain file written per example."""
+    command = draw(st.sampled_from(["ball-spectrum", "solve", "shape-derivative", "criticality",
+                                    "concentration", "iso-scan"]))
+    argv = [command, "--tau", draw(_NUMBER)]
+    if command == "ball-spectrum":
+        argv += ["--dim", str(draw(st.integers(-1, 8))),
+                 "--count", str(draw(st.integers(-2, 300)))]
+    elif command == "concentration":  # meshes of at most 200 elements
+        argv += ["--eps", draw(_LIST), "--modes", str(draw(st.integers(-2, 20))),
+                 "--mesh-bulk", str(draw(st.integers(-1, 100))),
+                 "--mesh-collar", str(draw(st.integers(-1, 100)))]
+    elif command == "iso-scan":
+        argv += ["--family", draw(st.sampled_from(["perturbed_disk", "ellipse_like", "disk"])),
+                 "--mode", str(draw(st.integers(-2, 1000))), *draw(_SOLVER)]
+        if draw(st.booleans()):
+            argv += ["--params", draw(_LIST)]
+    else:
+        argv += ["--domain", "{domain}", *draw(_SOLVER)]
+        if command != "solve":
+            argv += ["--F", draw(_INDEXES)]
+        if command == "shape-derivative":
+            argv += ["--field", draw(_FIELD), "--s", str(draw(st.integers(-1, 3)))]
+            if draw(st.booleans()):
+                argv += ["--validate-fd", "--steps", draw(_LIST)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("robustness")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(argv=_argv(), domain=_DOMAIN)
+# eps below the rounding of 1.0: the collar area was 0 (ZeroDivisionError)
+@example(argv=["concentration", "--tau", "1", "--eps", "7e-252"], domain={"a0": 1.0})
+# coincident collar nodes: NaN element matrices reached cholesky_banded (ValueError)
+@example(argv=["concentration", "--tau", "1", "--eps", "1e-15", "--mesh-collar", "100"],
+         domain={"a0": 1.0})
+# lambda_F was read before F was checked against the computed indexes (IndexError)
+@example(argv=["criticality", "--tau", "3", "--domain", "{domain}", "--kmax", "1", "--F", "18"],
+         domain={"a0": 0.45})
+def test_any_invocation_exits_cleanly(scratch_dir, argv, domain):
+    path = scratch_dir / "domain.json"
+    path.write_text(json.dumps(domain))
+    argv = [str(path) if a == "{domain}" else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2), argv

@@ -20,7 +20,14 @@ from bisteklov import (
 )
 from bisteklov.concentration import _mesh_forms, _mode_matrices, _solve_pencil
 
-from oracles import cartesian_energy_2d, dense_pencil, elementwise_mode_matrices
+from oracles import (
+    band_to_dense,
+    cartesian_energy_2d,
+    dense_pencil,
+    elementwise_mode_matrices,
+    lower_band,
+    profile_mass,
+)
 
 # converged second eigenvalues at tau = 1, M = 2 pi, obtained from mesh sequences
 # refined well past the default resolution
@@ -32,9 +39,22 @@ LAMBDA2_CONVERGED = {
 }
 
 
-def _deflation(k, keep):
+def _constrained(k, full):
+    """The entries of a vector over all mesh DOFs that mode k keeps at the center.
+
+    Center regularity drops f'(0) (DOF 1) for k = 0, f(0) (DOF 0) for k = 1, both
+    for k >= 2.
+    """
+    return np.delete(full, {0: [1], 1: [0]}.get(k, [0, 1]))
+
+
+def _deflation(k, mesh):
     """The deflation vector _mode_eigenvalues passes for mode k: the constant for k = 0."""
-    return np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
+    if k:
+        return None
+    full = np.zeros(2 * len(mesh.nodes))
+    full[0::2] = 1.0  # value 1, slope 0 at every node
+    return _constrained(0, full)
 
 
 class ConstantDensity:
@@ -52,7 +72,7 @@ class TestDensityProfile:
     def test_mass_is_exact(self):
         for eps, M in ((0.2, 2.0 * math.pi), (0.05, 5.0), (0.4, 10.0)):
             p = DensityProfile(eps, M)
-            assert p.mass() == pytest.approx(M, rel=1e-12)
+            assert profile_mass(p) == pytest.approx(M, rel=1e-12)
 
     def test_collar_dominates_for_small_eps(self):
         p = DensityProfile(0.05)
@@ -141,10 +161,8 @@ class TestModeAssembly:
     def test_constant_spans_the_kernel(self):
         profile = DensityProfile(0.1)
         mesh = make_radial_mesh(0.1)
-        S, M, keep = _mode_matrices(0, 1.0, profile, mesh)
-        full = np.zeros(2 * len(mesh.nodes))
-        full[0::2] = 1.0
-        c = full[keep]
+        S, M = map(band_to_dense, _mode_matrices(0, 1.0, profile, mesh))
+        c = _deflation(0, mesh)
         assert np.abs(S @ c).max() <= 1e-12 * np.abs(S).max()
         assert c @ M @ c == pytest.approx(profile.M / (2.0 * math.pi), rel=1e-12)
 
@@ -173,13 +191,13 @@ class TestModeAssembly:
         tau = 1.3
         profile = DensityProfile(0.3)
         mesh = make_radial_mesh(0.3, n_bulk=20, n_collar=6)
-        S, _, keep = _mode_matrices(k, tau, profile, mesh)
+        S, _ = _mode_matrices(k, tau, profile, mesh)
         full = np.zeros(2 * len(mesh.nodes))
         full[0::2] = f(mesh.nodes)
         full[1::2] = fp(mesh.nodes)
-        x = full[keep]
+        x = _constrained(k, full)
         angular = 2.0 * math.pi if k == 0 else math.pi
-        got = angular * float(x @ S @ x)
+        got = angular * float(x @ band_to_dense(S) @ x)
         want = cartesian_energy_2d(f, fp, fpp, k, tau, n_r=240, n_t=512)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -200,11 +218,10 @@ class TestElementwiseOracle:
         forms = _mesh_forms(profile, mesh)
         for tau in (0.1, 1.0, 20.0):
             for k in range(9):
-                S, M, keep = _mode_matrices(k, tau, profile, mesh, forms)
-                S_ref, M_ref, keep_ref = elementwise_mode_matrices(k, tau, profile, mesh)
-                assert np.array_equal(S, S_ref), (tau, k)
-                assert np.array_equal(M, M_ref), (tau, k)
-                assert keep == keep_ref
+                S, M = _mode_matrices(k, tau, profile, mesh, forms)
+                S_ref, M_ref, _ = elementwise_mode_matrices(k, tau, profile, mesh)
+                assert np.array_equal(S, lower_band(S_ref)), (tau, k)
+                assert np.array_equal(M, lower_band(M_ref)), (tau, k)
 
     @pytest.mark.parametrize(
         "n_bulk,n_collar,tau",
@@ -219,7 +236,7 @@ class TestElementwiseOracle:
         for k in range(9):
             S, M, keep = elementwise_mode_matrices(k, tau, profile, mesh)
             deflate = np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
-            ev = _solve_pencil(S, M, 6, deflate)
+            ev = _solve_pencil(lower_band(S), lower_band(M), 6, deflate)
             want.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         want.sort()
         assert np.array_equal(merged_spectrum(tau, profile, mesh, 6), want[:6])
@@ -231,9 +248,11 @@ class TestPencil:
     @staticmethod
     def _both(n_bulk, n_collar, eps, tau, k, count=6):
         profile = DensityProfile(eps)
-        S, M, keep = _mode_matrices(k, tau, profile, make_radial_mesh(eps, n_bulk, n_collar))
-        deflate = _deflation(k, keep)
-        return _solve_pencil(S, M, count, deflate), dense_pencil(S, M, count, deflate)
+        mesh = make_radial_mesh(eps, n_bulk, n_collar)
+        S, M = _mode_matrices(k, tau, profile, mesh)
+        deflate = _deflation(k, mesh)
+        return (_solve_pencil(S, M, count, deflate),
+                dense_pencil(band_to_dense(S), band_to_dense(M), count, deflate))
 
     @pytest.mark.parametrize("eps", [0.2, 0.025])
     @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
@@ -268,14 +287,15 @@ class TestPencil:
         profile = DensityProfile(0.025)
         mesh = make_radial_mesh(0.025, 20, 8)
         for k in range(3):
-            S, M, keep = _mode_matrices(k, 1.0, profile, mesh)
-            deflate = _deflation(k, keep)
-            Ri = mp.inverse(mp.cholesky(mp.matrix(M.tolist())))
-            A = Ri * mp.matrix(S.tolist()) * Ri.T
+            S, M = _mode_matrices(k, 1.0, profile, mesh)
+            deflate = _deflation(k, mesh)
+            Sd, Md = band_to_dense(S), band_to_dense(M)
+            Ri = mp.inverse(mp.cholesky(mp.matrix(Md.tolist())))
+            A = Ri * mp.matrix(Sd.tolist()) * Ri.T
             ref = sorted(mp.eigsy((A + A.T) / 2, eigvals_only=True))[:6]
             ref = np.array([float(x) for x in ref])
             errors = []
-            for ev in (_solve_pencil(S, M, 6, deflate), dense_pencil(S, M, 6, deflate)):
+            for ev in (_solve_pencil(S, M, 6, deflate), dense_pencil(Sd, Md, 6, deflate)):
                 skip = 1 if k == 0 else 0  # the exact 0 against a roundoff-sized reference
                 errors.append(np.max(np.abs(ev[skip:] - ref[skip:]) / ref[skip:]))
             assert errors[0] <= 2.0 * errors[1], (k, errors)

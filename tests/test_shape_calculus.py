@@ -104,6 +104,15 @@ class TestVolumePreservation:
         assert is_volume_preserving(proj, PERTURBED)
         assert proj.cos_coeffs == f.cos_coeffs
 
+    def test_unresolved_field(self):
+        # 512 nodes resolve modes below 128 of domain and field together
+        f = PerturbationField(cos_coeffs=(0.0,) * 511 + (1.0,))
+        with pytest.raises(DomainValidationError):
+            is_volume_preserving(f, DISK)
+        with pytest.raises(DomainValidationError):
+            volume_preserving_projection(f, DISK)
+        assert is_volume_preserving(f, DISK, n_nodes=4 * 513)
+
 
 class TestRealizePerturbation:
     def test_disk_constant_field(self):
@@ -194,6 +203,19 @@ class TestHadamardDerivative:
             hadamard_derivative(DISK, sol, basis, (2, 4), 1, g)
         with pytest.raises(DomainValidationError):
             hadamard_derivative(DISK, sol, basis, (2, 3), 3, g)
+        with pytest.raises(DomainValidationError, match="outside"):
+            # index 0 once read the last eigenvalue
+            hadamard_derivative(DISK, sol, basis, (0, 1), 1, g)
+
+    def test_unresolved_field(self):
+        # on 512 nodes cos(512 theta) aliases to the constant: the disk is critical,
+        # yet the aliased integral read -2 tau, the dilation rate
+        sol, basis = solved(DISK, 1.0)
+        g = PerturbationField(cos_coeffs=(0.0,) * 511 + (1.0,))
+        with pytest.raises(DomainValidationError):
+            hadamard_derivative(DISK, sol, basis, (2, 3), 1, g)
+        d = hadamard_derivative(DISK, sol, basis, (2, 3), 1, g, n_nodes=4 * 513)
+        assert abs(d) <= 1e-7
 
 
 class TestCriticality:
