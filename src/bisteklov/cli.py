@@ -228,7 +228,7 @@ def _cmd_concentration(args) -> int:
 
 
 def _cmd_iso_scan(args) -> int:
-    parameters = _parse_float_list(args.params, "parameter") if args.params else None
+    parameters = _parse_float_list(args.params, "parameter") if args.params is not None else None
     result = iso_scan(args.family, parameters, tau=args.tau, mode=args.mode,
                       k_max=args.kmax, svd_tol=args.svd_tol)
     lines = ["family,parameter,area,tau,lambda2,ball_bound,margin"]

@@ -218,6 +218,13 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
         L = cholesky_banded((S + M).T, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pencil factorization failed: {exc}") from exc
+    # max/min of the squared pivots is a lower bound on cond(S + M)
+    pivots = L[0] ** 2
+    if pivots.max() * np.finfo(float).eps >= pivots.min():
+        raise NumericalError(
+            "pencil matrix S + M is singular to working precision "
+            f"(squared pivots span {pivots.max() / pivots.min():.1e})"
+        )
 
     def apply(x: np.ndarray) -> np.ndarray:
         y = _triangular_solve(L, x, "T")

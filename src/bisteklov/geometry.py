@@ -33,8 +33,10 @@ class StarDomain:
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "a0", float(self.a0))
+        if not np.all(np.isfinite(self.center)):
+            raise DomainValidationError(f"center must be finite, got {self.center}")
         with np.errstate(invalid="ignore"):  # infinite coefficients: nan samples, rejected
-            r = _grid_samples(self.a0, self.cos_coeffs, self.sin_coeffs, _POSITIVITY_GRID)
+            r = self.samples(_POSITIVITY_GRID)
         if not np.all(r > 0.0):
             raise DomainValidationError(
                 f"radius series is not positive (min {r.min():.3e}); domain is invalid"
@@ -44,48 +46,31 @@ class StarDomain:
     def max_mode(self) -> int:
         return max(len(self.cos_coeffs), len(self.sin_coeffs))
 
-    def rho(self, theta: np.ndarray) -> np.ndarray:
-        return trig_series(self.a0, self.cos_coeffs, self.sin_coeffs, theta)
-
-    def rho_derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rho, rho', rho'') at the given angles."""
-        return trig_series(self.a0, self.cos_coeffs, self.sin_coeffs, theta, derivatives=True)
+    def samples(self, n: int, derivatives: bool = False):
+        """rho at theta_j = 2 pi j / n, or (rho, rho', rho'') when derivatives is set."""
+        return grid_series(self.a0, self.cos_coeffs, self.sin_coeffs, n, derivatives)
 
 
-def trig_series(const, cos_coeffs, sin_coeffs, theta, derivatives: bool = False):
-    """const + sum_k (cos_coeffs[k-1] cos k theta + sin_coeffs[k-1] sin k theta) at theta.
+def grid_series(const, cos_coeffs, sin_coeffs, n: int, derivatives: bool = False):
+    """const + sum_k (cos_coeffs[k-1] cos k theta + sin_coeffs[k-1] sin k theta) at theta_j = 2 pi j / n.
 
-    Returns the value, or (value, first, second theta-derivative) when derivatives
-    is set.  Modes are added one at a time, cosines first, in increasing order.
+    Returns the n samples, or (value, first, second theta-derivative) when
+    derivatives is set.  The series is Re sum_k c_k e^(ik theta) with
+    c_k = a_k - i b_k, and its d-th derivative has the spectrum (ik)^d c_k.  On the
+    grid mode k equals mode k mod n, so the modes are folded modulo n; the
+    Hermitian part of the folded spectrum has the same real samples, which one
+    batched inverse real FFT returns.
     """
-    theta = np.asarray(theta, dtype=float)
-    f = np.full_like(theta, const)
-    f1, f2 = np.zeros_like(theta), np.zeros_like(theta)
-    for coeffs, main_fn, other_fn, sign in (
-        (cos_coeffs, np.cos, np.sin, -1.0),
-        (sin_coeffs, np.sin, np.cos, 1.0),
-    ):
-        for k, c in enumerate(coeffs, start=1):
-            if c != 0.0:
-                main = main_fn(k * theta)
-                f += c * main
-                if derivatives:
-                    f1 += sign * (c * k * other_fn(k * theta))
-                    f2 -= c * k * k * main
-    return (f, f1, f2) if derivatives else f
-
-
-def _grid_samples(const, cos_coeffs, sin_coeffs, n: int) -> np.ndarray:
-    """trig_series at theta_j = 2 pi j / n (n even), to rounding, by one inverse real FFT.
-
-    The series is Re sum_k c_k e^(ik theta) with c_k = a_k - i b_k: fold the modes
-    modulo n, and the Hermitian part of that spectrum has the same real samples.
-    """
-    c = np.zeros(n, dtype=complex)
-    np.add.at(c, np.arange(1, len(cos_coeffs) + 1) % n, cos_coeffs)
-    np.add.at(c, np.arange(1, len(sin_coeffs) + 1) % n, -1j * np.asarray(sin_coeffs))
-    c[0] += const
-    return np.fft.irfft(0.5 * (c + np.roll(c[::-1], 1).conj())[: n // 2 + 1], n, norm="forward")
+    k = np.concatenate([np.arange(1, len(cos_coeffs) + 1), np.arange(1, len(sin_coeffs) + 1)])
+    c = np.concatenate([np.asarray(cos_coeffs, dtype=complex),
+                        -1j * np.asarray(sin_coeffs, dtype=float)])
+    spectra = np.stack([c, 1j * k * c, -(k * k) * c]) if derivatives else c[None, :]
+    folded = np.zeros((len(spectra), n), dtype=complex)
+    np.add.at(folded, (slice(None), k % n), spectra)
+    folded[0, 0] += const
+    m = np.arange(n // 2 + 1)
+    f = np.fft.irfft(0.5 * (folded[:, m] + folded[:, -m % n].conj()), n, norm="forward")
+    return (f[0], f[1], f[2]) if derivatives else f[0]
 
 
 def fourier_projection(samples: np.ndarray, center=(0.0, 0.0)) -> StarDomain:
@@ -108,7 +93,6 @@ def fourier_projection(samples: np.ndarray, center=(0.0, 0.0)) -> StarDomain:
 class BoundaryQuadrature:
     """Uniform-angle boundary rule: nodes, outward unit normals, arc weights, curvature."""
 
-    thetas: np.ndarray
     points: np.ndarray  # (n, 2)
     normals: np.ndarray  # (n, 2), unit outward
     weights: np.ndarray  # (n,), arc length measure
@@ -131,14 +115,14 @@ def boundary_geometry(domain: StarDomain, n_nodes: int) -> BoundaryQuadrature:
     """
     _check_n_nodes(domain, n_nodes)
     th = np.linspace(0.0, 2.0 * np.pi, n_nodes, endpoint=False)
-    r, r1, r2 = domain.rho_derivatives(th)
+    r, r1, r2 = domain.samples(n_nodes, derivatives=True)
     ct, st = np.cos(th), np.sin(th)
     jac = np.sqrt(r * r + r1 * r1)
     pts = np.stack([domain.center[0] + r * ct, domain.center[1] + r * st], axis=1)
     normals = np.stack([(r1 * st + r * ct) / jac, (-r1 * ct + r * st) / jac], axis=1)
     weights = jac * (2.0 * np.pi / n_nodes)
     curv = (r * r + 2.0 * r1 * r1 - r * r2) / jac**3
-    return BoundaryQuadrature(th, pts, normals, weights, curv)
+    return BoundaryQuadrature(pts, normals, weights, curv)
 
 
 def area(domain: StarDomain) -> float:
@@ -203,7 +187,7 @@ def interior_quadrature(
     x = 0.5 * (x + 1.0)  # map to (0, 1); nodes stay strictly interior
     w = 0.5 * w
     th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    r_b = domain.rho(th)
+    r_b = domain.samples(n_theta)
     ct, st = np.cos(th), np.sin(th)
     # scaled radius x in (0,1): point = center + rho(theta) x e(theta),
     # weight = w x rho^2 dtheta from the area Jacobian r dr dtheta

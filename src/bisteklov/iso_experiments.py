@@ -61,8 +61,11 @@ def make_family(
     """
     if mode < 1:
         raise DomainValidationError(f"mode must be >= 1, got {mode}")
+    params = None if parameters is None else tuple(parameters)
+    if params == ():
+        raise DomainValidationError("no parameter values given")
     if family == "perturbed_disk":
-        params = _DEFAULT_AMPLITUDES if parameters is None else tuple(parameters)
+        params = _DEFAULT_AMPLITUDES if params is None else params
         out = []
         for amp in params:
             coeffs = (0.0,) * (mode - 1) + (float(amp),) if amp != 0.0 else ()
@@ -70,7 +73,7 @@ def make_family(
             out.append((float(amp), rescale_to_area(dom, target_area)))
         return out
     if family == "ellipse_like":
-        params = _DEFAULT_ASPECTS if parameters is None else tuple(parameters)
+        params = _DEFAULT_ASPECTS if params is None else params
         out = []
         for aspect in params:
             if aspect < 1.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainValidationError, NumericalError
-from .geometry import StarDomain, boundary_geometry, fourier_projection, trig_series
+from .geometry import StarDomain, boundary_geometry, fourier_projection, grid_series
 from .geometry import _check_n_nodes
 from .steklov_solver import (
     EigenSolution,
@@ -42,8 +42,9 @@ class PerturbationField:
     def max_mode(self) -> int:
         return max(len(self.cos_coeffs), len(self.sin_coeffs))
 
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        return trig_series(self.const, self.cos_coeffs, self.sin_coeffs, theta)
+    def samples(self, n: int) -> np.ndarray:
+        """g at theta_j = 2 pi j / n."""
+        return grid_series(self.const, self.cos_coeffs, self.sin_coeffs, n)
 
 
 def volume_preserving_projection(
@@ -56,7 +57,7 @@ def volume_preserving_projection(
     """
     _check_n_nodes(domain, n_nodes, field.max_mode)
     bq = boundary_geometry(domain, n_nodes)
-    g = field.evaluate(bq.thetas)
+    g = field.samples(n_nodes)
     mean = float(np.dot(bq.weights, g) / bq.weights.sum())
     return PerturbationField(
         const=field.const - mean, cos_coeffs=field.cos_coeffs, sin_coeffs=field.sin_coeffs
@@ -69,7 +70,7 @@ def is_volume_preserving(
     """Whether the boundary integral of g vanishes to the given tolerance."""
     _check_n_nodes(domain, n_nodes, field.max_mode)
     bq = boundary_geometry(domain, n_nodes)
-    g = field.evaluate(bq.thetas)
+    g = field.samples(n_nodes)
     total = float(np.dot(bq.weights, g))
     scale = max(1.0, float(np.dot(bq.weights, np.abs(g))))
     return abs(total) <= tol * scale
@@ -181,7 +182,7 @@ def hadamard_derivative(
     if abs(lam_f) <= 1e-9 * max(1.0, basis.tau):
         return 0.0
     quad, density = _trace_integrand(solution, domain, basis, F, lam_f, n_nodes)
-    g = field.evaluate(quad.thetas)
+    g = field.samples(n_nodes)
     integral = float(np.dot(quad.weights, density * g))
     return -(lam_f ** (s - 1)) * math.comb(len(F) - 1, s - 1) * integral
 
@@ -226,9 +227,8 @@ def realize_perturbation(domain: StarDomain, field: PerturbationField, t: float)
     need = 8 * (domain.max_mode + field.max_mode + 4)
     while n < need:
         n *= 2
-    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    r, r1, _ = domain.rho_derivatives(th)
-    g = field.evaluate(th)
+    r, r1, _ = domain.samples(n, derivatives=True)
+    g = field.samples(n)
     new_r = r + t * g * np.sqrt(r * r + r1 * r1) / r
     if not np.all(new_r > 0.0):
         raise DomainValidationError(f"perturbation with t={t} destroys star-shapedness")

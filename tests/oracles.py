@@ -10,7 +10,8 @@ and its single normalised series.  The plate mode matrices are also assembled
 element by element into dense matrices, whose lower bands (`lower_band`) the
 package's all-elements band assembly must match bit for bit, and their pencil is
 solved densely, every eigenvalue at once, as a reference for the package's
-banded Lanczos solve.
+banded Lanczos solve.  Trigonometric series are summed mode by mode at any angle,
+as a reference for the package's inverse-FFT sampler on the uniform grid.
 """
 
 from __future__ import annotations
@@ -185,6 +186,29 @@ def polar_eval_all(
                 - u_r * cs / r - u_t * (ct**2 - st**2) / r**2
             )
     return val, grad, hess
+
+
+def trig_series(const, cos_coeffs, sin_coeffs, theta, derivatives: bool = False):
+    """const + sum_k (cos_coeffs[k-1] cos k theta + sin_coeffs[k-1] sin k theta) at theta.
+
+    Returns the value, or (value, first, second theta-derivative) when derivatives
+    is set.  Modes are added one at a time, cosines first, in increasing order.
+    """
+    theta = np.asarray(theta, dtype=float)
+    f = np.full_like(theta, const)
+    f1, f2 = np.zeros_like(theta), np.zeros_like(theta)
+    for coeffs, main_fn, other_fn, sign in (
+        (cos_coeffs, np.cos, np.sin, -1.0),
+        (sin_coeffs, np.sin, np.cos, 1.0),
+    ):
+        for k, c in enumerate(coeffs, start=1):
+            if c != 0.0:
+                main = main_fn(k * theta)
+                f += c * main
+                if derivatives:
+                    f1 += sign * (c * k * other_fn(k * theta))
+                    f2 -= c * k * k * main
+    return (f, f1, f2) if derivatives else f
 
 
 def recurrence_derivatives(l: int, N: int, z: float) -> BesselEval:

@@ -277,6 +277,37 @@ class TestExitCodes:
         assert out == ""
         assert "n_nodes" in err
 
+    @pytest.mark.parametrize("center", ["[NaN, 0]", "[0, Infinity]"])
+    @pytest.mark.parametrize("command", [["solve"], ["criticality"], ["shape-derivative", "--field", "cos2"]],
+                             ids=["solve", "criticality", "shape-derivative"])
+    def test_non_finite_center(self, capsys, tmp_path, command, center):
+        # once exit 1 from the Bessel series at argument nan
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a0": 1.0, "center": %s}\n' % center)
+        code, out, err = run_cli(capsys, *command, "--domain", str(bad), "--tau", "1.0")
+        assert code == 2
+        assert out == ""
+        assert "center" in err
+
+    @pytest.mark.parametrize("params", ["", ","])
+    def test_iso_scan_no_params(self, capsys, params):
+        # "," once printed an empty table with verdict PASS, "" scanned the default family
+        code, out, err = run_cli(
+            capsys, "iso-scan", "--family", "perturbed_disk", "--tau", "1.0", "--params", params,
+        )
+        assert code == 2
+        assert out == ""
+        assert "parameter" in err
+
+    def test_concentration_singular_pencil(self, capsys):
+        # the graded 40/8 mesh at eps 1e-10 once printed lambda_2 = 2.549e11 (limit 1)
+        code, out, err = run_cli(
+            capsys, "concentration", "--tau", "1", "--eps", "1e-10", "--modes", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "singular" in err
+
     @pytest.mark.parametrize("mode", ["0", "-2"])
     def test_iso_scan_mode_below_one(self, capsys, mode):
         code, out, err = run_cli(

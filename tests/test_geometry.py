@@ -14,7 +14,8 @@ from bisteklov import (
     interior_quadrature,
     rescale_to_area,
 )
-from bisteklov.geometry import _POSITIVITY_GRID, _grid_samples, trig_series
+from bisteklov.geometry import _POSITIVITY_GRID, grid_series
+from oracles import trig_series
 
 DISK = StarDomain(a0=1.0)
 WOBBLY = StarDomain(a0=1.0, cos_coeffs=(0.05, 0.0, 0.08), sin_coeffs=(0.0, 0.03), center=(0.2, -0.1))
@@ -29,15 +30,23 @@ class TestStarDomain:
 
     @pytest.mark.parametrize("n_cos,n_sin", [(0, 0), (1, 0), (0, 3), (34, 34), (2049, 2047), (6200, 6150)])
     def test_positivity_grid_matches_trig_series(self, n_cos, n_sin):
-        # above 2048 modes alias on the 4096-point grid and are folded
+        # modes above n/2 alias on the grid and are folded
         rng = np.random.default_rng(n_cos + n_sin)
         a = 0.1 * rng.standard_normal(n_cos) / np.arange(1, n_cos + 1) ** 1.5
         b = 0.1 * rng.standard_normal(n_sin) / np.arange(1, n_sin + 1) ** 1.5
-        th = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
-        want = trig_series(1.0, a, b, th)
-        got = _grid_samples(1.0, a, b, _POSITIVITY_GRID)
-        assert abs(got.min() - want.min()) <= 1e-14
-        assert np.abs(got - want).max() <= 5e-14
+        for n in (_POSITIVITY_GRID, 513):
+            th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+            want, want1, want2 = trig_series(1.0, a, b, th, derivatives=True)
+            got, got1, got2 = grid_series(1.0, a, b, n, derivatives=True)
+            assert np.array_equal(grid_series(1.0, a, b, n), got)
+            assert abs(got.min() - want.min()) <= 1e-14
+            assert np.abs(got - want).max() <= 5e-14
+            # the oracle's angles k theta carry rounding of order k theta 1e-16,
+            # which the derivatives scale by k and k^2
+            for g, w in ((got1, want1), (got2, want2)):
+                assert np.abs(g - w).max() <= 1e-11 * np.abs(w).max()
+            if n_cos + n_sin == 0:
+                assert np.all(got == 1.0) and np.all(got1 == 0.0) and np.all(got2 == 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -75,14 +84,19 @@ class TestStarDomain:
         assert WOBBLY.max_mode == 3
 
     def test_rho_derivatives_consistency(self):
-        th = np.linspace(0.0, 2.0 * np.pi, 17)
-        r, r1, r2 = WOBBLY.rho_derivatives(th)
-        assert np.allclose(r, WOBBLY.rho(th), rtol=0, atol=0)
+        n = 17
+        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        r, r1, r2 = WOBBLY.samples(n, derivatives=True)
+        assert np.allclose(r, WOBBLY.samples(n), rtol=0, atol=0)
+
+        def rho(theta):
+            return trig_series(WOBBLY.a0, WOBBLY.cos_coeffs, WOBBLY.sin_coeffs, theta)
+
         h = 1e-6
-        fd1 = (WOBBLY.rho(th + h) - WOBBLY.rho(th - h)) / (2 * h)
+        fd1 = (rho(th + h) - rho(th - h)) / (2 * h)
         assert np.allclose(r1, fd1, atol=1e-8)
         h = 1e-4  # second difference loses ~h^-2 digits to roundoff
-        fd2 = (WOBBLY.rho(th + h) - 2 * r + WOBBLY.rho(th - h)) / h**2
+        fd2 = (rho(th + h) - 2 * r + rho(th - h)) / h**2
         assert np.allclose(r2, fd2, atol=1e-6)
 
 

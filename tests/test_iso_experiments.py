@@ -76,6 +76,9 @@ class TestMakeFamily:
             make_family("ellipse_like", parameters=(0.8,))
         with pytest.raises(DomainValidationError):
             make_family("hexagon")
+        for family in ("perturbed_disk", "ellipse_like"):
+            with pytest.raises(DomainValidationError):
+                make_family(family, parameters=())
         for mode in (0, -1):
             with pytest.raises(DomainValidationError):
                 make_family("perturbed_disk", parameters=(0.1,), mode=mode)

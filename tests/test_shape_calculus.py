@@ -132,10 +132,9 @@ class TestRealizePerturbation:
         field = PerturbationField(const=0.3, cos_coeffs=(1.0,))
         t = 2e-3
         moved = realize_perturbation(PERTURBED, field, t)
-        th = np.linspace(0.0, 2.0 * np.pi, 63, endpoint=False)
-        r, r1, _ = PERTURBED.rho_derivatives(th)
-        want = r + t * field.evaluate(th) * np.sqrt(r * r + r1 * r1) / r
-        assert np.allclose(moved.rho(th), want, atol=1e-10)
+        r, r1, _ = PERTURBED.samples(63, derivatives=True)
+        want = r + t * field.samples(63) * np.sqrt(r * r + r1 * r1) / r
+        assert np.allclose(moved.samples(63), want, atol=1e-10)
 
     def test_area_rate_matches_boundary_integral(self):
         t = 1e-4
