@@ -11,6 +11,7 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -185,7 +186,7 @@ def _cmd_shape_derivative(args) -> int:
     }
     if args.validate_fd:
         steps = tuple(_parse_float_list(args.steps, "step"))
-        fd = fd_derivative(domain, args.tau, F, args.s, field, steps=steps, k_max=args.kmax,
+        fd = fd_derivative(domain, solution, basis, F, args.s, field, steps=steps,
                            svd_tol=args.svd_tol)
         doc["fd_steps"] = list(fd.steps)
         doc["fd_estimates"] = list(fd.estimates)
@@ -199,7 +200,7 @@ def _cmd_criticality(args) -> int:
     domain = _load_domain(args.domain)
     solution, basis = _solve_for(args, domain)
     F = _resolve_F(args.F, solution)
-    c_best, residual = criticality_residual(domain, solution, basis, F)  # validates F
+    c_best, residual = criticality_residual(solution, basis, F)  # validates F
     lam_f = float(np.mean(solution.eigenvalues[[j - 1 for j in F]]))
     doc = {
         "domain": _domain_as_dict(domain),
@@ -248,7 +249,9 @@ def _add_solver_options(p: argparse.ArgumentParser) -> None:
                    help="relative Gram filtering threshold (default 1e-12)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bisteklov",
         description="Steklov eigenvalues of the biharmonic operator: spectra, "

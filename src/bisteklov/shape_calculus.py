@@ -18,14 +18,7 @@ import numpy as np
 from .errors import DomainValidationError, NumericalError
 from .geometry import StarDomain, boundary_geometry, fourier_projection, grid_series
 from .geometry import _check_n_nodes
-from .steklov_solver import (
-    EigenSolution,
-    TrialBasis,
-    assemble,
-    eigenfunction_boundary_data,
-    make_trial_basis,
-    solve,
-)
+from .steklov_solver import EigenSolution, TrialBasis, assemble, eigenfunction_boundary_data, solve
 
 _CLUSTER_SPREAD_TOL = 1e-4
 
@@ -122,16 +115,9 @@ def _check_cluster(solution: EigenSolution, F: tuple[int, ...]) -> float:
     return lam_f
 
 
-def _trace_integrand(
-    solution: EigenSolution,
-    domain: StarDomain,
-    basis: TrialBasis,
-    F: tuple[int, ...],
-    lam_f: float,
-    n_nodes: int,
-):
+def _trace_integrand(solution: EigenSolution, basis: TrialBasis, F: tuple[int, ...], lam_f: float):
     """Per-node boundary density whose weighted integral against g gives the derivative."""
-    tr = eigenfunction_boundary_data(solution, domain, basis, tuple(F), n_nodes)
+    tr = eigenfunction_boundary_data(solution, tuple(F))
     v, dvdn, g, h = tr.values, tr.normal_derivatives, tr.gradients, tr.hessians
     grad2 = np.einsum("mnc,mnc->mn", g, g)
     hess2 = h[:, :, 0] ** 2 + 2.0 * h[:, :, 1] ** 2 + h[:, :, 2] ** 2
@@ -147,7 +133,6 @@ def hadamard_derivative(
     F: tuple[int, ...],
     s: int,
     field: PerturbationField,
-    n_nodes: int = 512,
 ) -> float:
     """Derivative of e_s over the eigenvalue cluster F along the normal field g.
 
@@ -171,9 +156,11 @@ def hadamard_derivative(
                                           - tau |grad v_m|^2 - |D^2 v_m|^2 ) ] g.
 
     The trivial cluster F = {1} (lambda = 0, constant eigenfunction) has an
-    identically vanishing density and returns exactly 0.  A field whose modes the
-    n_nodes rule cannot resolve together with the domain's is rejected.
+    identically vanishing density and returns exactly 0.  The integral runs on the
+    solution's assembly rule; a field whose modes that rule cannot resolve together
+    with the domain's is rejected.
     """
+    n_nodes = solution.boundary.quad.weights.size
     _check_n_nodes(domain, n_nodes, field.max_mode)
     F = tuple(sorted(F))
     if not (1 <= s <= len(F)):
@@ -181,31 +168,28 @@ def hadamard_derivative(
     lam_f = _check_cluster(solution, F)
     if abs(lam_f) <= 1e-9 * max(1.0, basis.tau):
         return 0.0
-    quad, density = _trace_integrand(solution, domain, basis, F, lam_f, n_nodes)
+    quad, density = _trace_integrand(solution, basis, F, lam_f)
     g = field.samples(n_nodes)
     integral = float(np.dot(quad.weights, density * g))
     return -(lam_f ** (s - 1)) * math.comb(len(F) - 1, s - 1) * integral
 
 
 def criticality_residual(
-    domain: StarDomain,
-    solution: EigenSolution,
-    basis: TrialBasis,
-    F: tuple[int, ...],
-    n_nodes: int = 512,
+    solution: EigenSolution, basis: TrialBasis, F: tuple[int, ...]
 ) -> tuple[float, float]:
     """How far the cluster F is from shape criticality under volume-preserving fields.
 
     The derivative vanishes for every volume-preserving field exactly when the
     trace density is constant along the boundary.  Returns (c_best, residual):
     the arc-length mean of the density and the normalized RMS deviation from it,
-    residual = ||density - c_best||_rms / (|c_best| + 1).
+    residual = ||density - c_best||_rms / (|c_best| + 1), on the solution's
+    assembly rule.
     """
     F = tuple(sorted(F))
     lam_f = _check_cluster(solution, F)
     if abs(lam_f) <= 1e-9 * max(1.0, basis.tau):
         return 0.0, 0.0
-    quad, density = _trace_integrand(solution, domain, basis, F, lam_f, n_nodes)
+    quad, density = _trace_integrand(solution, basis, F, lam_f)
     L = float(quad.weights.sum())
     c_best = float(np.dot(quad.weights, density) / L)
     dev = density - c_best
@@ -244,33 +228,37 @@ class FDResult:
 
 def fd_derivative(
     domain: StarDomain,
-    tau: float,
+    solution: EigenSolution,
+    basis: TrialBasis,
     F: tuple[int, ...],
     s: int,
     field: PerturbationField,
     steps: tuple[float, ...] = (1e-3, 5e-4),
-    k_max: int = 10,
     svd_tol: float = 1e-12,
-    n_boundary: int = 512,
 ) -> FDResult:
     """Central finite differences of e_s over the cluster F along the field, per step.
 
+    solution is the base domain's, solved with this basis; each perturbed domain is
+    assembled on a rule of the same size and solved with the same svd_tol.
     Eigenvalues of the perturbed domains are matched to the base cluster by index;
     if any tracked eigenvalue moves by more than half the gap separating the cluster
-    from its neighbors, tracking is ambiguous and an error is raised.  The two
-    smallest steps are Richardson-combined into the extrapolated estimate.
+    from its neighbors, tracking is ambiguous and an error is raised.  Steps must
+    be finite, positive and distinct.  The two smallest steps are Richardson-combined
+    into the extrapolated estimate.
     """
-    steps = tuple(sorted((float(t) for t in steps), reverse=True))
-    if not steps or steps[-1] <= 0.0:
-        raise DomainValidationError(f"steps must be positive, got {steps}")
+    steps = tuple(float(t) for t in steps)
+    if not steps or not all(math.isfinite(t) and t > 0.0 for t in steps):
+        raise DomainValidationError(f"steps must be positive and finite, got {steps}")
+    if len(set(steps)) != len(steps):
+        raise DomainValidationError(f"steps must be distinct, got {steps}")
+    steps = tuple(sorted(steps, reverse=True))
     F = tuple(sorted(F))
+    tau, n_boundary = basis.tau, solution.boundary.quad.weights.size
 
     def eigs_of(dom: StarDomain) -> np.ndarray:
-        basis = make_trial_basis(k_max, tau)
-        sol = solve(assemble(dom, tau, basis, n_boundary=n_boundary), svd_tol)
-        return sol.eigenvalues
+        return solve(assemble(dom, tau, basis, n_boundary=n_boundary), svd_tol).eigenvalues
 
-    base = eigs_of(domain)
+    base = solution.eigenvalues
     if F[-1] >= len(base):
         raise DomainValidationError(f"F={F} needs more eigenvalues than computed ({len(base)})")
     cluster_vals = base[[j - 1 for j in F]]

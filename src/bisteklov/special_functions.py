@@ -8,6 +8,8 @@ nu = N/2 - 1 + l, c_0 = 2^(-nu) / Gamma(nu + 1) and the entire function
 
 One vectorised loop sums the tail T_nu = S_nu - 1 from m = 1, so small arguments
 lose nothing to cancellation; every derivative follows from the identity above.
+A run of integer orders needs the series at its top two orders only; a three-term
+recurrence of positive terms gives the rest.
 Callers that form ratios (the ball eigenvalue formula) cancel c_0 z^l and never
 meet its underflow.  The supported argument range is 0 < z <= 100.
 """
@@ -67,6 +69,22 @@ def series_tail(nu, q) -> np.ndarray:
         if (t <= _TERM_CUTOFF * total).all():
             return total
     raise NumericalError(f"Bessel series did not converge for max argument q={q_max}")
+
+
+def integer_order_tails(top: int, q) -> np.ndarray:
+    """T_nu(q) for nu = 0..top (top >= 1), stacked along a new leading axis.
+
+    Sums the series at the two highest orders only and fills in the rest downwards
+    with T_(nu-1) = T_nu + q (1 + T_(nu+1)) / (nu (nu + 1)), which is
+    I_(nu-1) - I_(nu+1) = (2 nu / z) I_nu in the S_nu normalization.  Every term
+    is positive, so nothing cancels.
+    """
+    q = np.asarray(q, dtype=float)
+    T = np.empty((top + 1,) + q.shape)
+    T[top - 1 :] = series_tail(np.array([top - 1.0, top]).reshape((2,) + (1,) * q.ndim), q)
+    for nu in range(top - 1, 0, -1):
+        T[nu - 1] = T[nu] + q * (1.0 + T[nu + 1]) / (nu * (nu + 1.0))
+    return T
 
 
 def series_derivatives(nu, q, n: int) -> list[np.ndarray]:

@@ -16,6 +16,8 @@ solutions),
     a(u, v) = boundary integral of (D^2 u nu) . grad v + (tau du/dnu - d(Delta u)/dnu) v,
 
 so both forms are assembled from one evaluation of the basis on the boundary rule.
+That evaluation travels with the forms and the solution, so the eigenfunction
+traces behind shape derivatives are contractions of it, not a second evaluation.
 The pencil is solved through a filtered congruence pipeline that tolerates the
 strong numerical dependence of such global bases.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import DomainValidationError, NumericalError
 from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry
-from .special_functions import _check_tau, leading_term, series_tail
+from .special_functions import _check_tau, integer_order_tails, leading_term
 
 _CLUSTER_RELGAP = 1e-6
 
@@ -103,7 +105,7 @@ def _eval_all(
     P2 = np.zeros_like(P0)
     P2[2:] = (k * (k - 1))[2:] * P0[:-2]
     # phi, 2 phi' and 4 phi'' of the Bessel rows from T_nu(tau rho / 4), nu = 0..k_max + 2
-    T = series_tail(np.arange(k_max + 3)[:, None], 0.25 * tau * (x * x + y * y))
+    T = integer_order_tails(k_max + 2, 0.25 * tau * (x * x + y * y))
     lead = _bessel_scales(basis)[:, None]
     phi = lead * T[:-2]
     p1 = lead * (0.5 * tau) / (k + 1) * (1.0 + T[1:-1])
@@ -158,11 +160,23 @@ def eval_basis(
 
 
 @dataclass(frozen=True)
+class BoundaryEvaluation:
+    """Every trial function on one boundary rule: the (val, grad, hess) of _eval_all."""
+
+    quad: BoundaryQuadrature
+    values: np.ndarray  # (nb, n_nodes)
+    gradients: np.ndarray  # (nb, n_nodes, 2)
+    hessians: np.ndarray  # (nb, n_nodes, 3), channels (xx, xy, yy)
+
+
+@dataclass(frozen=True)
 class AssembledForms:
-    """Symmetric stiffness (Hessian-Hessian plus tau gradient-gradient) and boundary mass."""
+    """Symmetric stiffness (Hessian-Hessian plus tau gradient-gradient) and boundary mass,
+    with the boundary evaluation they were contracted from."""
 
     stiffness: np.ndarray
     boundary_mass: np.ndarray
+    boundary: BoundaryEvaluation
 
 
 def _boundary_flux_coefficients(basis: TrialBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -205,6 +219,9 @@ def assemble(
     check_resolution : bool
         When True, reassemble on 2 n_boundary nodes, warn if any stiffness entry
         moves by more than 1e-8 relative, and return the refined forms.
+
+    The returned forms keep the rule and the basis evaluation they came from, for
+    the eigenfunction traces of the solution.
     """
     if abs(tau - basis.tau) > 1e-14 * max(1.0, tau):
         raise DomainValidationError(
@@ -212,7 +229,7 @@ def assemble(
         )
     partner, factor = _boundary_flux_coefficients(basis)
 
-    def forms_at(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    def forms_at(n_nodes: int) -> AssembledForms:
         bq = boundary_geometry(domain, n_nodes)
         val, grad, hess = _eval_all(basis, bq.points, domain.center)
         nx, ny = bq.normals[:, 0], bq.normals[:, 1]
@@ -226,22 +243,26 @@ def assemble(
         A = (hess_n * bq.weights[:, None]).reshape(basis.size, -1) @ grad.reshape(basis.size, -1).T
         A += (flux * bq.weights) @ val.T
         B = (val * bq.weights) @ val.T
-        return 0.5 * (A + A.T), 0.5 * (B + B.T)
+        return AssembledForms(
+            stiffness=0.5 * (A + A.T),
+            boundary_mass=0.5 * (B + B.T),
+            boundary=BoundaryEvaluation(quad=bq, values=val, gradients=grad, hessians=hess),
+        )
 
-    A, B = forms_at(n_boundary)
+    forms = forms_at(n_boundary)
     if check_resolution:
         import warnings
 
-        A2, B2 = forms_at(2 * n_boundary)
-        scale = np.abs(A2).max()
-        if np.abs(A2 - A).max() > 1e-8 * scale:
+        refined = forms_at(2 * n_boundary)
+        A, A2 = forms.stiffness, refined.stiffness
+        if np.abs(A2 - A).max() > 1e-8 * np.abs(A2).max():
             warnings.warn(
                 "boundary quadrature appears underresolved: stiffness entries moved "
                 "by more than 1e-8 relative when the boundary nodes were doubled",
                 stacklevel=2,
             )
-        A, B = A2, B2
-    return AssembledForms(stiffness=A, boundary_mass=B)
+        forms = refined
+    return forms
 
 
 @dataclass(frozen=True)
@@ -254,12 +275,14 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Eigenvalues ascending, coefficient columns b-orthonormal, 1-based cluster ranges."""
+    """Eigenvalues ascending, coefficient columns b-orthonormal, 1-based cluster ranges,
+    and the boundary evaluation of the basis the forms were assembled from."""
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray  # (basis_size, n_modes)
     clusters: tuple[tuple[int, int], ...]
     diagnostics: SolverDiagnostics
+    boundary: BoundaryEvaluation
 
     def cluster_of(self, j: int) -> tuple[int, int]:
         """Cluster range containing 1-based eigenvalue index j."""
@@ -349,6 +372,7 @@ def solve(forms: AssembledForms, svd_tol: float = 1e-12) -> EigenSolution:
         coefficients=X,
         clusters=_detect_clusters(lam),
         diagnostics=diagnostics,
+        boundary=forms.boundary,
     )
 
 
@@ -363,26 +387,22 @@ class BoundaryTraces:
     hessians: np.ndarray  # (m, n_nodes, 3), channels (xx, xy, yy)
 
 
-def eigenfunction_boundary_data(
-    solution: EigenSolution,
-    domain: StarDomain,
-    basis: TrialBasis,
-    which: tuple[int, ...],
-    n_nodes: int = 512,
-) -> BoundaryTraces:
+def eigenfunction_boundary_data(solution: EigenSolution, which: tuple[int, ...]) -> BoundaryTraces:
     """Traces (v, dv/dnu, grad v, D^2 v) of the selected eigenfunctions on the boundary.
 
     which holds 1-based eigenvalue indexes, matching the ordering in the solution.
+    The traces live on the assembly rule and combine the basis evaluation the
+    solution carries, so no trial function is evaluated again.
     """
     n_modes = solution.coefficients.shape[1]
     for j in which:
         if not (1 <= j <= n_modes):
             raise DomainValidationError(f"eigenvalue index {j} outside 1..{n_modes}")
-    bq = boundary_geometry(domain, n_nodes)
-    val, grad, hess = _eval_all(basis, bq.points, domain.center)
+    ev = solution.boundary
+    bq = ev.quad
     C = solution.coefficients[:, [j - 1 for j in which]]  # (nb, m)
-    v = C.T @ val
-    g = np.einsum("bm,bnc->mnc", C, grad, optimize=True)
-    h = np.einsum("bm,bnc->mnc", C, hess, optimize=True)
+    v = C.T @ ev.values
+    g = np.einsum("bm,bnc->mnc", C, ev.gradients, optimize=True)
+    h = np.einsum("bm,bnc->mnc", C, ev.hessians, optimize=True)
     dvdn = np.einsum("mnc,nc->mn", g, bq.normals, optimize=True)
     return BoundaryTraces(quad=bq, values=v, normal_derivatives=dvdn, gradients=g, hessians=h)

@@ -277,6 +277,18 @@ class TestExitCodes:
         assert out == ""
         assert "n_nodes" in err
 
+    @pytest.mark.parametrize("steps", ["1e-3,1e-3", "nan", "inf", "1e-3,nan"])
+    def test_bad_fd_steps(self, capsys, perturbed_file, steps):
+        # a repeated step once ended in a ZeroDivisionError traceback, and a
+        # non-finite one was reported as destroying star-shapedness
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", perturbed_file, "--tau", "1.0",
+            "--field", "cos2", "--validate-fd", "--steps", steps,
+        )
+        assert code == 2
+        assert out == ""
+        assert "steps" in err
+
     @pytest.mark.parametrize("center", ["[NaN, 0]", "[0, Infinity]"])
     @pytest.mark.parametrize("command", [["solve"], ["criticality"], ["shape-derivative", "--field", "cos2"]],
                              ids=["solve", "criticality", "shape-derivative"])
@@ -336,6 +348,43 @@ class TestExitCodes:
             "--F", "2", "--field", "const",
         )
         assert code == 2
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Calls of the solver's assembly and basis evaluation, counted in every module that holds them."""
+    import bisteklov.steklov_solver as solver
+
+    counts = {}
+    for name in ("assemble", "_eval_all"):
+        original = getattr(solver, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("bisteklov") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestWorkCounts:
+    def test_fd_check_solves_the_base_domain_once(self, capsys, perturbed_file, work_counts):
+        # the base solve, then two perturbed solves per step; the traces reuse the
+        # base assembly's evaluation
+        code, _, _ = run_cli(
+            capsys, "shape-derivative", "--domain", perturbed_file, "--tau", "1.0",
+            "--field", "cos2", "--validate-fd", "--steps", "1e-3,5e-4",
+        )
+        assert code == 0
+        assert work_counts == {"assemble": 5, "_eval_all": 5}
+
+    def test_criticality_evaluates_the_basis_once(self, capsys, perturbed_file, work_counts):
+        code, _, _ = run_cli(capsys, "criticality", "--domain", perturbed_file, "--tau", "1.0")
+        assert code == 0
+        assert work_counts == {"assemble": 1, "_eval_all": 1}
 
 
 def test_installed_entry_point():

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from bisteklov.errors import DomainValidationError
 from bisteklov.special_functions import (
     BesselEval,
+    integer_order_tails,
     modified_bessel_I,
     ultraspherical_i,
     ultraspherical_i_tail,
@@ -175,3 +176,20 @@ class TestTail:
 def test_bessel_eval_is_plain_record():
     ev = BesselEval(1.0, 2.0, 3.0, 4.0)
     assert (ev.value, ev.d1, ev.d2, ev.d3) == (1.0, 2.0, 3.0, 4.0)
+
+
+class TestIntegerOrderTails:
+    @pytest.mark.parametrize("top", [1, 12, 22])
+    def test_recurrence_against_mpmath(self, top):
+        # T_nu(q) = 0F1(; nu + 1; q) - 1 for nu = 0..top, q from 0 to the z = 100 limit
+        mpmath = pytest.importorskip("mpmath")
+        q = np.concatenate([[0.0], np.geomspace(1e-10, 2500.0, 40)])
+        got = integer_order_tails(top, q)
+        assert got.shape == (top + 1, q.size)
+        assert np.all(got[:, 0] == 0.0)
+        with mpmath.workdps(40):
+            want = np.array(
+                [[float(mpmath.hyp0f1(nu + 1, mpmath.mpf(x)) - 1) for x in q[1:]]
+                 for nu in range(top + 1)]
+            )
+        assert_allclose(got[:, 1:], want, rtol=2e-15, atol=0)

@@ -333,29 +333,29 @@ class TestInvariances:
 
 class TestBoundaryData:
     def test_orthonormal_traces(self):
-        sol, basis = solve_domain(DISK, 1.0)
-        traces = eigenfunction_boundary_data(sol, DISK, basis, which=(2, 3))
+        sol, _ = solve_domain(DISK, 1.0)
+        traces = eigenfunction_boundary_data(sol, which=(2, 3))
         w = traces.quad.weights
         assert float(w @ traces.values[0] ** 2) == pytest.approx(1.0, abs=1e-8)
         assert float(w @ traces.values[1] ** 2) == pytest.approx(1.0, abs=1e-8)
         assert float(w @ (traces.values[0] * traces.values[1])) == pytest.approx(0.0, abs=1e-8)
 
     def test_constant_mode(self):
-        sol, basis = solve_domain(DISK, 1.0)
-        traces = eigenfunction_boundary_data(sol, DISK, basis, which=(1,))
+        sol, _ = solve_domain(DISK, 1.0)
+        traces = eigenfunction_boundary_data(sol, which=(1,))
         want = 1.0 / math.sqrt(2.0 * np.pi)
         assert np.allclose(np.abs(traces.values[0]), want, atol=1e-9)
         assert np.abs(traces.normal_derivatives[0]).max() < 1e-8
 
     def test_normal_derivative_consistency(self):
-        sol, basis = solve_domain(DISK, 1.0)
-        traces = eigenfunction_boundary_data(sol, DISK, basis, which=(2,))
+        sol, _ = solve_domain(DISK, 1.0)
+        traces = eigenfunction_boundary_data(sol, which=(2,))
         manual = np.einsum("nc,nc->n", traces.gradients[0], traces.quad.normals)
         assert np.allclose(traces.normal_derivatives[0], manual, atol=1e-14)
 
     def test_index_validation(self):
-        sol, basis = solve_domain(DISK, 1.0)
+        sol, _ = solve_domain(DISK, 1.0)
         with pytest.raises(DomainValidationError):
-            eigenfunction_boundary_data(sol, DISK, basis, which=(0,))
+            eigenfunction_boundary_data(sol, which=(0,))
         with pytest.raises(DomainValidationError):
-            eigenfunction_boundary_data(sol, DISK, basis, which=(len(sol.eigenvalues) + 1,))
+            eigenfunction_boundary_data(sol, which=(len(sol.eigenvalues) + 1,))
