@@ -364,8 +364,8 @@ def work_counts(monkeypatch):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("bisteklov") and getattr(module, name, None) is original:
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("bisteklov") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
 
