@@ -127,8 +127,11 @@ def _json_value(x):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainValidationError(f"cannot write output file {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

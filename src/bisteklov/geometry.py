@@ -35,7 +35,9 @@ class StarDomain:
         object.__setattr__(self, "a0", float(self.a0))
         if not np.all(np.isfinite(self.center)):
             raise DomainValidationError(f"center must be finite, got {self.center}")
-        with np.errstate(invalid="ignore"):  # infinite coefficients: nan samples, rejected
+        if not np.all(np.isfinite((self.a0, *self.cos_coeffs, *self.sin_coeffs))):
+            raise DomainValidationError("radius a0 and coefficients must be finite")
+        with np.errstate(invalid="ignore"):  # coefficients near overflow: nan samples, rejected
             r = self.samples(_POSITIVITY_GRID)
         if not np.all(r > 0.0):
             raise DomainValidationError(

@@ -38,23 +38,34 @@ _CLUSTER_RELGAP = 1e-6
 
 @dataclass(frozen=True)
 class TrialBasis:
-    """Tagged list of trial functions: (family, angular order k, parity) per entry.
+    """Trial functions phi(rho) h_k(x, y) of angular orders k = 0..k_max about the center.
 
-    Each entry is phi(rho) h_k(x, y) about the domain center, with rho = x^2 + y^2
-    and h_k = Re (parity "cos") or Im ("sin") of (x + iy)^k.  family "harmonic" has
-    phi = 1; family "bessel" has phi = c_0 s^k T_k(tau rho / 4), s = sqrt(tau), which
-    is i_k(s r) cos/sin(k theta) minus its leading monomial c_0 s^k h_k.  Together
-    with h_k it spans the same space as the plain pair {h_k, i_k} but remains
-    numerically independent at small tau.
+    Here rho = x^2 + y^2 and h_k = Re (cos) or Im (sin) of (x + iy)^k.  The harmonic
+    block (phi = 1) comes first, then the Bessel block with phi = c_0 s^k T_k(tau rho / 4),
+    s = sqrt(tau): i_k(s r) cos/sin(k theta) minus its leading monomial c_0 s^k h_k,
+    which with h_k spans the plain pair {h_k, i_k} but stays numerically independent
+    at small tau.  Each block holds 2 k_max + 1 rows in the order of _block_layout.
     """
 
     tau: float
     k_max: int
-    tags: tuple[tuple[str, int, str], ...]
 
     @property
     def size(self) -> int:
-        return len(self.tags)
+        return 2 * (2 * self.k_max + 1)
+
+    @property
+    def tags(self) -> tuple[tuple[str, int, str], ...]:
+        """(family, angular order k, parity) of every row."""
+        order, is_sin = _block_layout(self.k_max)
+        return tuple((family, int(k), "sin" if s else "cos")
+                     for family in ("harmonic", "bessel") for k, s in zip(order, is_sin))
+
+
+def _block_layout(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order (r + 1) // 2 of row r of a block, and whether it is a sine row (r even, r > 0)."""
+    r = np.arange(2 * k_max + 1)
+    return (r + 1) // 2, (r % 2 == 0) & (r > 0)
 
 
 def make_trial_basis(k_max: int, tau: float) -> TrialBasis:
@@ -62,13 +73,7 @@ def make_trial_basis(k_max: int, tau: float) -> TrialBasis:
     if k_max < 1:
         raise DomainValidationError(f"k_max must be >= 1, got {k_max}")
     _check_tau(tau)
-    tags: list[tuple[str, int, str]] = []
-    for family in ("harmonic", "bessel"):
-        tags.append((family, 0, "cos"))
-        for k in range(1, k_max + 1):
-            tags.append((family, k, "cos"))
-            tags.append((family, k, "sin"))
-    return TrialBasis(tau=float(tau), k_max=k_max, tags=tuple(tags))
+    return TrialBasis(tau=float(tau), k_max=k_max)
 
 
 def _bessel_scales(basis: TrialBasis) -> np.ndarray:
@@ -82,28 +87,26 @@ def _eval_all(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, gradients and Hessians of every basis function at every point.
 
-    Every row is phi(rho) h_k(x, y) in coordinates about the center, with
-    rho = x^2 + y^2 and h_k = Re/Im (x + iy)^k: phi = 1 for harmonic rows and
-    phi = c_0 s^k T_k(tau rho / 4) for Bessel rows.  Derivatives follow from the
-    Cartesian product rule, with grad phi = 2 phi' (x, y) and phi', phi'' taken from
-    T_(k+1) and T_(k+2), so every point, the center included, is evaluated alike.
-    Tables are formed once per order and parity, then copied into the rows.
+    Every row is phi(rho) h_k(x, y) in coordinates about the center (see TrialBasis).
+    The harmonic rows are gathered from per-order tables of (x + iy)^k and its
+    x-derivatives; the Bessel rows apply the Cartesian product rule to them, with
+    grad phi = 2 phi' (x, y) and phi', phi'' taken from T_(k+1) and T_(k+2), so
+    every point, the center included, is evaluated alike.
 
     Returns (val, grad, hess) with shapes (nb, np), (nb, np, 2), (nb, np, 3); the
     Hessian channels are (xx, xy, yy).
     """
     x = pts[:, 0] - center[0]
     y = pts[:, 1] - center[1]
-    k_max, tau = basis.k_max, basis.tau
+    k_max, tau, n = basis.k_max, basis.tau, len(pts)
     k = np.arange(k_max + 1)[:, None]
     # per order k: w^k and its x-derivatives k w^(k-1), k (k-1) w^(k-2); d/dy = i d/dx
     w = x + 1j * y
-    P0 = np.ones((k_max + 1, w.size), dtype=complex)
-    P0[1:] = np.cumprod(np.broadcast_to(w, (k_max, w.size)), axis=0)
-    P1 = np.zeros_like(P0)
-    P1[1:] = k[1:] * P0[:-1]
-    P2 = np.zeros_like(P0)
-    P2[2:] = (k * (k - 1))[2:] * P0[:-2]
+    P = np.zeros((3, k_max + 1, n), dtype=complex)
+    P[0, 0] = 1.0
+    P[0, 1:] = np.cumprod(np.broadcast_to(w, (k_max, n)), axis=0)
+    P[1, 1:] = k[1:] * P[0, :-1]
+    P[2, 2:] = (k * (k - 1))[2:] * P[0, :-2]
     # phi, 2 phi' and 4 phi'' of the Bessel rows from T_nu(tau rho / 4), nu = 0..k_max + 2
     T = integer_order_tails(k_max + 2, 0.25 * tau * (x * x + y * y))
     lead = _bessel_scales(basis)[:, None]
@@ -111,30 +114,31 @@ def _eval_all(
     p1 = lead * (0.5 * tau) / (k + 1) * (1.0 + T[1:-1])
     p2 = lead * (0.25 * tau * tau) / ((k + 1) * (k + 2)) * (1.0 + T[2:])
 
-    # (value, x, y, xx, xy, yy) tables per order, for each family and parity
-    tables = {}
-    for parity, h, hx, hy, hxx, hxy in (
-        ("cos", P0.real, P1.real, -P1.imag, P2.real, -P2.imag),
-        ("sin", P0.imag, P1.imag, P1.real, P2.imag, P2.real),
-    ):
-        tables["harmonic", parity] = (h, hx, hy, hxx, hxy, -hxx)
-        tables["bessel", parity] = (
-            phi * h,
-            phi * hx + p1 * x * h,
-            phi * hy + p1 * y * h,
-            phi * hxx + 2.0 * p1 * x * hx + h * (p1 + p2 * x * x),
-            phi * hxy + p1 * (x * hy + y * hx) + p2 * x * y * h,
-            -phi * hxx + 2.0 * p1 * y * hy + h * (p1 + p2 * y * y),
-        )
-
-    val = np.empty((basis.size, w.size))
-    grad = np.empty((basis.size, w.size, 2))
-    hess = np.empty((basis.size, w.size, 3))
-    channels = (val, grad[..., 0], grad[..., 1], hess[..., 0], hess[..., 1], hess[..., 2])
-    for i, (family, order, parity) in enumerate(basis.tags):
-        for out, table in zip(channels, tables[family, parity]):
-            out[i] = table[order]
-    return val, grad, hess
+    # block 0 of each output holds the harmonic rows: Re (cos rows) or Im (sin rows) of
+    # P[0], P[1], i P[1], P[2], i P[2] for (value, x, y, xx, xy), where Re/Im of i P
+    # are -Im/Re of P, and yy = -xx.  Block 1 holds the Bessel rows, by the product rule.
+    order, is_sin = _block_layout(k_max)
+    val = np.empty((2, order.size, n))
+    grad = np.empty((2, order.size, n, 2))
+    hess = np.empty((2, order.size, n, 3))
+    re_im = P.view(float).reshape(3, k_max + 1, n, 2)
+    part = is_sin.astype(int)
+    cos_negated = np.where(is_sin, 1.0, -1.0)[:, None]
+    val[0] = re_im[0, order, :, part]
+    grad[0, ..., 0] = re_im[1, order, :, part]
+    grad[0, ..., 1] = re_im[1, order, :, 1 - part] * cos_negated
+    hess[0, ..., 0] = re_im[2, order, :, part]
+    hess[0, ..., 1] = re_im[2, order, :, 1 - part] * cos_negated
+    np.negative(hess[0, ..., 0], out=hess[0, ..., 2])
+    h, (hx, hy), (hxx, hxy, hyy) = val[0], np.moveaxis(grad[0], -1, 0), np.moveaxis(hess[0], -1, 0)
+    f0, f1, f2 = phi[order], p1[order], p2[order]
+    np.multiply(f0, h, out=val[1])
+    np.add(f0 * hx, f1 * x * h, out=grad[1, ..., 0])
+    np.add(f0 * hy, f1 * y * h, out=grad[1, ..., 1])
+    np.add(f0 * hxx + 2.0 * f1 * x * hx, h * (f1 + f2 * x * x), out=hess[1, ..., 0])
+    np.add(f0 * hxy + f1 * (x * hy + y * hx), f2 * x * y * h, out=hess[1, ..., 1])
+    np.add(f0 * hyy + 2.0 * f1 * y * hy, h * (f1 + f2 * y * y), out=hess[1, ..., 2])
+    return val.reshape(basis.size, n), grad.reshape(basis.size, n, 2), hess.reshape(basis.size, n, 3)
 
 
 def eval_basis(
@@ -185,84 +189,50 @@ def _boundary_flux_coefficients(basis: TrialBasis) -> tuple[np.ndarray, np.ndarr
     Harmonic rows have Delta u = 0, so the flux is tau dh/dnu of the row itself.  A
     Bessel row of order k is the tail u = i_k(s r) T - c_0 s^k h_k with s = sqrt(tau)
     and h_k the harmonic row of the same order and parity, so Delta u = tau (u + c_0
-    s^k h_k) and the flux is -tau c_0 s^k dh_k/dnu.  Returns (partner index, factor)
-    per row.
+    s^k h_k) and the flux is -tau c_0 s^k dh_k/dnu.  The partner of a row is its
+    position within its block.  Returns (partner index, factor) per row.
     """
-    index = {tag: i for i, tag in enumerate(basis.tags)}
-    lead = _bessel_scales(basis)
-    partner = np.empty(basis.size, dtype=int)
-    factor = np.empty(basis.size)
-    for i, (family, k, parity) in enumerate(basis.tags):
-        partner[i] = index[("harmonic", k, parity)]
-        factor[i] = basis.tau if family == "harmonic" else -basis.tau * lead[k]
+    order, _ = _block_layout(basis.k_max)
+    partner = np.tile(np.arange(order.size), 2)
+    bessel = -basis.tau * _bessel_scales(basis)[order]
+    factor = np.concatenate([np.full(order.size, basis.tau), bessel])
     return partner, factor
 
 
 def assemble(
-    domain: StarDomain,
-    tau: float,
-    basis: TrialBasis,
-    *,
-    n_boundary: int = 512,
-    check_resolution: bool = False,
+    domain: StarDomain, tau: float, basis: TrialBasis, *, n_boundary: int = 512
 ) -> AssembledForms:
     """Assemble the energy and boundary mass matrices for the given basis.
 
     The energy is evaluated in its boundary form (see the module docstring), exact
     for this basis since every trial function solves Delta^2 u = tau Delta u, on
-    the same boundary rule as the mass; no interior quadrature is needed.
-
-    Parameters
-    ----------
-    n_boundary : int
-        Boundary quadrature nodes.
-    check_resolution : bool
-        When True, reassemble on 2 n_boundary nodes, warn if any stiffness entry
-        moves by more than 1e-8 relative, and return the refined forms.
-
-    The returned forms keep the rule and the basis evaluation they came from, for
-    the eigenfunction traces of the solution.
+    the same boundary rule of n_boundary nodes as the mass; no interior quadrature
+    is needed.  The returned forms keep the rule and the basis evaluation they came
+    from, for the eigenfunction traces of the solution.
     """
     if abs(tau - basis.tau) > 1e-14 * max(1.0, tau):
         raise DomainValidationError(
             f"basis was built for tau={basis.tau}, assembly requested tau={tau}"
         )
     partner, factor = _boundary_flux_coefficients(basis)
-
-    def forms_at(n_nodes: int) -> AssembledForms:
-        bq = boundary_geometry(domain, n_nodes)
-        val, grad, hess = _eval_all(basis, bq.points, domain.center)
-        nx, ny = bq.normals[:, 0], bq.normals[:, 1]
-        # D^2 u nu from the Hessian channels (xx, xy, yy)
-        hess_n = np.stack(
-            [hess[:, :, 0] * nx + hess[:, :, 1] * ny, hess[:, :, 1] * nx + hess[:, :, 2] * ny],
-            axis=2,
-        )
-        dn = grad[:, :, 0] * nx + grad[:, :, 1] * ny
-        flux = factor[:, None] * dn[partner]
-        A = (hess_n * bq.weights[:, None]).reshape(basis.size, -1) @ grad.reshape(basis.size, -1).T
-        A += (flux * bq.weights) @ val.T
-        B = (val * bq.weights) @ val.T
-        return AssembledForms(
-            stiffness=0.5 * (A + A.T),
-            boundary_mass=0.5 * (B + B.T),
-            boundary=BoundaryEvaluation(quad=bq, values=val, gradients=grad, hessians=hess),
-        )
-
-    forms = forms_at(n_boundary)
-    if check_resolution:
-        import warnings
-
-        refined = forms_at(2 * n_boundary)
-        A, A2 = forms.stiffness, refined.stiffness
-        if np.abs(A2 - A).max() > 1e-8 * np.abs(A2).max():
-            warnings.warn(
-                "boundary quadrature appears underresolved: stiffness entries moved "
-                "by more than 1e-8 relative when the boundary nodes were doubled",
-                stacklevel=2,
-            )
-        forms = refined
-    return forms
+    bq = boundary_geometry(domain, n_boundary)
+    val, grad, hess = _eval_all(basis, bq.points, domain.center)
+    nx, ny = bq.normals[:, 0], bq.normals[:, 1]
+    # D^2 u nu from the Hessian channels (xx, xy, yy)
+    hess_n = np.stack(
+        [hess[:, :, 0] * nx + hess[:, :, 1] * ny, hess[:, :, 1] * nx + hess[:, :, 2] * ny],
+        axis=2,
+    )
+    dn = grad[:, :, 0] * nx + grad[:, :, 1] * ny
+    flux = factor[:, None] * dn[partner]
+    A = (hess_n * bq.weights[:, None]).reshape(basis.size, -1) @ grad.reshape(basis.size, -1).T
+    A += (flux * bq.weights) @ val.T
+    B = (val * bq.weights) @ val.T
+    return AssembledForms(
+        stiffness=0.5 * (A + A.T),
+        boundary_mass=0.5 * (B + B.T),
+        boundary=BoundaryEvaluation(quad=bq, values=val, gradients=grad, hessians=hess),
+    )
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,32 @@ class TestExitCodes:
         assert out == ""
         assert "center" in err
 
+    def test_infinite_radius(self, capsys, tmp_path):
+        # once exit 1 from the Bessel series at argument nan
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a0": Infinity}\n')
+        code, out, err = run_cli(capsys, "solve", "--domain", str(bad), "--tau", "1.0")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", [
+        ["ball-spectrum", "--tau", "1.0", "--count", "3"],
+        ["solve", "--domain", "DISK", "--tau", "1.0", "--kmax", "3"],
+        ["shape-derivative", "--domain", "DISK", "--tau", "1.0", "--field", "const", "--kmax", "3"],
+        ["criticality", "--domain", "DISK", "--tau", "1.0", "--kmax", "3"],
+        ["concentration", "--tau", "1.0", "--eps", "0.1", "--modes", "2"],
+        ["iso-scan", "--family", "perturbed_disk", "--tau", "1.0", "--params", "0.0", "--kmax", "3"],
+    ], ids=lambda c: c[0])
+    def test_unwritable_output(self, capsys, tmp_path, disk_file, command, target):
+        # once a FileNotFoundError or IsADirectoryError traceback
+        argv = [disk_file if a == "DISK" else a for a in command]
+        code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output file") and err.count("\n") == 1
+
     @pytest.mark.parametrize("params", ["", ","])
     def test_iso_scan_no_params(self, capsys, params):
         # "," once printed an empty table with verdict PASS, "" scanned the default family

@@ -28,6 +28,15 @@ class TestStarDomain:
         with pytest.raises(DomainValidationError):
             StarDomain(a0=0.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"a0": np.inf}, {"a0": np.nan}, {"a0": 1.0, "cos_coeffs": (0.0, np.inf)},
+        {"a0": 1.0, "sin_coeffs": (-np.inf,)}, {"a0": np.inf, "cos_coeffs": (np.inf,)},
+    ], ids=["a0-inf", "a0-nan", "cos-inf", "sin-minus-inf", "all-inf"])
+    def test_non_finite_radius_rejected(self, kw):
+        # an infinite a0 once passed as positive samples
+        with pytest.raises(DomainValidationError, match="finite"):
+            StarDomain(**kw)
+
     @pytest.mark.parametrize("n_cos,n_sin", [(0, 0), (1, 0), (0, 3), (34, 34), (2049, 2047), (6200, 6150)])
     def test_positivity_grid_matches_trig_series(self, n_cos, n_sin):
         # modes above n/2 alias on the grid and are folded

@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,8 @@ from bisteklov import (
     sorted_spectrum,
 )
 from bisteklov.geometry import interior_quadrature
-from bisteklov.special_functions import ultraspherical_i_tail
-from bisteklov.steklov_solver import _eval_all
+from bisteklov.special_functions import leading_term, ultraspherical_i_tail
+from bisteklov.steklov_solver import _boundary_flux_coefficients, _eval_all
 from oracles import interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +57,7 @@ class TestTrialBasis:
     def test_size_and_ordering(self):
         basis = make_trial_basis(3, 1.0)
         assert basis.size == 2 * (2 * 3 + 1)
+        assert len(basis.tags) == basis.size
         assert basis.tags[0] == ("harmonic", 0, "cos")
         assert basis.tags[1] == ("harmonic", 1, "cos")
         assert basis.tags[2] == ("harmonic", 1, "sin")
@@ -200,20 +200,21 @@ class TestAssemble:
         # Re(w) has zero Hessian and unit gradient: energy tau * area
         assert A[1, 1] == pytest.approx(tau * np.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("k_max", [1, 3, 10])
+    def test_flux_row_map(self, k_max):
+        tau = 2.5
+        basis = make_trial_basis(k_max, tau)
+        partner, factor = _boundary_flux_coefficients(basis)
+        tags = basis.tags
+        for i, (family, k, parity) in enumerate(tags):
+            assert tags[partner[i]] == ("harmonic", k, parity)
+            want = tau if family == "harmonic" else -tau * leading_term(k, k, math.sqrt(tau))
+            assert factor[i] == want
+
     def test_tau_mismatch_rejected(self):
         basis = make_trial_basis(3, 1.0)
         with pytest.raises(DomainValidationError):
             assemble(DISK, 2.0, basis)
-
-    def test_resolution_check(self):
-        # order-12 products carry angular frequencies past what 32 boundary nodes resolve
-        domain = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.0, 0.1))
-        basis = make_trial_basis(12, 1.0)
-        with pytest.warns(UserWarning):
-            assemble(domain, 1.0, basis, n_boundary=32, check_resolution=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assemble(domain, 1.0, basis, n_boundary=512, check_resolution=True)
 
     @pytest.mark.parametrize("k_max", [10, 20])
     @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
