@@ -25,6 +25,7 @@ from .steklov_solver import (
     EigenSolution,
     TrialBasis,
     assemble,
+    boundary_rule_size,
     eigenfunction_boundary_data,
     eval_basis,
     make_trial_basis,

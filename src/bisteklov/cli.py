@@ -29,7 +29,7 @@ from .shape_calculus import (
     fd_derivative,
     hadamard_derivative,
 )
-from .steklov_solver import assemble, make_trial_basis, solve
+from .steklov_solver import assemble, boundary_rule_size, make_trial_basis, solve
 
 _DOMAIN_KEYS = {"a0", "cos_coeffs", "sin_coeffs", "center"}
 
@@ -145,9 +145,11 @@ def _cmd_ball_spectrum(args) -> int:
     return 0
 
 
-def _solve_for(args, domain: StarDomain):
+def _solve_for(args, domain: StarDomain, field_modes: int = 0):
+    """Solve on a rule that also resolves field_modes more modes, for a field integrated on it."""
     basis = make_trial_basis(args.kmax, args.tau)
-    forms = assemble(domain, args.tau, basis)
+    n_boundary = boundary_rule_size(domain, basis, field_modes)
+    forms = assemble(domain, args.tau, basis, n_boundary=n_boundary)
     return solve(forms, args.svd_tol), basis
 
 
@@ -176,7 +178,7 @@ def _cmd_solve(args) -> int:
 def _cmd_shape_derivative(args) -> int:
     domain = _load_domain(args.domain)
     field = _parse_field(args.field)
-    solution, basis = _solve_for(args, domain)
+    solution, basis = _solve_for(args, domain, field.max_mode)
     F = _resolve_F(args.F, solution)
     deriv = hadamard_derivative(domain, solution, basis, F, args.s, field)
     doc = {

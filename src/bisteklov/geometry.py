@@ -101,8 +101,13 @@ class BoundaryQuadrature:
     curvatures: np.ndarray  # (n,), signed, +1 on the unit circle
 
 
+def min_nodes(domain: StarDomain, field_modes: int = 0) -> int:
+    """Fewest nodes a boundary rule may have for the domain's modes plus field_modes more."""
+    return 4 * (domain.max_mode + field_modes + 1)
+
+
 def _check_n_nodes(domain: StarDomain, n_nodes: int, field_modes: int = 0) -> None:
-    need = 4 * (domain.max_mode + field_modes + 1)
+    need = min_nodes(domain, field_modes)
     if n_nodes < need:
         raise DomainValidationError(
             f"n_nodes={n_nodes} too small for mode content; need at least {need}"

@@ -18,7 +18,14 @@ import numpy as np
 from .errors import DomainValidationError, NumericalError
 from .geometry import StarDomain, boundary_geometry, fourier_projection, grid_series
 from .geometry import _check_n_nodes
-from .steklov_solver import EigenSolution, TrialBasis, assemble, eigenfunction_boundary_data, solve
+from .steklov_solver import (
+    EigenSolution,
+    TrialBasis,
+    assemble,
+    boundary_rule_size,
+    eigenfunction_boundary_data,
+    solve,
+)
 
 _CLUSTER_SPREAD_TOL = 1e-4
 
@@ -239,7 +246,8 @@ def fd_derivative(
     """Central finite differences of e_s over the cluster F along the field, per step.
 
     solution is the base domain's, solved with this basis; each perturbed domain is
-    assembled on a rule of the same size and solved with the same svd_tol.
+    assembled on a rule at least as large as the base one, larger where its own
+    modes need it (boundary_rule_size), and solved with the same svd_tol.
     Eigenvalues of the perturbed domains are matched to the base cluster by index;
     if any tracked eigenvalue moves by more than half the gap separating the cluster
     from its neighbors, tracking is ambiguous and an error is raised.  Steps must
@@ -256,7 +264,8 @@ def fd_derivative(
     tau, n_boundary = basis.tau, solution.boundary.quad.weights.size
 
     def eigs_of(dom: StarDomain) -> np.ndarray:
-        return solve(assemble(dom, tau, basis, n_boundary=n_boundary), svd_tol).eigenvalues
+        n = max(n_boundary, boundary_rule_size(dom, basis))
+        return solve(assemble(dom, tau, basis, n_boundary=n), svd_tol).eigenvalues
 
     base = solution.eigenvalues
     if F[-1] >= len(base):

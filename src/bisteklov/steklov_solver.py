@@ -15,9 +15,10 @@ solutions),
 
     a(u, v) = boundary integral of (D^2 u nu) . grad v + (tau du/dnu - d(Delta u)/dnu) v,
 
-so both forms are assembled from one evaluation of the basis on the boundary rule.
-That evaluation travels with the forms and the solution, so the eigenfunction
-traces behind shape derivatives are contractions of it, not a second evaluation.
+so both forms are assembled from one evaluation of the basis on a boundary rule
+sized to the integrands (boundary_rule_size).  That evaluation travels with the
+forms and the solution, so the eigenfunction traces behind shape derivatives are
+contractions of it, not a second evaluation.
 The pencil is solved through a filtered congruence pipeline that tolerates the
 strong numerical dependence of such global bases.
 """
@@ -30,10 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainValidationError, NumericalError
-from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry
-from .special_functions import _check_tau, integer_order_tails, leading_term
+from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry, min_nodes
+from .special_functions import _check_tau, integer_order_tails, leading_term, series_tail
 
 _CLUSTER_RELGAP = 1e-6
+# boundary rule sizing: the angles the integrand's spectrum is read on, which also
+# cap the rule, and the level relative to the mean a Fourier mode must exceed to count
+_RULE_GRID = 2048
+_RULE_SPECTRUM_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -199,21 +204,50 @@ def _boundary_flux_coefficients(basis: TrialBasis) -> tuple[np.ndarray, np.ndarr
     return partner, factor
 
 
+def boundary_rule_size(domain: StarDomain, basis: TrialBasis, field_modes: int = 0) -> int:
+    """Nodes of the uniform boundary rule that integrates the Galerkin forms to roundoff.
+
+    The integrands are products of two trial rows' traces times the arc-length
+    density, periodic and analytic in theta, so the trapezoid rule converges
+    geometrically and the needed size follows from their spectrum.  The steepest
+    one is the top-order row squared: h = e^2 sqrt(rho^2 + rho'^2) with the
+    envelope e = (rho / rho_max)^k_max S_k_max(tau rho^2 / 4) / S_k_max(tau rho_max^2 / 4),
+    sampled on 2048 angles.  With B the last Fourier mode of h above 1e-14 of its
+    mean, the rule has 1.25 * 2 (B + 2 k_max + 4 + field_modes) nodes rounded up to
+    a multiple of 32; field_modes adds the modes of a field integrated against the
+    traces (the Hadamard density times g).  The size is at least 64, basis.size and
+    the mode floor 4 (max_mode + field_modes + 1) of boundary_geometry, and at most
+    2048, the grid the spectrum is read on: a domain or field whose mode floor
+    exceeds 2048 nodes is rejected where the rule is built or used.
+    """
+    k = basis.k_max
+    r, r1, _ = domain.samples(_RULE_GRID, derivatives=True)
+    s = 1.0 + series_tail(float(k), 0.25 * basis.tau * r * r)  # increasing in r
+    e = (r / r.max()) ** k * (s / s.max())
+    spectrum = np.abs(np.fft.rfft(e * e * np.sqrt(r * r + r1 * r1)))
+    band = int(np.flatnonzero(spectrum > _RULE_SPECTRUM_TOL * spectrum[0])[-1])
+    n = 32 * math.ceil(1.25 * 2 * (band + 2 * k + 4 + field_modes) / 32)
+    return max(min(max(n, min_nodes(domain, field_modes)), _RULE_GRID), 64, basis.size)
+
+
 def assemble(
-    domain: StarDomain, tau: float, basis: TrialBasis, *, n_boundary: int = 512
+    domain: StarDomain, tau: float, basis: TrialBasis, *, n_boundary: int | None = None
 ) -> AssembledForms:
     """Assemble the energy and boundary mass matrices for the given basis.
 
     The energy is evaluated in its boundary form (see the module docstring), exact
     for this basis since every trial function solves Delta^2 u = tau Delta u, on
-    the same boundary rule of n_boundary nodes as the mass; no interior quadrature
-    is needed.  The returned forms keep the rule and the basis evaluation they came
-    from, for the eigenfunction traces of the solution.
+    the same boundary rule as the mass; no interior quadrature is needed.  The rule
+    has n_boundary nodes, by default boundary_rule_size(domain, basis).  The
+    returned forms keep the rule and the basis evaluation they came from, for the
+    eigenfunction traces of the solution.
     """
     if abs(tau - basis.tau) > 1e-14 * max(1.0, tau):
         raise DomainValidationError(
             f"basis was built for tau={basis.tau}, assembly requested tau={tau}"
         )
+    if n_boundary is None:
+        n_boundary = boundary_rule_size(domain, basis)
     partner, factor = _boundary_flux_coefficients(basis)
     bq = boundary_geometry(domain, n_boundary)
     val, grad, hess = _eval_all(basis, bq.points, domain.center)

@@ -8,11 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bisteklov import StarDomain, assemble, make_trial_basis, solve
 from bisteklov.cli import run
+
+DOMAINS = Path(__file__).resolve().parents[1] / "domains"
 
 
 @pytest.fixture
@@ -99,6 +103,18 @@ class TestSolve:
         _, out2, _ = run_cli(capsys, "solve", "--domain", perturbed_file, "--tau", "1.0")
         assert out1 == out2
 
+    def test_high_mode_domain(self, capsys, tmp_path):
+        # 150 modes need more than 512 boundary nodes
+        raw = {"a0": 1.0, "cos_coeffs": [0.0] * 149 + [1e-4]}
+        p = tmp_path / "wavy.json"
+        p.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "solve", "--domain", str(p), "--tau", "1.0")
+        assert code == 0, err
+        lam = np.array(json.loads(out)["eigenvalues"][1:8])
+        basis = make_trial_basis(10, 1.0)
+        ref = solve(assemble(StarDomain(**raw), 1.0, basis, n_boundary=4096)).eigenvalues[1:8]
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-12
+
 
 class TestShapeDerivative:
     def test_disk_dilation(self, capsys, disk_file):
@@ -139,6 +155,28 @@ class TestShapeDerivative:
         doc = json.loads(out)
         fd = doc["fd_extrapolated"]
         assert abs(doc["hadamard"] - fd) <= 1e-3 * max(abs(fd), 1.0)
+
+    def test_fd_validation_on_offcentre_star(self, capsys, tmp_path):
+        # the realized perturbations carry about 100 modes, more than the base rule resolves
+        p = tmp_path / "star6.json"
+        p.write_text('{"a0": 1, "cos_coeffs": [0, 0, 0, 0, 0, 0.1], "center": [0.05, 0]}')
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", str(p), "--tau", "1", "--kmax", "10",
+            "--field", "cos6", "--s", "1", "--validate-fd",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["fd_discrepancy"] <= 1e-8
+
+    def test_rule_resolves_the_field(self, capsys):
+        # the disk is critical: every field's derivative vanishes, cos40 included,
+        # once the rule resolves the field against the trace density
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", str(DOMAINS / "disk.json"), "--tau", "1",
+            "--kmax", "10", "--field", "cos40", "--s", "1",
+        )
+        assert code == 0, err
+        assert abs(json.loads(out)["hadamard"]) <= 1e-9
 
     def test_tracking_failure_exit_code(self, capsys, perturbed_file):
         code, _, err = run_cli(
@@ -268,7 +306,7 @@ class TestExitCodes:
         assert "eps" in err
 
     def test_field_beyond_boundary_rule(self, capsys, disk_file):
-        # the disk is critical, but cos512 aliases to a constant on the 512-node rule
+        # cos512 needs a rule of more than 2048 nodes, the largest the solver builds
         code, out, err = run_cli(
             capsys, "shape-derivative", "--domain", disk_file, "--tau", "1.0",
             "--field", "cos512",

@@ -14,15 +14,18 @@ from bisteklov import (
     area,
     assemble,
     boundary_geometry,
+    boundary_rule_size,
+    center_boundary_centroid,
     eigenfunction_boundary_data,
     eigenvalue_of_order,
     eval_basis,
+    make_family,
     make_trial_basis,
     realize_perturbation,
     solve,
     sorted_spectrum,
 )
-from bisteklov.geometry import interior_quadrature
+from bisteklov.geometry import interior_quadrature, min_nodes
 from bisteklov.special_functions import leading_term, ultraspherical_i_tail
 from bisteklov.steklov_solver import _boundary_flux_coefficients, _eval_all
 from oracles import interior_stiffness, polar_eval_all
@@ -226,6 +229,79 @@ class TestAssemble:
         A = assemble(domain, tau, basis).stiffness
         ref = interior_stiffness(domain, basis)
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def low_spectrum_error(domain, tau, basis, ref, **kw):
+    """Largest relative deviation of lambda_2..lambda_8 from ref."""
+    lam = solve(assemble(domain, tau, basis, **kw)).eigenvalues[1:8]
+    return float(np.max(np.abs(lam - ref) / np.abs(ref)))
+
+
+# star domains as the benchmark seeds them: modes <= 6, amplitude <= 0.1, centre offset <= 0.05
+SEEDED_STARS = [
+    StarDomain(a0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.0, 0.1), sin_coeffs=(0.0, 0.08),
+               center=(0.05, -0.04)),
+    StarDomain(a0=1.0, sin_coeffs=(0.0, 0.0, 0.0, 0.1), center=(-0.03, 0.05)),
+]
+RULE_DOMAINS = [
+    DISK,
+    ORACLE_DOMAINS[1],
+    *SEEDED_STARS,
+    StarDomain(a0=1.0, cos_coeffs=(0.0, 0.0, 0.3)),
+    make_family("ellipse_like", [1.5])[0][1],
+]
+RULE_IDS = ["disk", "perturbed", "star6", "star4", "cos3", "ellipse1.5"]
+
+
+class TestBoundaryRuleSize:
+    @pytest.mark.parametrize("k_max", [10, 20])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    @pytest.mark.parametrize("domain", RULE_DOMAINS, ids=RULE_IDS)
+    def test_as_accurate_as_the_512_node_rule(self, domain, tau, k_max):
+        basis = make_trial_basis(k_max, tau)
+        ref = solve(assemble(domain, tau, basis, n_boundary=4096)).eigenvalues[1:8]
+        err = low_spectrum_error(domain, tau, basis, ref)
+        err_512 = low_spectrum_error(domain, tau, basis, ref, n_boundary=512)
+        assert err <= max(2.0 * err_512, 1e-13), (boundary_rule_size(domain, basis), err, err_512)
+
+    def test_benchmark_domains_need_at_most_512_nodes(self):
+        iso_members = [
+            center_boundary_centroid(dom)
+            for mode in range(2, 7)
+            for family, params in (("perturbed_disk", [0.12]), ("ellipse_like", [1.5]))
+            for _, dom in make_family(family, params, mode=mode)
+        ]
+        for tau in (0.1, 0.5, 1.0, 5.0, 20.0):
+            for dom in iso_members:
+                assert boundary_rule_size(dom, make_trial_basis(10, tau)) <= 512
+            for dom in RULE_DOMAINS:
+                for k_max in (10, 14, 20):
+                    assert boundary_rule_size(dom, make_trial_basis(k_max, tau)) <= 512
+
+    @pytest.mark.parametrize("tau", [0.1, 20.0])
+    def test_resolves_a_deep_star(self, tau):
+        # 512 nodes leave lambda_2..lambda_8 of this domain about 1e-8 off
+        domain = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.0, 0.6))
+        basis = make_trial_basis(10, tau)
+        ref = solve(assemble(domain, tau, basis, n_boundary=4096)).eigenvalues[1:8]
+        assert low_spectrum_error(domain, tau, basis, ref) <= 1e-11
+
+    def test_floors_and_ceiling(self):
+        basis = make_trial_basis(40, 1.0)
+        assert boundary_rule_size(DISK, basis) >= basis.size
+        assert boundary_rule_size(DISK, make_trial_basis(1, 1.0)) == 64
+        wavy = StarDomain(a0=1.0, cos_coeffs=(0.0,) * 99 + (1e-3,))
+        basis = make_trial_basis(10, 1.0)
+        assert boundary_rule_size(wavy, basis) >= min_nodes(wavy)
+        assert boundary_rule_size(wavy, basis, field_modes=200) >= min_nodes(wavy, 200)
+        assert boundary_rule_size(DISK, basis, field_modes=600) == 2048
+
+    def test_explicit_rule_wins(self):
+        basis = make_trial_basis(4, 1.0)
+        forms = assemble(ORACLE_DOMAINS[1], 1.0, basis)
+        assert forms.boundary.quad.weights.size == boundary_rule_size(ORACLE_DOMAINS[1], basis)
+        forms = assemble(ORACLE_DOMAINS[1], 1.0, basis, n_boundary=1000)
+        assert forms.boundary.quad.weights.size == 1000
 
 
 class TestDiskSpectrum:
