@@ -70,8 +70,9 @@ def grid_series(const, cos_coeffs, sin_coeffs, n: int, derivatives: bool = False
     folded = np.zeros((len(spectra), n), dtype=complex)
     np.add.at(folded, (slice(None), k % n), spectra)
     folded[0, 0] += const
-    m = np.arange(n // 2 + 1)
-    f = np.fft.irfft(0.5 * (folded[:, m] + folded[:, -m % n].conj()), n, norm="forward")
+    # modes 0..n//2 and their mirrors -m mod n = 0, n-1, ..., n - n//2
+    mirror = np.concatenate([folded[:, :1], folded[:, : n - n // 2 - 1 : -1]], axis=1)
+    f = np.fft.irfft(0.5 * (folded[:, : n // 2 + 1] + mirror.conj()), n, norm="forward")
     return (f[0], f[1], f[2]) if derivatives else f[0]
 
 

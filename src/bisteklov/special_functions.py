@@ -54,13 +54,13 @@ def series_tail(nu, q) -> np.ndarray:
     below 1e-17 of its partial sum.  Raises DomainValidationError for q beyond
     z = 2 sqrt(q) = 100.
     """
-    nu, q = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(q, dtype=float))
+    nu, q = np.asarray(nu, dtype=float), np.asarray(q, dtype=float)
     q_max = float(q.max(initial=0.0))
     if q_max > _Z_MAX**2 / 4.0:
         raise DomainValidationError(
             f"argument z={2.0 * math.sqrt(q_max)} outside supported range (0, {_Z_MAX}]"
         )
-    a = nu + 1.0
+    a = nu + 1.0  # unbroadcast, so each term's divisor costs only nu's own shape
     t = q / a
     total = t.copy()
     for m in range(1, _MAX_TERMS):
