@@ -10,6 +10,10 @@ bending energy is represented exactly within the element space.  Assembly is
 vectorised per mesh, over all elements at once, straight into each mode's lower
 band (half-bandwidth 3), and its pencil is solved from one banded Cholesky factor
 of S + M, by Lanczos iteration for only the few eigenvalues the merged spectrum keeps.
+
+scipy serves only this plate solver, so it is imported inside the two functions
+that use it and loads on the first plate solve: importing the package, and every
+other part of it, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigh
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .ball_spectrum import sorted_spectrum
 from .errors import DomainValidationError, NumericalError
@@ -93,6 +92,10 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
     collar element size; if the collar elements are already coarser than a uniform
     bulk would be, the bulk stays uniform.
     """
+    # imported on every call, graded or not, so that any first plate solve
+    # loads all of the plate path's scipy at once
+    from scipy.optimize import brentq
+
     if not (0.0 < eps < 1.0):
         raise DomainValidationError(f"eps must lie in (0, 1), got {eps}")
     if n_bulk < 1 or n_collar < 1:
@@ -213,6 +216,11 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
     projected out of the operator, and an exact 0 is prepended.  Meshes too small
     for a Lanczos basis form C instead.
     """
+    from scipy.linalg import cholesky_banded, eigh
+    from scipy.linalg.blas import dsbmv
+    from scipy.linalg.lapack import dtbtrs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     n = len(S)
     try:
         L = cholesky_banded((S + M).T, lower=True)
@@ -226,9 +234,16 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
             f"(squared pivots span {pivots.max() / pivots.min():.1e})"
         )
 
+    def triangular_solve(x: np.ndarray, trans: str) -> np.ndarray:
+        """L^-1 x (trans "N") or L^-T x (trans "T")."""
+        y, info = dtbtrs(L, x[:, None], uplo="L", trans=trans)
+        if info != 0:
+            raise NumericalError(f"banded triangular solve failed (info {info})")
+        return y[:, 0]
+
     def apply(x: np.ndarray) -> np.ndarray:
-        y = _triangular_solve(L, x, "T")
-        return _triangular_solve(L, dsbmv(_BAND - 1, 1.0, M.T, y, lower=1), "N")
+        y = triangular_solve(x, "T")
+        return triangular_solve(dsbmv(_BAND - 1, 1.0, M.T, y, lower=1), "N")
 
     matvec = apply
     if deflate is not None:
@@ -261,14 +276,6 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray 
         mu = np.sort(mu)[::-1]
     lam = 1.0 / mu - 1.0
     return np.concatenate([[0.0], lam]) if deflate is not None else lam
-
-
-def _triangular_solve(L: np.ndarray, x: np.ndarray, trans: str) -> np.ndarray:
-    """L^-1 x (trans "N") or L^-T x (trans "T") for a lower band factor L."""
-    y, info = dtbtrs(L, x[:, None], uplo="L", trans=trans)
-    if info != 0:
-        raise NumericalError(f"banded triangular solve failed (info {info})")
-    return y[:, 0]
 
 
 def neumann_mode_eigenvalues(

@@ -34,17 +34,19 @@ _DEFAULT_ASPECTS = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 
 
 def _solve_domain(domain: StarDomain, tau: float, k_max: int, svd_tol: float):
-    dom = center_boundary_centroid(domain)
-    basis = make_trial_basis(k_max, tau)
-    return solve(assemble(dom, tau, basis), svd_tol), dom
+    return solve(assemble(domain, tau, make_trial_basis(k_max, tau)), svd_tol)
 
 
 def lambda2_of(
     domain: StarDomain, tau: float, k_max: int = 10, svd_tol: float = 1e-12
 ) -> float:
-    """First nonzero Steklov eigenvalue of the domain (centroid centering applied)."""
-    sol, _ = _solve_domain(domain, tau, k_max, svd_tol)
-    return float(sol.eigenvalues[1])
+    """First nonzero Steklov eigenvalue of the domain.
+
+    The trial basis is expanded about the domain's own centre, so a translation
+    moves every boundary node with the basis and leaves the eigenvalues unchanged;
+    the domain is solved where it stands, without centring.
+    """
+    return float(_solve_domain(domain, tau, k_max, svd_tol).eigenvalues[1])
 
 
 def make_family(
@@ -148,7 +150,8 @@ def inverse_sum_bound(
     equality on the disk.  Centroid centering is applied first, which makes the
     coordinate trial functions admissible.
     """
-    sol, dom = _solve_domain(domain, tau, k_max, svd_tol)
+    dom = center_boundary_centroid(domain)
+    sol = _solve_domain(dom, tau, k_max, svd_tol)
     lam2, lam3 = float(sol.eigenvalues[1]), float(sol.eigenvalues[2])
     lhs = 1.0 / lam2 + 1.0 / lam3
     bq = boundary_geometry(dom, n_nodes)

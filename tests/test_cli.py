@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisteklov import StarDomain, assemble, make_trial_basis, solve
+from bisteklov import StarDomain, assemble, make_family, make_trial_basis, solve
 from bisteklov.cli import run
 
 DOMAINS = Path(__file__).resolve().parents[1] / "domains"
@@ -258,6 +258,19 @@ class TestIsoScan:
         assert lines[0].startswith("family,parameter")
         assert lines[-1] == "verdict,PASS"
 
+    def test_high_mode_member(self, capsys):
+        # a mode-300 member needs more than 1024 boundary nodes; the scan must
+        # solve it on the assembly rule, which sizes itself up to 2048 nodes
+        code, out, err = run_cli(
+            capsys, "iso-scan", "--family", "perturbed_disk", "--tau", "1",
+            "--mode", "300", "--params", "0.01",
+        )
+        assert code == 0, err
+        lam2 = float(out.strip().split("\n")[1].split(",")[4])
+        [(_, member)] = make_family("perturbed_disk", (0.01,), mode=300)
+        want = solve(assemble(member, 1.0, make_trial_basis(10, 1.0))).eigenvalues[1]
+        assert lam2 == pytest.approx(want, rel=1e-12)
+
 
 class TestExitCodes:
     def test_unknown_domain_key(self, capsys, tmp_path):
@@ -475,6 +488,44 @@ def test_module_entry_point():
     lines = proc.stdout.strip().split("\n")
     assert lines[0] == "index,eigenvalue,angular_order"
     assert len(lines) == 7
+
+
+def test_scipy_loads_only_on_the_plate_path():
+    # scipy serves only the concentration plate solver: the package and every
+    # other subcommand run on numpy alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    domain = str(DOMAINS / "perturbed.json")
+    script = f"""
+import contextlib, io, sys
+import bisteklov, bisteklov.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = bisteklov.cli.run(list(argv))
+    assert code == 0, argv
+    return out.getvalue()
+
+assert not scipy_loaded(), scipy_loaded()
+run("ball-spectrum", "--tau", "1", "--count", "6")
+run("solve", "--domain", {domain!r}, "--tau", "1")
+run("criticality", "--domain", {domain!r}, "--tau", "1")
+run("shape-derivative", "--domain", {domain!r}, "--tau", "1", "--field", "cos2", "--validate-fd")
+run("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0.0,0.05")
+assert not scipy_loaded(), scipy_loaded()
+out = run("concentration", "--tau", "1", "--eps", "0.2", "--modes", "2")
+assert out.startswith("eps,j,lambda_eps,lambda_limit,abs_error"), out
+# the first plate solve loads all of the plate path's scipy, so no later solve
+# pays for an import; eps = 0.2 leaves the bulk mesh ungraded, without brentq
+assert "scipy.optimize" in sys.modules and "scipy.sparse.linalg" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Robustness: any invocation on bounded inputs exits 0, 1 or 2 and never raises.

@@ -9,6 +9,7 @@ from bisteklov import (
     DomainValidationError,
     StarDomain,
     area,
+    center_boundary_centroid,
     inverse_sum_bound,
     iso_scan,
     lambda2_of,
@@ -32,6 +33,12 @@ class TestLambda2Of:
     def test_off_center_disk(self):
         moved = StarDomain(a0=1.0, center=(0.7, -0.4))
         assert lambda2_of(moved, 1.0) == pytest.approx(1.0, rel=1e-8)
+        # a star whose boundary centroid is far from its centre: the basis moves
+        # with the domain, so solving it uncentred gives its centred copy's lambda_2
+        star = StarDomain(a0=1.0, cos_coeffs=(0.2,), center=(0.3, -0.1))
+        centred = center_boundary_centroid(star)
+        assert np.hypot(*np.subtract(centred.center, star.center)) > 0.1
+        assert lambda2_of(star, 1.0) == pytest.approx(lambda2_of(centred, 1.0), rel=1e-13)
 
     def test_area_scaling_law(self):
         # scaling area by c scales lambda_2 by 1/sqrt(c)
