@@ -21,15 +21,22 @@ forms and the solution, so the eigenfunction traces behind shape derivatives are
 contractions of it, not a second evaluation.
 The pencil is solved through a filtered congruence pipeline that tolerates the
 strong numerical dependence of such global bases.
+
+Bases of up to _SINGLE_THREAD_BASIS functions (k_max <= 31) run their dense
+algebra on one OpenBLAS thread.  At those sizes a second thread buys no wall
+time, doubles the CPU of a solve and makes its time depend on a second core
+being free.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import single_blas_thread
 from .errors import DomainValidationError, NumericalError
 from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry, min_nodes
 from .special_functions import _check_tau, integer_order_tails, leading_term, series_tail
@@ -39,6 +46,16 @@ _CLUSTER_RELGAP = 1e-6
 # cap the rule, and the level relative to the mean a Fourier mode must exceed to count
 _RULE_GRID = 2048
 _RULE_SPECTRUM_TOL = 1e-14
+# largest basis whose contraction, solve and traces run on one BLAS thread; at
+# 162 functions (k_max 40) two threads start to pay, by about 7% of wall time
+# on a 2-CPU Xeon VM
+_SINGLE_THREAD_BASIS = 128
+
+
+def _blas_scope(basis_size: int):
+    if basis_size <= _SINGLE_THREAD_BASIS:
+        return single_blas_thread()
+    return contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -259,9 +276,10 @@ def assemble(
     )
     dn = grad[:, :, 0] * nx + grad[:, :, 1] * ny
     flux = factor[:, None] * dn[partner]
-    A = (hess_n * bq.weights[:, None]).reshape(basis.size, -1) @ grad.reshape(basis.size, -1).T
-    A += (flux * bq.weights) @ val.T
-    B = (val * bq.weights) @ val.T
+    with _blas_scope(basis.size):
+        A = (hess_n * bq.weights[:, None]).reshape(basis.size, -1) @ grad.reshape(basis.size, -1).T
+        A += (flux * bq.weights) @ val.T
+        B = (val * bq.weights) @ val.T
     return AssembledForms(
         stiffness=0.5 * (A + A.T),
         boundary_mass=0.5 * (B + B.T),
@@ -323,6 +341,11 @@ def solve(forms: AssembledForms, svd_tol: float = 1e-12) -> EigenSolution:
     small one.  Coefficients are returned in the original basis and are orthonormal
     in the boundary inner product.
     """
+    with _blas_scope(forms.stiffness.shape[0]):
+        return _solve(forms, svd_tol)
+
+
+def _solve(forms: AssembledForms, svd_tol: float) -> EigenSolution:
     A, B = forms.stiffness, forms.boundary_mass
     if not (0.0 < svd_tol < 1.0):
         raise DomainValidationError(f"svd_tol must lie in (0, 1), got {svd_tol}")
@@ -405,8 +428,9 @@ def eigenfunction_boundary_data(solution: EigenSolution, which: tuple[int, ...])
     ev = solution.boundary
     bq = ev.quad
     C = solution.coefficients[:, [j - 1 for j in which]]  # (nb, m)
-    v = C.T @ ev.values
-    g = np.einsum("bm,bnc->mnc", C, ev.gradients, optimize=True)
-    h = np.einsum("bm,bnc->mnc", C, ev.hessians, optimize=True)
-    dvdn = np.einsum("mnc,nc->mn", g, bq.normals, optimize=True)
+    with _blas_scope(C.shape[0]):
+        v = C.T @ ev.values
+        g = np.einsum("bm,bnc->mnc", C, ev.gradients, optimize=True)
+        h = np.einsum("bm,bnc->mnc", C, ev.hessians, optimize=True)
+        dvdn = np.einsum("mnc,nc->mn", g, bq.normals, optimize=True)
     return BoundaryTraces(quad=bq, values=v, normal_derivatives=dvdn, gradients=g, hessians=h)

@@ -25,9 +25,11 @@ from bisteklov import (
     solve,
     sorted_spectrum,
 )
+from bisteklov import _util
+from bisteklov._util import single_blas_thread
 from bisteklov.geometry import interior_quadrature, min_nodes
 from bisteklov.special_functions import leading_term, ultraspherical_i_tail
-from bisteklov.steklov_solver import _boundary_flux_coefficients, _eval_all
+from bisteklov.steklov_solver import _SINGLE_THREAD_BASIS, _boundary_flux_coefficients, _eval_all
 from oracles import interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -436,3 +438,55 @@ class TestBoundaryData:
             eigenfunction_boundary_data(sol, which=(0,))
         with pytest.raises(DomainValidationError):
             eigenfunction_boundary_data(sol, which=(len(sol.eigenvalues) + 1,))
+
+
+class TestBlasThreads:
+    """Small bases run their dense algebra on one OpenBLAS thread, larger ones on the caller's count."""
+
+    @staticmethod
+    def fake_openblas(monkeypatch, count: int):
+        state, calls = {"count": count}, []
+
+        def set_count(n):
+            calls.append(n)
+            state["count"] = n
+
+        monkeypatch.setattr(_util, "_openblas_thread_calls", lambda: (lambda: state["count"], set_count))
+        return state, calls
+
+    def test_small_basis_runs_on_one_thread(self, monkeypatch):
+        state, calls = self.fake_openblas(monkeypatch, 2)
+        sol, basis = solve_domain(ORACLE_DOMAINS[1], 1.0, k_max=10)
+        eigenfunction_boundary_data(sol, which=(2,))
+        assert basis.size <= _SINGLE_THREAD_BASIS
+        assert calls == [1, 2] * 3  # assemble, solve, traces; each restores the count
+        assert state["count"] == 2
+
+    def test_one_thread_caller_is_left_alone(self, monkeypatch):
+        _, calls = self.fake_openblas(monkeypatch, 1)
+        solve_domain(ORACLE_DOMAINS[1], 1.0, k_max=10)
+        assert calls == []
+
+    def test_large_basis_keeps_the_thread_count(self, monkeypatch):
+        _, calls = self.fake_openblas(monkeypatch, 2)
+        sol, basis = solve_domain(DISK, 1.0, k_max=32)
+        assert basis.size > _SINGLE_THREAD_BASIS
+        assert sol.eigenvalues[1] == pytest.approx(disk_reference(1.0, 2)[1], rel=1e-10)
+        assert calls == []
+
+    def test_count_restored_after_an_error(self, monkeypatch):
+        state, _ = self.fake_openblas(monkeypatch, 4)
+        with pytest.raises(RuntimeError):
+            with single_blas_thread():
+                assert state["count"] == 1
+                raise RuntimeError("inside the block")
+        assert state["count"] == 4
+
+    def test_numpy_openblas(self):
+        calls = _util._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS does not export OpenBLAS thread calls")
+        before = calls[0]()
+        with single_blas_thread():
+            assert calls[0]() == 1
+        assert calls[0]() == before
