@@ -191,8 +191,7 @@ def _cmd_shape_derivative(args) -> int:
     }
     if args.validate_fd:
         steps = tuple(_parse_float_list(args.steps, "step"))
-        fd = fd_derivative(domain, solution, basis, F, args.s, field, steps=steps,
-                           svd_tol=args.svd_tol)
+        fd = fd_derivative(domain, solution, basis, F, args.s, field, steps=steps)
         doc["fd_steps"] = list(fd.steps)
         doc["fd_estimates"] = list(fd.estimates)
         doc["fd_extrapolated"] = fd.extrapolated
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1, help="order of the symmetric function (default 1)")
     p.add_argument("--field", required=True, help="normal velocity: const, cosK or sinK")
     p.add_argument("--validate-fd", action="store_true", dest="validate_fd",
-                   help="also compute central finite differences")
+                   help="also compute central finite differences of the assembled pencil")
     p.add_argument("--steps", default="1e-3,5e-4", help="FD step sizes (default 1e-3,5e-4)")
     _add_solver_options(p)
     p.add_argument("--output")

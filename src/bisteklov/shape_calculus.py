@@ -4,8 +4,9 @@ For a cluster F of eigenvalues (a full near-degenerate group) the elementary
 symmetric functions of the cluster are differentiable with respect to the domain
 even where individual eigenvalues are not.  Their derivative along a normal
 velocity field g is a single weighted boundary integral of eigenfunction trace
-data; this module evaluates it, realizes perturbed domains for finite-difference
-validation, and measures how far a domain is from criticality.
+data; this module evaluates it, checks it against finite differences of the
+assembled pencil on realized perturbed domains, and measures how far a domain is
+from criticality.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainValidationError, NumericalError
+from .errors import DomainValidationError
 from .geometry import StarDomain, boundary_geometry, fourier_projection, grid_series
 from .geometry import _check_n_nodes
 from .steklov_solver import (
@@ -24,7 +25,6 @@ from .steklov_solver import (
     assemble,
     boundary_rule_size,
     eigenfunction_boundary_data,
-    solve,
 )
 
 _CLUSTER_SPREAD_TOL = 1e-4
@@ -241,17 +241,22 @@ def fd_derivative(
     s: int,
     field: PerturbationField,
     steps: tuple[float, ...] = (1e-3, 5e-4),
-    svd_tol: float = 1e-12,
 ) -> FDResult:
-    """Central finite differences of e_s over the cluster F along the field, per step.
+    """Central finite differences of the discrete e_s over the cluster F along the field.
 
-    solution is the base domain's, solved with this basis; each perturbed domain is
-    assembled on a rule at least as large as the base one, larger where its own
-    modes need it (boundary_rule_size), and solved with the same svd_tol.
-    Eigenvalues of the perturbed domains are matched to the base cluster by index;
-    if any tracked eigenvalue moves by more than half the gap separating the cluster
-    from its neighbors, tracking is ambiguous and an error is raised.  Steps must
-    be finite, positive and distinct.  The two smallest steps are Richardson-combined
+    The symmetric functions of a cluster depend analytically on the assembled pencil
+    even where its eigenvalues cross (Lancaster 1964; Kato 1966), so the difference
+    is taken of the pencil, not of re-solved eigenvalues.  With the base solution's
+    b-orthonormal coefficients x_i, its eigenvalues lambda_i and w_i = e_(s-1) of the
+    other members of F, the estimate at step t is
+
+        sum_i w_i x_i^T (dA - lambda_i dB) x_i / (2 t),
+
+    where dA and dB are the stiffness and mass of the domain realized at +t minus
+    those at -t, both assembled on one rule: the base solution's, larger where
+    either domain's modes need it (boundary_rule_size).  No perturbed domain is
+    solved.  F must be a full cluster, as for hadamard_derivative.  Steps must be
+    finite, positive and distinct.  The two smallest steps are Richardson-combined
     into the extrapolated estimate.
     """
     steps = tuple(float(t) for t in steps)
@@ -261,35 +266,25 @@ def fd_derivative(
         raise DomainValidationError(f"steps must be distinct, got {steps}")
     steps = tuple(sorted(steps, reverse=True))
     F = tuple(sorted(F))
+    if not (1 <= s <= len(F)):
+        raise DomainValidationError(f"s must lie in 1..{len(F)}, got {s}")
+    _check_cluster(solution, F)
+    lam = solution.eigenvalues
+    lam_of_f = lam[[j - 1 for j in F]]
+    X = solution.coefficients[:, [j - 1 for j in F]]
+    w = np.array([1.0 if s == 1 else symmetric_function(lam, tuple(k for k in F if k != j), s - 1)
+                  for j in F])
     tau, n_boundary = basis.tau, solution.boundary.quad.weights.size
-
-    def eigs_of(dom: StarDomain) -> np.ndarray:
-        n = max(n_boundary, boundary_rule_size(dom, basis))
-        return solve(assemble(dom, tau, basis, n_boundary=n), svd_tol).eigenvalues
-
-    base = solution.eigenvalues
-    if F[-1] >= len(base):
-        raise DomainValidationError(f"F={F} needs more eigenvalues than computed ({len(base)})")
-    cluster_vals = base[[j - 1 for j in F]]
-    # admissible tracking radius: half the gap to the nearest eigenvalue outside F
-    outside = [base[F[0] - 2]] if F[0] >= 2 else []
-    outside.append(base[F[-1]])
-    gap = min(abs(cluster_vals.mean() - o) for o in outside)
 
     estimates = []
     for t in steps:
-        vals = {}
-        for sign in (+1.0, -1.0):
-            dom_t = realize_perturbation(domain, field, sign * t)
-            ev = eigs_of(dom_t)
-            moved = np.abs(ev[[j - 1 for j in F]] - cluster_vals)
-            if moved.max() > 0.45 * gap:
-                raise NumericalError(
-                    f"eigenvalue tracking ambiguous at step {sign * t}: cluster moved "
-                    f"{moved.max():.3e} against a separating gap of {gap:.3e}"
-                )
-            vals[sign] = symmetric_function(ev, F, s)
-        estimates.append((vals[+1.0] - vals[-1.0]) / (2.0 * t))
+        plus, minus = (realize_perturbation(domain, field, sign * t) for sign in (+1.0, -1.0))
+        n = max(n_boundary, boundary_rule_size(plus, basis), boundary_rule_size(minus, basis))
+        fp, fm = (assemble(dom, tau, basis, n_boundary=n) for dom in (plus, minus))
+        dA = fp.stiffness - fm.stiffness
+        dB = fp.boundary_mass - fm.boundary_mass
+        dlam = np.einsum("bi,bi->i", X, dA @ X) - lam_of_f * np.einsum("bi,bi->i", X, dB @ X)
+        estimates.append(float(np.dot(w, dlam)) / (2.0 * t))
 
     if len(steps) >= 2:
         t1, t2 = steps[-2], steps[-1]

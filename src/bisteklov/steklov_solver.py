@@ -39,7 +39,7 @@ import numpy as np
 from ._util import single_blas_thread
 from .errors import DomainValidationError, NumericalError
 from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry, min_nodes
-from .special_functions import _check_tau, integer_order_tails, leading_term, series_tail
+from .special_functions import _check_tau, integer_order_tails, series_tail
 
 _CLUSTER_RELGAP = 1e-6
 # boundary rule sizing: the angles the integrand's spectrum is read on, which also
@@ -63,10 +63,12 @@ class TrialBasis:
     """Trial functions phi(rho) h_k(x, y) of angular orders k = 0..k_max about the center.
 
     Here rho = x^2 + y^2 and h_k = Re (cos) or Im (sin) of (x + iy)^k.  The harmonic
-    block (phi = 1) comes first, then the Bessel block with phi = c_0 s^k T_k(tau rho / 4),
-    s = sqrt(tau): i_k(s r) cos/sin(k theta) minus its leading monomial c_0 s^k h_k,
-    which with h_k spans the plain pair {h_k, i_k} but stays numerically independent
-    at small tau.  Each block holds 2 k_max + 1 rows in the order of _block_layout.
+    block (phi = 1) comes first, then the Bessel block with phi = T_k(tau rho / 4):
+    i_k(s r) cos/sin(k theta) minus its leading monomial c_0 s^k h_k, s = sqrt(tau),
+    divided by c_0 s^k.  With h_k it spans the plain pair {h_k, i_k} but stays
+    numerically independent at small tau, and without the factor c_0 s^k its rows
+    of high order do not underflow.  Each block holds 2 k_max + 1 rows in the order
+    of _block_layout.
     """
 
     tau: float
@@ -98,12 +100,6 @@ def make_trial_basis(k_max: int, tau: float) -> TrialBasis:
     return TrialBasis(tau=float(tau), k_max=k_max)
 
 
-def _bessel_scales(basis: TrialBasis) -> np.ndarray:
-    """c_0 s^k for k = 0..k_max, s = sqrt(tau): the Bessel row of order k is c_0 s^k T_k h_k."""
-    s = math.sqrt(basis.tau)
-    return np.array([leading_term(k, k, s) for k in range(basis.k_max + 1)])
-
-
 def _eval_all(
     basis: TrialBasis, pts: np.ndarray, center: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,10 +127,9 @@ def _eval_all(
     P[2, 2:] = (k * (k - 1))[2:] * P[0, :-2]
     # phi, 2 phi' and 4 phi'' of the Bessel rows from T_nu(tau rho / 4), nu = 0..k_max + 2
     T = integer_order_tails(k_max + 2, 0.25 * tau * (x * x + y * y))
-    lead = _bessel_scales(basis)[:, None]
-    phi = lead * T[:-2]
-    p1 = lead * (0.5 * tau) / (k + 1) * (1.0 + T[1:-1])
-    p2 = lead * (0.25 * tau * tau) / ((k + 1) * (k + 2)) * (1.0 + T[2:])
+    phi = T[:-2]
+    p1 = (0.5 * tau) / (k + 1) * (1.0 + T[1:-1])
+    p2 = (0.25 * tau * tau) / ((k + 1) * (k + 2)) * (1.0 + T[2:])
 
     # block 0 of each output holds the harmonic rows: Re (cos rows) or Im (sin rows) of
     # P[0], P[1], i P[1], P[2], i P[2] for (value, x, y, xx, xy), where Re/Im of i P
@@ -209,15 +204,15 @@ def _boundary_flux_coefficients(basis: TrialBasis) -> tuple[np.ndarray, np.ndarr
     """Row map for tau du/dnu - d(Delta u)/dnu as a multiple of one harmonic normal derivative.
 
     Harmonic rows have Delta u = 0, so the flux is tau dh/dnu of the row itself.  A
-    Bessel row of order k is the tail u = i_k(s r) T - c_0 s^k h_k with s = sqrt(tau)
-    and h_k the harmonic row of the same order and parity, so Delta u = tau (u + c_0
-    s^k h_k) and the flux is -tau c_0 s^k dh_k/dnu.  The partner of a row is its
-    position within its block.  Returns (partner index, factor) per row.
+    Bessel row of order k is u = T_k(tau rho / 4) h_k with h_k the harmonic row of
+    the same order and parity; (u + h_k) c_0 s^k is i_k(s r) cos/sin(k theta), s =
+    sqrt(tau), so Delta u = tau (u + h_k) and the flux is -tau dh_k/dnu.  The
+    partner of a row is its position within its block.  Returns (partner index,
+    factor) per row.
     """
     order, _ = _block_layout(basis.k_max)
     partner = np.tile(np.arange(order.size), 2)
-    bessel = -basis.tau * _bessel_scales(basis)[order]
-    factor = np.concatenate([np.full(order.size, basis.tau), bessel])
+    factor = np.repeat([basis.tau, -basis.tau], order.size)
     return partner, factor
 
 

@@ -12,6 +12,9 @@ package's all-elements band assembly must match bit for bit, and their pencil is
 solved densely, every eigenvalue at once, as a reference for the package's
 banded Lanczos solve.  Trigonometric series are summed mode by mode at any angle,
 as a reference for the package's inverse-FFT sampler on the uniform grid.
+Shape derivatives are also differenced eigenvalue by eigenvalue, re-solving each
+perturbed domain and matching its eigenvalues to the cluster by index, as a
+reference for the package's difference of the assembled pencil.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
 
 from bisteklov.concentration import _GAUSS_PER_ELEMENT
-from bisteklov.geometry import interior_quadrature
-from bisteklov.special_functions import BesselEval, ultraspherical_i_tail
-from bisteklov.steklov_solver import _eval_all
+from bisteklov.errors import DomainValidationError, NumericalError
+from bisteklov.geometry import StarDomain, interior_quadrature
+from bisteklov.shape_calculus import FDResult, realize_perturbation, symmetric_function
+from bisteklov.special_functions import BesselEval, leading_term, ultraspherical_i_tail
+from bisteklov.steklov_solver import _eval_all, assemble, boundary_rule_size, solve
 
 
 def interior_stiffness(domain, basis, n_r: int = 32, n_theta: int = 256) -> np.ndarray:
@@ -98,8 +103,8 @@ def polar_eval_all(
     """Values, gradients and Hessians of every basis function, through polar coordinates.
 
     Reference for the solver's Cartesian `_eval_all`: Bessel rows are the tail
-    i_k(s r) - c_0 (s r)^k times cos/sin(k theta), differentiated by the full
-    polar-to-Cartesian chain rule.  The radius is clamped away from 0, so points
+    i_k(s r) - c_0 (s r)^k times cos/sin(k theta), divided by c_0 s^k and
+    differentiated by the full polar-to-Cartesian chain rule.  The radius is clamped away from 0, so points
     at the center are out of scope.  Same shapes and channels as `_eval_all`.
     """
 
@@ -153,7 +158,8 @@ def polar_eval_all(
                     hess[i, :, 2] = -kk * pk2.imag
         else:
             if k not in tail_cache:
-                tail_cache[k] = ultraspherical_i_tail(k, 2, s * r)
+                lead = leading_term(k, k, s)
+                tail_cache[k] = [d / lead for d in ultraspherical_i_tail(k, 2, s * r)]
             tv, td1, td2 = tail_cache[k]
             f = tv
             fp = s * td1
@@ -372,3 +378,70 @@ def dense_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray |
     mu = eigh(0.5 * (C + C.T), eigvals_only=True)
     lam = 1.0 / mu[::-1][:max(count, 0)] - 1.0
     return np.concatenate([[0.0], lam]) if prepend_zero else lam
+
+
+def tracked_fd_derivative(
+    domain,
+    solution,
+    basis,
+    F: tuple[int, ...],
+    s: int,
+    field,
+    steps: tuple[float, ...] = (1e-3, 5e-4),
+    svd_tol: float = 1e-12,
+) -> FDResult:
+    """Central finite differences of e_s over the cluster F along the field, per step.
+
+    Reference for `shape_calculus.fd_derivative`.  solution is the base domain's,
+    solved with this basis; each perturbed domain is assembled on a rule at least as
+    large as the base one, larger where its own modes need it (boundary_rule_size),
+    and solved with the same svd_tol.  Eigenvalues of the perturbed domains are
+    matched to the base cluster by index; if any tracked eigenvalue moves by more
+    than 0.45 of the gap separating the cluster from its neighbors, tracking is
+    ambiguous and NumericalError is raised.  The two smallest steps are
+    Richardson-combined into the extrapolated estimate.
+    """
+    steps = tuple(float(t) for t in steps)
+    if not steps or not all(math.isfinite(t) and t > 0.0 for t in steps):
+        raise DomainValidationError(f"steps must be positive and finite, got {steps}")
+    if len(set(steps)) != len(steps):
+        raise DomainValidationError(f"steps must be distinct, got {steps}")
+    steps = tuple(sorted(steps, reverse=True))
+    F = tuple(sorted(F))
+    tau, n_boundary = basis.tau, solution.boundary.quad.weights.size
+
+    def eigs_of(dom: StarDomain) -> np.ndarray:
+        n = max(n_boundary, boundary_rule_size(dom, basis))
+        return solve(assemble(dom, tau, basis, n_boundary=n), svd_tol).eigenvalues
+
+    base = solution.eigenvalues
+    if F[-1] >= len(base):
+        raise DomainValidationError(f"F={F} needs more eigenvalues than computed ({len(base)})")
+    cluster_vals = base[[j - 1 for j in F]]
+    # admissible tracking radius: half the gap to the nearest eigenvalue outside F
+    outside = [base[F[0] - 2]] if F[0] >= 2 else []
+    outside.append(base[F[-1]])
+    gap = min(abs(cluster_vals.mean() - o) for o in outside)
+
+    estimates = []
+    for t in steps:
+        vals = {}
+        for sign in (+1.0, -1.0):
+            dom_t = realize_perturbation(domain, field, sign * t)
+            ev = eigs_of(dom_t)
+            moved = np.abs(ev[[j - 1 for j in F]] - cluster_vals)
+            if moved.max() > 0.45 * gap:
+                raise NumericalError(
+                    f"eigenvalue tracking ambiguous at step {sign * t}: cluster moved "
+                    f"{moved.max():.3e} against a separating gap of {gap:.3e}"
+                )
+            vals[sign] = symmetric_function(ev, F, s)
+        estimates.append((vals[+1.0] - vals[-1.0]) / (2.0 * t))
+
+    if len(steps) >= 2:
+        t1, t2 = steps[-2], steps[-1]
+        d1, d2 = estimates[-2], estimates[-1]
+        extrapolated = (t1 * t1 * d2 - t2 * t2 * d1) / (t1 * t1 - t2 * t2)
+    else:
+        extrapolated = estimates[-1]
+    return FDResult(steps=steps, estimates=tuple(estimates), extrapolated=extrapolated)

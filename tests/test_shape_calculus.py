@@ -15,6 +15,7 @@ from bisteklov import (
     StarDomain,
     area,
     assemble,
+    boundary_rule_size,
     criticality_residual,
     fd_derivative,
     hadamard_derivative,
@@ -26,6 +27,7 @@ from bisteklov import (
     symmetric_function,
     volume_preserving_projection,
 )
+from oracles import tracked_fd_derivative
 
 DISK = StarDomain(a0=1.0)
 # area-normalized second-mode bump; its lambda_2 cluster is a singleton
@@ -39,6 +41,37 @@ PERTURBED_COS2_DERIVATIVE = -1.4606622125405107
 def solved(domain: StarDomain, tau: float, k_max: int = 10):
     basis = make_trial_basis(k_max, tau)
     return solve(assemble(domain, tau, basis)), basis
+
+
+def solved_for_field(domain: StarDomain, tau: float, k_max: int, field: PerturbationField):
+    """Solve on a rule that also resolves the field, as the shape-derivative subcommand does."""
+    basis = make_trial_basis(k_max, tau)
+    n = boundary_rule_size(domain, basis, field.max_mode)
+    return solve(assemble(domain, tau, basis, n_boundary=n)), basis
+
+
+def seeded_star(cos_modes: dict, sin_modes: dict, center) -> StarDomain:
+    """A unit star of the benchmark's seeded kind: modes 1..6, the given ones nonzero."""
+    return StarDomain(a0=1.0, cos_coeffs=tuple(cos_modes.get(k, 0.0) for k in range(1, 7)),
+                      sin_coeffs=tuple(sin_modes.get(k, 0.0) for k in range(1, 7)), center=center)
+
+
+# (domain, tau, k_max, field) of the seeded benchmark stars on which a step of 1e-3
+# moves lambda_2 by more than 0.45 of its gap to lambda_1 or lambda_3
+SEEDED_TRACKING_FAILURES = [
+    (seeded_star({4: 0.014411749021848741}, {3: 0.04786219435099912},
+                 (0.001633451896232152, -0.029478499329845934)),
+     20.0, 14, PerturbationField(cos_coeffs=(0.0, 1.0))),
+    (seeded_star({4: 0.0318525568337694}, {5: 0.04038097511166047},
+                 (-0.048051707194760686, 0.0054050247808328025)),
+     5.0, 20, PerturbationField(const=1.0)),
+    (seeded_star({}, {4: 0.01778998842129287, 5: 0.02058715469387236},
+                 (0.03036789448422425, 0.049449898489153946)),
+     0.1, 10, PerturbationField(const=1.0)),
+    (seeded_star({5: 0.00035904716697302555}, {3: 0.04054193295683789},
+                 (-0.008381880563527247, -0.012389385464729341)),
+     0.1, 14, PerturbationField(const=1.0)),
+]
 
 
 class TestSymmetricFunction:
@@ -271,10 +304,58 @@ class TestFiniteDifferences:
                 assert had == pytest.approx(exact * tau**s, rel=1e-9)
 
     def test_tracking_ambiguity_raises(self):
+        # the re-solve-and-track oracle refuses steps that move the cluster past its gap
         sol, basis = solved(PERTURBED, 1.0)
         g = PerturbationField(cos_coeffs=(0.0, 1.0))
         with pytest.raises(NumericalError):
-            fd_derivative(PERTURBED, sol, basis, (2,), 1, g, steps=(0.4, 0.2))
+            tracked_fd_derivative(PERTURBED, sol, basis, (2,), 1, g, steps=(0.4, 0.2))
+
+    def test_partial_cluster_rejected(self):
+        # index 2 alone is half of the disk's pair: its difference would depend on
+        # the basis chosen inside the pair
+        sol, basis = solved(DISK, 1.0)
+        with pytest.raises(DomainValidationError, match="cluster"):
+            fd_derivative(DISK, sol, basis, (2,), 1, PerturbationField(const=1.0))
+
+    @pytest.mark.parametrize("domain, tau, k_max, field", SEEDED_TRACKING_FAILURES,
+                             ids=["star16", "star34", "star40", "star57"])
+    def test_no_tracking_on_crowded_spectra(self, domain, tau, k_max, field):
+        # steps of 1e-3 move lambda_2 of these stars across more than 0.45 of its gap,
+        # which defeated tracking re-solved eigenvalues by index
+        sol, basis = solved_for_field(domain, tau, k_max, field)
+        with pytest.raises(NumericalError, match="tracking ambiguous"):
+            tracked_fd_derivative(domain, sol, basis, (2,), 1, field)
+        had = hadamard_derivative(domain, sol, basis, (2,), 1, field)
+        fd = fd_derivative(domain, sol, basis, (2,), 1, field).extrapolated
+        assert abs(fd - had) <= 1e-9 * max(abs(fd), tau)
+
+    def test_agrees_with_tracked_eigenvalues(self):
+        rng = np.random.default_rng(16)
+        tracked = 0
+        for _ in range(12):
+            modes = ({}, {})
+            for _ in range(rng.integers(1, 3)):
+                modes[rng.integers(0, 2)][int(rng.integers(2, 7))] = rng.uniform(0.0, 0.1)
+            domain = seeded_star(*modes, center=tuple(rng.uniform(-0.05, 0.05, 2)))
+            tau = float(rng.choice([0.1, 0.5, 1.0, 5.0, 20.0]))
+            k = int(rng.integers(0, 7))
+            coeffs = (0.0,) * (k - 1) + (1.0,)
+            field = (PerturbationField(const=1.0) if k == 0 else
+                     PerturbationField(cos_coeffs=coeffs) if rng.random() < 0.5 else
+                     PerturbationField(sin_coeffs=coeffs))
+            sol, basis = solved_for_field(domain, tau, 10, field)
+            F = tuple(range(sol.cluster_of(2)[0], sol.cluster_of(2)[1] + 1))
+            fd = fd_derivative(domain, sol, basis, F, 1, field).extrapolated
+            scale = max(abs(fd), tau)
+            had = hadamard_derivative(domain, sol, basis, F, 1, field)
+            assert abs(fd - had) <= 1e-9 * scale, (domain, tau, field)
+            try:
+                ref = tracked_fd_derivative(domain, sol, basis, F, 1, field).extrapolated
+            except NumericalError:
+                continue
+            tracked += 1
+            assert abs(fd - ref) <= 1e-6 * scale, (domain, tau, field)
+        assert tracked >= 8
 
     def test_step_validation(self):
         sol, basis = solved(DISK, 1.0)

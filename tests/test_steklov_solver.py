@@ -181,7 +181,7 @@ class TestAssemble:
             family, k, _ = tag
             if family == "harmonic":
                 return 1.0
-            return float(ultraspherical_i_tail(k, 2, np.array([s]))[0][0])
+            return float(ultraspherical_i_tail(k, 2, np.array([s]))[0][0] / leading_term(k, k, s))
 
         for i, ti in enumerate(basis.tags):
             for j, tj in enumerate(basis.tags):
@@ -213,7 +213,7 @@ class TestAssemble:
         tags = basis.tags
         for i, (family, k, parity) in enumerate(tags):
             assert tags[partner[i]] == ("harmonic", k, parity)
-            want = tau if family == "harmonic" else -tau * leading_term(k, k, math.sqrt(tau))
+            want = tau if family == "harmonic" else -tau
             assert factor[i] == want
 
     def test_tau_mismatch_rejected(self):
@@ -326,6 +326,15 @@ class TestDiskSpectrum:
         H = X.T @ forms.stiffness @ X
         scale = max(1.0, abs(sol.eigenvalues).max())
         assert np.abs(H - np.diag(sol.eigenvalues)).max() < 1e-8 * scale
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.1, 1.0])
+    def test_high_angular_orders(self, tau):
+        # rows of order 100 once carried c_0 s^k, whose square underflowed on the
+        # unit disk and left the solve an identically zero basis direction
+        sol, _ = solve_domain(DISK, tau, k_max=100)
+        ref = disk_reference(tau, 21)
+        assert abs(sol.eigenvalues[0]) <= 1e-8 * max(1.0, tau)
+        assert np.allclose(sol.eigenvalues[1:21], ref[1:21], rtol=1e-10, atol=0.0)
 
     def test_cluster_detection(self):
         sol, _ = solve_domain(DISK, 1.0)
