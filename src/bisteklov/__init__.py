@@ -1,22 +1,17 @@
 """Numerics for fourth-order Steklov eigenvalue problems on balls and star-shaped planar domains."""
 
-from .special_functions import BesselEval, modified_bessel_I, ultraspherical_i
+from .special_functions import BesselEval, ultraspherical_i
 from .ball_spectrum import (
-    BallMode,
     SortedSpectrum,
     eigenvalue_of_order,
     multiplicity_of_order,
-    radial_profile,
-    rayleigh_quotient,
     sorted_spectrum,
-    verify_order_monotonicity,
 )
 from .geometry import (
     BoundaryQuadrature,
     StarDomain,
     area,
     boundary_geometry,
-    center_boundary_centroid,
     interior_quadrature,
     rescale_to_area,
 )
@@ -27,7 +22,6 @@ from .steklov_solver import (
     assemble,
     boundary_rule_size,
     eigenfunction_boundary_data,
-    eval_basis,
     make_trial_basis,
     solve,
 )
@@ -37,10 +31,8 @@ from .shape_calculus import (
     criticality_residual,
     fd_derivative,
     hadamard_derivative,
-    is_volume_preserving,
     realize_perturbation,
     symmetric_function,
-    volume_preserving_projection,
 )
 from .concentration import (
     DensityProfile,
@@ -52,11 +44,9 @@ from .concentration import (
 )
 from .iso_experiments import (
     IsoScanResult,
-    inverse_sum_bound,
     iso_scan,
     lambda2_of,
     make_family,
-    weighted_boundary_inequality_check,
 )
 from .errors import DomainValidationError, NumericalError
 

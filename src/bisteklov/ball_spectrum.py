@@ -5,20 +5,18 @@ Delta^2 u = tau Delta u on the unit ball of R^N, with the natural free-edge
 boundary conditions, to a two-dimensional radial space spanned by r^l and
 i_l(sqrt(tau) r).  Eliminating the two coefficients between the boundary
 conditions gives each eigenvalue as a ratio of Bessel expressions; this module
-evaluates that ratio, enumerates the spectrum in sorted order, and provides an
-independent Rayleigh-quotient route for cross-checking.
+evaluates that ratio and enumerates the spectrum in sorted order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainValidationError, NumericalError
-from .special_functions import _check_tau, leading_term, scaled_derivatives, series_derivatives
+from .special_functions import _check_tau, series_derivatives
 
 
 def multiplicity_of_order(l: int, N: int) -> int:
@@ -89,64 +87,6 @@ def eigenvalue_of_order(l, N: int, tau: float):
 
 
 @dataclass(frozen=True)
-class BallMode:
-    """Radial profile R(r) = coeff_power * r^l + coeff_bessel * i_l(sqrt(tau) r) of a ball eigenfunction."""
-
-    l: int
-    N: int
-    tau: float
-    eigenvalue: float
-    coeff_power: float
-    coeff_bessel: float
-    multiplicity: int
-
-    def evaluate(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Profile and its first two radial derivatives at the given radii (ndarray, r > 0).
-
-        With beta = coeff_bessel c_0 s^l the profile is r^l (coeff_power + beta S(q)),
-        q = tau r^2 / 4, differentiated through S' = S_(nu+1) / (nu + 1).
-        """
-        r = np.asarray(r, dtype=float)
-        l, tau = self.l, self.tau
-        beta, T, S1, S2 = 0.0, 0.0, 0.0, 0.0
-        if self.coeff_bessel != 0.0:
-            nu = self.N / 2.0 - 1.0 + l
-            beta = self.coeff_bessel * float(leading_term(nu, l, math.sqrt(tau)))
-            T, S1, S2 = series_derivatives(nu, tau * r * r / 4.0, 2)
-        F = self.coeff_power + beta * (1.0 + T)
-        R = F * r**l
-        R1 = (l * F * r ** (l - 1) if l >= 1 else 0.0) + beta * tau / 2.0 * r ** (l + 1) * S1
-        R2 = (
-            (l * (l - 1) * F * r ** (l - 2) if l >= 2 else 0.0)
-            + beta * tau * (2 * l + 1) / 2.0 * r**l * S1
-            + beta * tau * tau / 4.0 * r ** (l + 2) * S2
-        )
-        return R, R1, R2
-
-
-def radial_profile(l: int, N: int, tau: float) -> BallMode:
-    """Radial eigenprofile of order l, normalized so the r^l coefficient equals 1.
-
-    For l in {0, 1} the pure power alone satisfies both boundary conditions and the
-    Bessel coefficient vanishes.
-    """
-    _check_tau(tau)
-    if l < 0:
-        raise DomainValidationError(f"angular order must be nonnegative, got {l}")
-    lam = eigenvalue_of_order(l, N, tau)
-    if l <= 1:
-        b = 0.0
-    else:
-        # R''(1) = 0 with A = 1: l(l-1) + B tau i_l''(s) = 0, and tau i_l''(s) = c_0 s^l V_2
-        nu = N / 2.0 - 1.0 + l
-        lead = float(leading_term(nu, l, math.sqrt(tau)))
-        if lead == 0.0:
-            raise NumericalError(f"Bessel coefficient of order l={l} underflows at tau={tau}")
-        b = l * (1.0 - l) / (lead * float(scaled_derivatives(l, nu, tau / 4.0)[2]))
-    return BallMode(l, N, tau, lam, 1.0, b, multiplicity_of_order(l, N))
-
-
-@dataclass(frozen=True)
 class SpectrumEntry:
     eigenvalue: float
     angular_order: int
@@ -203,94 +143,3 @@ def sorted_spectrum(N: int, tau: float, j_max: int) -> SortedSpectrum:
         entries.append(SpectrumEntry(lam, order, (start, start + mult - 1)))
         start += mult
     return SortedSpectrum(N, tau, j_max, tuple(entries))
-
-
-RadialCallable = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-def rayleigh_quotient(
-    radial: RadialCallable,
-    l: int,
-    N: int,
-    tau: float,
-    n_start: int = 32,
-    n_max: int = 1024,
-    rtol: float = 1e-8,
-) -> float:
-    """Rayleigh quotient of u = f(r) Y_l(theta) on the unit ball, reduced to a radial integral.
-
-    Parameters
-    ----------
-    radial : callable
-        Maps an ndarray of radii in (0, 1) to the triple (f, f', f'').  Must be smooth
-        with f(1) != 0, and f(r) = O(r) as r -> 0 when l >= 1.
-    l, N, tau :
-        Angular order, dimension, tension.
-
-    Returns
-    -------
-    float
-        ( integral of |D^2 u|^2 + tau |grad u|^2 ) / ( boundary integral of u^2 ),
-        with Y_l normalized in L^2 of the unit sphere.
-
-    Notes
-    -----
-    With alpha = l(l+N-2) the Hessian density reduces to the manifestly nonnegative
-    form
-
-        f''^2 + 2 alpha ((f' - f/r)/r)^2 + (N-1) (f'/r - beta f/r^2)^2 + c (f/r^2)^2,
-
-    beta = alpha/(N-1), c = (N-2) alpha (alpha-(N-1))/(N-1), and the gradient density
-    to f'^2 + alpha (f/r)^2; both are integrated against r^(N-1) dr on (0, 1).
-    Gauss-Legendre nodes are doubled from n_start until two successive values agree
-    to rtol relative.
-    """
-    _check_tau(tau)
-    if l < 0 or N < 2:
-        raise DomainValidationError(f"need l >= 0 and N >= 2, got l={l}, N={N}")
-    alpha = float(l * (l + N - 2))
-    beta = alpha / (N - 1.0)
-    c_extra = (N - 2.0) * alpha * (alpha - (N - 1.0)) / (N - 1.0)
-
-    f1 = radial(np.array([1.0]))[0][0]
-    if not (abs(f1) > 1e-14):
-        raise DomainValidationError("radial profile vanishes at r = 1; quotient undefined")
-
-    def quad(n: int) -> float:
-        x, w = np.polynomial.legendre.leggauss(n)
-        r = 0.5 * (x + 1.0)
-        w = 0.5 * w
-        f, fp, fpp = radial(r)
-        hess = (
-            fpp**2
-            + 2.0 * alpha * ((fp - f / r) / r) ** 2
-            + (N - 1.0) * (fp / r - beta * f / r**2) ** 2
-            + c_extra * (f / r**2) ** 2
-        )
-        grad = fp**2 + alpha * (f / r) ** 2
-        return float(np.sum(w * (hess + tau * grad) * r ** (N - 1))) / f1**2
-
-    prev = quad(n_start)
-    n = 2 * n_start
-    while n <= n_max:
-        cur = quad(n)
-        if abs(cur - prev) <= rtol * abs(cur):
-            return cur
-        prev = cur
-        n *= 2
-    raise NumericalError(f"radial quadrature did not converge to rtol={rtol} by n={n_max}")
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    values: tuple[float, ...]  # lambda_(1) .. lambda_(l_max)
-    passed: bool
-
-
-def verify_order_monotonicity(N: int, tau: float, l_max: int) -> MonotonicityReport:
-    """Check lambda_(1) < lambda_(2) and strict increase of lambda_(l) for 2 <= l <= l_max."""
-    if l_max < 2:
-        raise DomainValidationError(f"l_max must be >= 2, got {l_max}")
-    vals = tuple(eigenvalue_of_order(np.arange(1, l_max + 1), N, tau).tolist())
-    ok = vals[0] < vals[1] and all(vals[i] < vals[i + 1] for i in range(1, len(vals) - 1))
-    return MonotonicityReport(vals, ok)

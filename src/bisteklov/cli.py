@@ -21,7 +21,7 @@ import numpy as np
 from .ball_spectrum import sorted_spectrum
 from .concentration import convergence_sweep
 from .errors import DomainValidationError, NumericalError
-from .geometry import StarDomain
+from .geometry import StarDomain, _check_n_nodes
 from .iso_experiments import iso_scan
 from .shape_calculus import (
     PerturbationField,
@@ -29,7 +29,7 @@ from .shape_calculus import (
     fd_derivative,
     hadamard_derivative,
 )
-from .steklov_solver import assemble, boundary_rule_size, make_trial_basis, solve
+from .steklov_solver import _RULE_GRID, assemble, boundary_rule_size, make_trial_basis, solve
 
 _DOMAIN_KEYS = {"a0", "cos_coeffs", "sin_coeffs", "center"}
 
@@ -71,7 +71,9 @@ def _domain_as_dict(domain: StarDomain) -> dict:
     }
 
 
-def _parse_field(spec: str) -> PerturbationField:
+def _parse_field(spec: str, domain: StarDomain) -> PerturbationField:
+    """The normal velocity named by spec; one the largest boundary rule cannot resolve
+    on domain is refused before its coefficients are built."""
     if spec == "const":
         return PerturbationField(const=1.0)
     m = re.fullmatch(r"(cos|sin)([1-9][0-9]*)", spec)
@@ -79,7 +81,11 @@ def _parse_field(spec: str) -> PerturbationField:
         raise DomainValidationError(
             f"field {spec!r} not understood; use 'const', 'cosK' or 'sinK' with K >= 1"
         )
-    k = int(m.group(2))
+    try:
+        k = int(m.group(2))
+    except ValueError:  # beyond int()'s digit limit, so beyond any rule too
+        k = _RULE_GRID
+    _check_n_nodes(domain, _RULE_GRID, k)
     coeffs = (0.0,) * (k - 1) + (1.0,)
     if m.group(1) == "cos":
         return PerturbationField(cos_coeffs=coeffs)
@@ -150,7 +156,7 @@ def _solve_for(args, domain: StarDomain, field_modes: int = 0):
     basis = make_trial_basis(args.kmax, args.tau)
     n_boundary = boundary_rule_size(domain, basis, field_modes)
     forms = assemble(domain, args.tau, basis, n_boundary=n_boundary)
-    return solve(forms, args.svd_tol), basis
+    return solve(forms), basis
 
 
 def _cmd_solve(args) -> int:
@@ -161,7 +167,6 @@ def _cmd_solve(args) -> int:
         "domain": _domain_as_dict(domain),
         "tau": args.tau,
         "k_max": args.kmax,
-        "svd_tol": args.svd_tol,
         "eigenvalues": [float(v) for v in solution.eigenvalues],
         "clusters": [list(c) for c in solution.clusters],
         "diagnostics": {
@@ -177,7 +182,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_shape_derivative(args) -> int:
     domain = _load_domain(args.domain)
-    field = _parse_field(args.field)
+    field = _parse_field(args.field, domain)
     solution, basis = _solve_for(args, domain, field.max_mode)
     F = _resolve_F(args.F, solution)
     deriv = hadamard_derivative(domain, solution, basis, F, args.s, field)
@@ -234,8 +239,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_iso_scan(args) -> int:
     parameters = _parse_float_list(args.params, "parameter") if args.params is not None else None
-    result = iso_scan(args.family, parameters, tau=args.tau, mode=args.mode,
-                      k_max=args.kmax, svd_tol=args.svd_tol)
+    result = iso_scan(args.family, parameters, tau=args.tau, mode=args.mode, k_max=args.kmax)
     lines = ["family,parameter,area,tau,lambda2,ball_bound,margin"]
     for r in result.rows:
         lines.append(
@@ -245,12 +249,6 @@ def _cmd_iso_scan(args) -> int:
     lines.append(f"verdict,{'PASS' if result.verdict else 'FAIL'}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
-
-
-def _add_solver_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
-    p.add_argument("--svd-tol", type=float, default=1e-12, dest="svd_tol",
-                   help="relative Gram filtering threshold (default 1e-12)")
 
 
 @functools.cache
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="Galerkin spectrum on a star-shaped domain")
     p.add_argument("--domain", required=True, help="JSON file with a0/cos_coeffs/sin_coeffs/center")
     p.add_argument("--tau", type=float, required=True)
-    _add_solver_options(p)
+    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_solve)
 
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate-fd", action="store_true", dest="validate_fd",
                    help="also compute central finite differences of the assembled pencil")
     p.add_argument("--steps", default="1e-3,5e-4", help="FD step sizes (default 1e-3,5e-4)")
-    _add_solver_options(p)
+    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_shape_derivative)
 
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--F", default="AUTO")
-    _add_solver_options(p)
+    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_criticality)
 
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--params", help="comma-separated amplitudes or aspect ratios")
     p.add_argument("--mode", type=int, default=3, help="cosine mode for perturbed_disk (default 3)")
-    _add_solver_options(p)
+    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_iso_scan)
 

@@ -9,7 +9,7 @@ radius series on uniform angular grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,23 +151,6 @@ def rescale_to_area(domain: StarDomain, target_area: float) -> StarDomain:
         cos_coeffs=tuple(s * a for a in domain.cos_coeffs),
         sin_coeffs=tuple(s * b for b in domain.sin_coeffs),
         center=domain.center,
-    )
-
-
-def center_boundary_centroid(domain: StarDomain, n_nodes: int = 1024) -> StarDomain:
-    """Translate the domain so the arc-length centroid of its boundary sits at the origin.
-
-    The translation subtracts the quadrature centroid exactly, so one application
-    suffices at the resolution used.
-    """
-    bq = boundary_geometry(domain, n_nodes)
-    length = bq.weights.sum()
-    centroid = bq.weights @ bq.points / length
-    return StarDomain(
-        a0=domain.a0,
-        cos_coeffs=domain.cos_coeffs,
-        sin_coeffs=domain.sin_coeffs,
-        center=(domain.center[0] - centroid[0], domain.center[1] - centroid[1]),
     )
 
 

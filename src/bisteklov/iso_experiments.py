@@ -3,7 +3,7 @@
 Among domains of fixed area, the disk should maximize the first nonzero
 eigenvalue.  These experiments scan one-parameter families of star-shaped
 domains at fixed area, compare each member against the equal-area disk computed
-with the same discretization, and evaluate two related boundary inequalities.
+with the same discretization.
 """
 
 from __future__ import annotations
@@ -15,38 +15,23 @@ import numpy as np
 
 from ._util import parallel_map
 from .errors import DomainValidationError
-from .geometry import (
-    StarDomain,
-    area,
-    boundary_geometry,
-    center_boundary_centroid,
-    fourier_projection,
-    rescale_to_area,
-)
-from .steklov_solver import assemble, make_trial_basis, solve
+from .geometry import StarDomain, _check_n_nodes, area, fourier_projection, rescale_to_area
+from .steklov_solver import _RULE_GRID, assemble, make_trial_basis, solve
 
 _MARGIN_TOL = 1e-7
-_GAP_TOL = 1e-8
-_WEIGHTED_TOL = 1e-9
 
 _DEFAULT_AMPLITUDES = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12)
 _DEFAULT_ASPECTS = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 
 
-def _solve_domain(domain: StarDomain, tau: float, k_max: int, svd_tol: float):
-    return solve(assemble(domain, tau, make_trial_basis(k_max, tau)), svd_tol)
-
-
-def lambda2_of(
-    domain: StarDomain, tau: float, k_max: int = 10, svd_tol: float = 1e-12
-) -> float:
+def lambda2_of(domain: StarDomain, tau: float, k_max: int = 10) -> float:
     """First nonzero Steklov eigenvalue of the domain.
 
     The trial basis is expanded about the domain's own centre, so a translation
     moves every boundary node with the basis and leaves the eigenvalues unchanged;
     the domain is solved where it stands, without centring.
     """
-    return float(_solve_domain(domain, tau, k_max, svd_tol).eigenvalues[1])
+    return float(solve(assemble(domain, tau, make_trial_basis(k_max, tau))).eigenvalues[1])
 
 
 def make_family(
@@ -67,6 +52,8 @@ def make_family(
     if params == ():
         raise DomainValidationError("no parameter values given")
     if family == "perturbed_disk":
+        # refuse a mode the largest boundary rule cannot resolve before building it
+        _check_n_nodes(StarDomain(a0=1.0), _RULE_GRID, mode)
         params = _DEFAULT_AMPLITUDES if params is None else params
         out = []
         for amp in params:
@@ -112,7 +99,6 @@ def iso_scan(
     mode: int = 3,
     target_area: float = math.pi,
     k_max: int = 10,
-    svd_tol: float = 1e-12,
 ) -> IsoScanResult:
     """Compare lambda_2 across a fixed-area family against the equal-area disk.
 
@@ -123,10 +109,8 @@ def iso_scan(
     """
     members = make_family(family, parameters, mode=mode, target_area=target_area)
     radius = math.sqrt(target_area / math.pi)
-    bound = lambda2_of(StarDomain(a0=radius), tau, k_max=k_max, svd_tol=svd_tol)
-    lam2s = parallel_map(
-        lambda m: lambda2_of(m[1], tau, k_max=k_max, svd_tol=svd_tol), members
-    )
+    bound = lambda2_of(StarDomain(a0=radius), tau, k_max=k_max)
+    lam2s = parallel_map(lambda m: lambda2_of(m[1], tau, k_max=k_max), members)
     rows = []
     verdict = True
     for (param, dom), lam2 in zip(members, lam2s):
@@ -138,53 +122,3 @@ def iso_scan(
             verdict = False
         rows.append(IsoScanRow(family, param, area(dom), tau, lam2, bound, margin))
     return IsoScanResult(rows=tuple(rows), verdict=verdict)
-
-
-def inverse_sum_bound(
-    domain: StarDomain, tau: float, k_max: int = 10, svd_tol: float = 1e-12, n_nodes: int = 1024
-) -> tuple[float, float, float]:
-    """Check 1/lambda_2 + 1/lambda_3 against its boundary-moment lower bound.
-
-    Returns (lhs, rhs, gap) with rhs the second boundary moment divided by tau
-    times the area, and gap = lhs - rhs; the bound holds when gap >= 0, with
-    equality on the disk.  Centroid centering is applied first, which makes the
-    coordinate trial functions admissible.
-    """
-    dom = center_boundary_centroid(domain)
-    sol = _solve_domain(dom, tau, k_max, svd_tol)
-    lam2, lam3 = float(sol.eigenvalues[1]), float(sol.eigenvalues[2])
-    lhs = 1.0 / lam2 + 1.0 / lam3
-    bq = boundary_geometry(dom, n_nodes)
-    moment = float(np.dot(bq.weights, np.einsum("nc,nc->n", bq.points, bq.points)))
-    rhs = moment / (tau * area(dom))
-    return lhs, rhs, lhs - rhs
-
-
-_WEIGHT_CATALOG = {
-    "t": lambda t: t,
-    "t2": lambda t: t**2,
-    "t4": lambda t: t**4,
-}
-
-
-def weighted_boundary_inequality_check(
-    domain: StarDomain, f: str = "t2", n_nodes: int = 1024
-) -> tuple[float, float, bool]:
-    """Check the moment inequality for f(|x|) against the equal-area disk.
-
-    For the admissible increasing convex weights in the catalog (f = t, t^2, t^4),
-    the boundary integral of f(|x|) on a centered star-shaped domain is at least
-    its value on the disk of equal area, f(R) 2 pi R.  Returns (lhs, rhs, verdict)
-    with verdict true when lhs >= rhs - 1e-9.
-    """
-    if f not in _WEIGHT_CATALOG:
-        raise DomainValidationError(
-            f"weight {f!r} not in the admissible catalog {sorted(_WEIGHT_CATALOG)}"
-        )
-    fn = _WEIGHT_CATALOG[f]
-    dom = center_boundary_centroid(domain)
-    bq = boundary_geometry(dom, n_nodes)
-    lhs = float(np.dot(bq.weights, fn(np.hypot(bq.points[:, 0], bq.points[:, 1]))))
-    R = math.sqrt(area(dom) / math.pi)
-    rhs = fn(R) * 2.0 * math.pi * R
-    return lhs, rhs, lhs >= rhs - _WEIGHTED_TOL

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainValidationError
-from .geometry import StarDomain, boundary_geometry, fourier_projection, grid_series
-from .geometry import _check_n_nodes
+from .geometry import StarDomain, _check_n_nodes, fourier_projection, grid_series
 from .steklov_solver import (
     EigenSolution,
     TrialBasis,
@@ -45,35 +44,6 @@ class PerturbationField:
     def samples(self, n: int) -> np.ndarray:
         """g at theta_j = 2 pi j / n."""
         return grid_series(self.const, self.cos_coeffs, self.sin_coeffs, n)
-
-
-def volume_preserving_projection(
-    field: PerturbationField, domain: StarDomain, n_nodes: int = 512
-) -> PerturbationField:
-    """Remove the constant offset that changes area at first order.
-
-    The linearized volume change under normal velocity g is the boundary integral
-    of g, so subtracting its arc-length mean makes the field volume preserving.
-    """
-    _check_n_nodes(domain, n_nodes, field.max_mode)
-    bq = boundary_geometry(domain, n_nodes)
-    g = field.samples(n_nodes)
-    mean = float(np.dot(bq.weights, g) / bq.weights.sum())
-    return PerturbationField(
-        const=field.const - mean, cos_coeffs=field.cos_coeffs, sin_coeffs=field.sin_coeffs
-    )
-
-
-def is_volume_preserving(
-    field: PerturbationField, domain: StarDomain, n_nodes: int = 512, tol: float = 1e-12
-) -> bool:
-    """Whether the boundary integral of g vanishes to the given tolerance."""
-    _check_n_nodes(domain, n_nodes, field.max_mode)
-    bq = boundary_geometry(domain, n_nodes)
-    g = field.samples(n_nodes)
-    total = float(np.dot(bq.weights, g))
-    scale = max(1.0, float(np.dot(bq.weights, np.abs(g))))
-    return abs(total) <= tol * scale
 
 
 def symmetric_function(eigenvalues, F: tuple[int, ...], s: int) -> float:

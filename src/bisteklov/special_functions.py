@@ -127,27 +127,6 @@ def _check_z(z: float) -> None:
         raise DomainValidationError(f"argument must be positive, got z={z}")
 
 
-def modified_bessel_I(order: float, z: float) -> float:
-    """Modified Bessel function of the first kind, I_order(z) = c_0 z^order S_order(z^2/4).
-
-    Parameters
-    ----------
-    order : float
-        Nonnegative order; half-integers occur for odd space dimensions.
-    z : float
-        Argument, 0 < z <= 100.
-
-    Returns
-    -------
-    float
-        I_order(z), accurate to about 1e-13 relative.
-    """
-    if order < 0:
-        raise DomainValidationError(f"order must be nonnegative, got {order}")
-    _check_z(z)
-    return float(leading_term(order, order, z) * (1.0 + series_tail(order, z * z / 4.0)))
-
-
 def _check_ultraspherical_args(l: int, N: int) -> None:
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise DomainValidationError(f"angular order l must be a nonnegative integer, got {l}")

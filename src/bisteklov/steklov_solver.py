@@ -42,6 +42,8 @@ from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry, min_nod
 from .special_functions import _check_tau, integer_order_tails, series_tail
 
 _CLUSTER_RELGAP = 1e-6
+# relative level below which an eigenvalue of the scaled Gram matrix is filtered
+_GRAM_TOL = 1e-12
 # boundary rule sizing: the angles the integrand's spectrum is read on, which also
 # cap the rule, and the level relative to the mean a Fourier mode must exceed to count
 _RULE_GRID = 2048
@@ -156,28 +158,6 @@ def _eval_all(
     np.add(f0 * hxy + f1 * (x * hy + y * hx), f2 * x * y * h, out=hess[1, ..., 1])
     np.add(f0 * hyy + 2.0 * f1 * y * hy, h * (f1 + f2 * y * y), out=hess[1, ..., 2])
     return val.reshape(basis.size, n), grad.reshape(basis.size, n, 2), hess.reshape(basis.size, n, 3)
-
-
-def eval_basis(
-    basis: TrialBasis,
-    index: int,
-    point,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of one trial function at one point.
-
-    Returns (value, gradient (2,), hessian (2, 2)).  Every point is accepted, the
-    expansion center included: the rows are smooth Cartesian products (see
-    _eval_all), so no polar singularity arises there.
-    """
-    if not (0 <= index < basis.size):
-        raise DomainValidationError(f"basis index {index} outside 0..{basis.size - 1}")
-    pt = np.asarray(point, dtype=float).reshape(1, 2)
-    val, grad, hess = _eval_all(basis, pt, center)
-    H = np.array(
-        [[hess[index, 0, 0], hess[index, 0, 1]], [hess[index, 0, 1], hess[index, 0, 2]]]
-    )
-    return float(val[index, 0]), grad[index, 0].copy(), H
 
 
 @dataclass(frozen=True)
@@ -322,11 +302,11 @@ def _detect_clusters(lam: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(clusters)
 
 
-def solve(forms: AssembledForms, svd_tol: float = 1e-12) -> EigenSolution:
+def solve(forms: AssembledForms) -> EigenSolution:
     """Solve the pencil a(u, v) = lambda b(u, v) on the span of the assembled basis.
 
     Pipeline: symmetric diagonal scaling of both matrices, spectral filtering of the
-    combined Gram matrix g = a + b at relative threshold svd_tol and whitening, then
+    combined Gram matrix g = a + b at relative threshold 1e-12 and whitening, then
     the definite pencil b x = mu g x, whose eigenvalues mu = 1 / (1 + lambda) lie in
     [0, 1].  Directions with mu below 1e-12 of the largest carry no boundary trace
     (infinite Steklov eigenvalues; counted in the diagnostics) and are dropped; the
@@ -337,13 +317,11 @@ def solve(forms: AssembledForms, svd_tol: float = 1e-12) -> EigenSolution:
     in the boundary inner product.
     """
     with _blas_scope(forms.stiffness.shape[0]):
-        return _solve(forms, svd_tol)
+        return _solve(forms)
 
 
-def _solve(forms: AssembledForms, svd_tol: float) -> EigenSolution:
+def _solve(forms: AssembledForms) -> EigenSolution:
     A, B = forms.stiffness, forms.boundary_mass
-    if not (0.0 < svd_tol < 1.0):
-        raise DomainValidationError(f"svd_tol must lie in (0, 1), got {svd_tol}")
     d = np.sqrt(np.diag(A) + np.diag(B))
     if not np.all(d > 0.0):
         raise NumericalError("assembled forms have an identically zero basis direction")
@@ -355,9 +333,9 @@ def _solve(forms: AssembledForms, svd_tol: float) -> EigenSolution:
         sg, U = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigendecomposition failed: {exc}") from exc
-    keep = sg > svd_tol * sg[-1]
+    keep = sg > _GRAM_TOL * sg[-1]
     if not np.any(keep):
-        raise NumericalError("all basis directions filtered; svd_tol too aggressive")
+        raise NumericalError("all basis directions filtered")
     cond = float(sg[-1] / sg[keep].min())
     P = U[:, keep] / np.sqrt(sg[keep])
 

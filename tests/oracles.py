@@ -15,21 +15,40 @@ as a reference for the package's inverse-FFT sampler on the uniform grid.
 Shape derivatives are also differenced eigenvalue by eigenvalue, re-solving each
 perturbed domain and matching its eigenvalues to the cluster by index, as a
 reference for the package's difference of the assembled pencil.
+The ball's radial eigenprofiles and their Rayleigh quotient give a second route
+to the closed-form ball eigenvalues, and two boundary inequalities are evaluated
+on centroid-centred domains: the inverse-sum bound on 1/lambda_2 + 1/lambda_3 and
+the weighted boundary moments against the equal-area disk.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
 
+from bisteklov.ball_spectrum import eigenvalue_of_order, multiplicity_of_order
 from bisteklov.concentration import _GAUSS_PER_ELEMENT
 from bisteklov.errors import DomainValidationError, NumericalError
-from bisteklov.geometry import StarDomain, interior_quadrature
+from bisteklov.geometry import StarDomain, area, boundary_geometry, interior_quadrature
 from bisteklov.shape_calculus import FDResult, realize_perturbation, symmetric_function
-from bisteklov.special_functions import BesselEval, leading_term, ultraspherical_i_tail
-from bisteklov.steklov_solver import _eval_all, assemble, boundary_rule_size, solve
+from bisteklov.special_functions import (
+    BesselEval,
+    _check_tau,
+    leading_term,
+    scaled_derivatives,
+    series_derivatives,
+    ultraspherical_i_tail,
+)
+from bisteklov.steklov_solver import (
+    _eval_all,
+    assemble,
+    boundary_rule_size,
+    make_trial_basis,
+    solve,
+)
 
 
 def interior_stiffness(domain, basis, n_r: int = 32, n_theta: int = 256) -> np.ndarray:
@@ -388,14 +407,13 @@ def tracked_fd_derivative(
     s: int,
     field,
     steps: tuple[float, ...] = (1e-3, 5e-4),
-    svd_tol: float = 1e-12,
 ) -> FDResult:
     """Central finite differences of e_s over the cluster F along the field, per step.
 
     Reference for `shape_calculus.fd_derivative`.  solution is the base domain's,
     solved with this basis; each perturbed domain is assembled on a rule at least as
     large as the base one, larger where its own modes need it (boundary_rule_size),
-    and solved with the same svd_tol.  Eigenvalues of the perturbed domains are
+    and solved.  Eigenvalues of the perturbed domains are
     matched to the base cluster by index; if any tracked eigenvalue moves by more
     than 0.45 of the gap separating the cluster from its neighbors, tracking is
     ambiguous and NumericalError is raised.  The two smallest steps are
@@ -412,7 +430,7 @@ def tracked_fd_derivative(
 
     def eigs_of(dom: StarDomain) -> np.ndarray:
         n = max(n_boundary, boundary_rule_size(dom, basis))
-        return solve(assemble(dom, tau, basis, n_boundary=n), svd_tol).eigenvalues
+        return solve(assemble(dom, tau, basis, n_boundary=n)).eigenvalues
 
     base = solution.eigenvalues
     if F[-1] >= len(base):
@@ -445,3 +463,201 @@ def tracked_fd_derivative(
     else:
         extrapolated = estimates[-1]
     return FDResult(steps=steps, estimates=tuple(estimates), extrapolated=extrapolated)
+
+
+@dataclass(frozen=True)
+class BallMode:
+    """Radial profile R(r) = coeff_power * r^l + coeff_bessel * i_l(sqrt(tau) r) of a ball eigenfunction."""
+
+    l: int
+    N: int
+    tau: float
+    eigenvalue: float
+    coeff_power: float
+    coeff_bessel: float
+    multiplicity: int
+
+    def evaluate(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Profile and its first two radial derivatives at the given radii (ndarray, r > 0).
+
+        With beta = coeff_bessel c_0 s^l the profile is r^l (coeff_power + beta S(q)),
+        q = tau r^2 / 4, differentiated through S' = S_(nu+1) / (nu + 1).
+        """
+        r = np.asarray(r, dtype=float)
+        l, tau = self.l, self.tau
+        beta, T, S1, S2 = 0.0, 0.0, 0.0, 0.0
+        if self.coeff_bessel != 0.0:
+            nu = self.N / 2.0 - 1.0 + l
+            beta = self.coeff_bessel * float(leading_term(nu, l, math.sqrt(tau)))
+            T, S1, S2 = series_derivatives(nu, tau * r * r / 4.0, 2)
+        F = self.coeff_power + beta * (1.0 + T)
+        R = F * r**l
+        R1 = (l * F * r ** (l - 1) if l >= 1 else 0.0) + beta * tau / 2.0 * r ** (l + 1) * S1
+        R2 = (
+            (l * (l - 1) * F * r ** (l - 2) if l >= 2 else 0.0)
+            + beta * tau * (2 * l + 1) / 2.0 * r**l * S1
+            + beta * tau * tau / 4.0 * r ** (l + 2) * S2
+        )
+        return R, R1, R2
+
+
+def radial_profile(l: int, N: int, tau: float) -> BallMode:
+    """Radial eigenprofile of order l, normalized so the r^l coefficient equals 1.
+
+    For l in {0, 1} the pure power alone satisfies both boundary conditions and the
+    Bessel coefficient vanishes.
+    """
+    _check_tau(tau)
+    if l < 0:
+        raise DomainValidationError(f"angular order must be nonnegative, got {l}")
+    lam = eigenvalue_of_order(l, N, tau)
+    if l <= 1:
+        b = 0.0
+    else:
+        # R''(1) = 0 with A = 1: l(l-1) + B tau i_l''(s) = 0, and tau i_l''(s) = c_0 s^l V_2
+        nu = N / 2.0 - 1.0 + l
+        lead = float(leading_term(nu, l, math.sqrt(tau)))
+        if lead == 0.0:
+            raise NumericalError(f"Bessel coefficient of order l={l} underflows at tau={tau}")
+        b = l * (1.0 - l) / (lead * float(scaled_derivatives(l, nu, tau / 4.0)[2]))
+    return BallMode(l, N, tau, lam, 1.0, b, multiplicity_of_order(l, N))
+
+
+def rayleigh_quotient(
+    radial,
+    l: int,
+    N: int,
+    tau: float,
+    n_start: int = 32,
+    n_max: int = 1024,
+    rtol: float = 1e-8,
+) -> float:
+    """Rayleigh quotient of u = f(r) Y_l(theta) on the unit ball, reduced to a radial integral.
+
+    Parameters
+    ----------
+    radial : callable
+        Maps an ndarray of radii in (0, 1) to the triple (f, f', f'').  Must be smooth
+        with f(1) != 0, and f(r) = O(r) as r -> 0 when l >= 1.
+    l, N, tau :
+        Angular order, dimension, tension.
+
+    Returns
+    -------
+    float
+        ( integral of |D^2 u|^2 + tau |grad u|^2 ) / ( boundary integral of u^2 ),
+        with Y_l normalized in L^2 of the unit sphere.
+
+    Notes
+    -----
+    With alpha = l(l+N-2) the Hessian density reduces to the manifestly nonnegative
+    form
+
+        f''^2 + 2 alpha ((f' - f/r)/r)^2 + (N-1) (f'/r - beta f/r^2)^2 + c (f/r^2)^2,
+
+    beta = alpha/(N-1), c = (N-2) alpha (alpha-(N-1))/(N-1), and the gradient density
+    to f'^2 + alpha (f/r)^2; both are integrated against r^(N-1) dr on (0, 1).
+    Gauss-Legendre nodes are doubled from n_start until two successive values agree
+    to rtol relative.
+    """
+    _check_tau(tau)
+    if l < 0 or N < 2:
+        raise DomainValidationError(f"need l >= 0 and N >= 2, got l={l}, N={N}")
+    alpha = float(l * (l + N - 2))
+    beta = alpha / (N - 1.0)
+    c_extra = (N - 2.0) * alpha * (alpha - (N - 1.0)) / (N - 1.0)
+
+    f1 = radial(np.array([1.0]))[0][0]
+    if not (abs(f1) > 1e-14):
+        raise DomainValidationError("radial profile vanishes at r = 1; quotient undefined")
+
+    def quad(n: int) -> float:
+        x, w = np.polynomial.legendre.leggauss(n)
+        r = 0.5 * (x + 1.0)
+        w = 0.5 * w
+        f, fp, fpp = radial(r)
+        hess = (
+            fpp**2
+            + 2.0 * alpha * ((fp - f / r) / r) ** 2
+            + (N - 1.0) * (fp / r - beta * f / r**2) ** 2
+            + c_extra * (f / r**2) ** 2
+        )
+        grad = fp**2 + alpha * (f / r) ** 2
+        return float(np.sum(w * (hess + tau * grad) * r ** (N - 1))) / f1**2
+
+    prev = quad(n_start)
+    n = 2 * n_start
+    while n <= n_max:
+        cur = quad(n)
+        if abs(cur - prev) <= rtol * abs(cur):
+            return cur
+        prev = cur
+        n *= 2
+    raise NumericalError(f"radial quadrature did not converge to rtol={rtol} by n={n_max}")
+
+
+def center_boundary_centroid(domain: StarDomain, n_nodes: int = 1024) -> StarDomain:
+    """Translate the domain so the arc-length centroid of its boundary sits at the origin.
+
+    The translation subtracts the quadrature centroid exactly, so one application
+    suffices at the resolution used.
+    """
+    bq = boundary_geometry(domain, n_nodes)
+    length = bq.weights.sum()
+    centroid = bq.weights @ bq.points / length
+    return StarDomain(
+        a0=domain.a0,
+        cos_coeffs=domain.cos_coeffs,
+        sin_coeffs=domain.sin_coeffs,
+        center=(domain.center[0] - centroid[0], domain.center[1] - centroid[1]),
+    )
+
+
+def inverse_sum_bound(
+    domain: StarDomain, tau: float, k_max: int = 10, n_nodes: int = 1024
+) -> tuple[float, float, float]:
+    """Check 1/lambda_2 + 1/lambda_3 against its boundary-moment lower bound.
+
+    Returns (lhs, rhs, gap) with rhs the second boundary moment divided by tau
+    times the area, and gap = lhs - rhs; the bound holds when gap >= 0, with
+    equality on the disk.  Centroid centering is applied first, which makes the
+    coordinate trial functions admissible.
+    """
+    dom = center_boundary_centroid(domain)
+    sol = solve(assemble(dom, tau, make_trial_basis(k_max, tau)))
+    lam2, lam3 = float(sol.eigenvalues[1]), float(sol.eigenvalues[2])
+    lhs = 1.0 / lam2 + 1.0 / lam3
+    bq = boundary_geometry(dom, n_nodes)
+    moment = float(np.dot(bq.weights, np.einsum("nc,nc->n", bq.points, bq.points)))
+    rhs = moment / (tau * area(dom))
+    return lhs, rhs, lhs - rhs
+
+
+_WEIGHT_CATALOG = {
+    "t": lambda t: t,
+    "t2": lambda t: t**2,
+    "t4": lambda t: t**4,
+}
+
+
+def weighted_boundary_inequality_check(
+    domain: StarDomain, f: str = "t2", n_nodes: int = 1024
+) -> tuple[float, float, bool]:
+    """Check the moment inequality for f(|x|) against the equal-area disk.
+
+    For the admissible increasing convex weights in the catalog (f = t, t^2, t^4),
+    the boundary integral of f(|x|) on a centered star-shaped domain is at least
+    its value on the disk of equal area, f(R) 2 pi R.  Returns (lhs, rhs, verdict)
+    with verdict true when lhs >= rhs - 1e-9.
+    """
+    if f not in _WEIGHT_CATALOG:
+        raise DomainValidationError(
+            f"weight {f!r} not in the admissible catalog {sorted(_WEIGHT_CATALOG)}"
+        )
+    fn = _WEIGHT_CATALOG[f]
+    dom = center_boundary_centroid(domain)
+    bq = boundary_geometry(dom, n_nodes)
+    lhs = float(np.dot(bq.weights, fn(np.hypot(bq.points[:, 0], bq.points[:, 1]))))
+    R = math.sqrt(area(dom) / math.pi)
+    rhs = fn(R) * 2.0 * math.pi * R
+    return lhs, rhs, lhs >= rhs - 1e-9

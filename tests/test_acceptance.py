@@ -21,18 +21,20 @@ from bisteklov import (
     eigenvalue_of_order,
     fd_derivative,
     hadamard_derivative,
-    inverse_sum_bound,
     iso_scan,
     lambda2_of,
     make_radial_mesh,
     make_trial_basis,
     merged_spectrum,
-    radial_profile,
-    rayleigh_quotient,
     rescale_to_area,
     solve,
     sorted_spectrum,
-    verify_order_monotonicity,
+)
+
+from oracles import (
+    inverse_sum_bound,
+    radial_profile,
+    rayleigh_quotient,
     weighted_boundary_inequality_check,
 )
 
@@ -113,7 +115,8 @@ def test_criterion_4_order_monotonicity(capsys):
     failures = []
     for N in DIM_GRID:
         for tau in TAU_GRID:
-            if not verify_order_monotonicity(N, tau, 10).passed:
+            vals = eigenvalue_of_order(np.arange(1, 11), N, tau)
+            if not (vals[0] < vals[1] and np.all(np.diff(vals[1:]) > 0.0)):
                 failures.append((N, tau))
     ok = not failures
     report(capsys, 4, ok, f"l = 1..10 over N in {DIM_GRID}, tau in {TAU_GRID}, failures: {failures}")

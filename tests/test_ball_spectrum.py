@@ -8,19 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisteklov import (
-    BallMode,
     DomainValidationError,
     NumericalError,
     eigenvalue_of_order,
     multiplicity_of_order,
-    radial_profile,
-    rayleigh_quotient,
     sorted_spectrum,
-    verify_order_monotonicity,
 )
 from bisteklov.special_functions import ultraspherical_i
 
-from oracles import cartesian_quotient_2d
+from oracles import BallMode, cartesian_quotient_2d, radial_profile, rayleigh_quotient
 
 # Frozen outputs of an independent Rayleigh-quotient minimization over the
 # two-dimensional trial space {r^l, i_l(sqrt(tau) r)}, which agrees with the
@@ -292,13 +288,9 @@ class TestSortedSpectrum:
 
 class TestMonotonicity:
     def test_holds_on_parameter_grid(self):
+        # lambda_(1) < lambda_(2), then strictly increasing in l up to 10
         for N in (2, 3, 4):
             for tau in (0.1, 1.0, 5.0, 20.0, 100.0):
-                report = verify_order_monotonicity(N, tau, 10)
-                assert report.passed, (N, tau)
-                assert report.values[0] == pytest.approx(tau, rel=1e-13)
-                assert len(report.values) == 10
-
-    def test_validation(self):
-        with pytest.raises(DomainValidationError):
-            verify_order_monotonicity(2, 1.0, 1)
+                vals = eigenvalue_of_order(np.arange(1, 11), N, tau)
+                assert vals[0] < vals[1] and np.all(np.diff(vals[1:]) > 0.0), (N, tau)
+                assert vals[0] == pytest.approx(tau, rel=1e-13)

@@ -92,6 +92,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "--domain", disk_file, "--tau", "1.0")
         assert code == 0
         doc = json.loads(out)
+        assert list(doc) == ["domain", "tau", "k_max", "eigenvalues", "clusters", "diagnostics"]
         assert doc["tau"] == 1.0
         assert abs(doc["eigenvalues"][0]) < 1e-8
         assert doc["eigenvalues"][1] == pytest.approx(1.0, rel=1e-8)
@@ -325,15 +326,20 @@ class TestExitCodes:
         assert out == ""
         assert "eps" in err
 
-    def test_field_beyond_boundary_rule(self, capsys, disk_file):
-        # cos512 needs a rule of more than 2048 nodes, the largest the solver builds
+    @pytest.mark.parametrize("field", ["cos512", "sin10000000000000000000", "cos" + "9" * 5000],
+                             ids=["cos512", "sin1e19", "cos5000digits"])
+    def test_field_beyond_boundary_rule(self, capsys, disk_file, work_counts, field):
+        # cosK needs a rule of 4 (K + 1) nodes, more than the 2048 the solver builds
+        # from K = 512 on; it is refused before any solve (K = 1e19 once overflowed
+        # building its coefficients, and 5000 digits exceed int()'s limit)
         code, out, err = run_cli(
             capsys, "shape-derivative", "--domain", disk_file, "--tau", "1.0",
-            "--field", "cos512",
+            "--field", field,
         )
         assert code == 2
         assert out == ""
         assert "n_nodes" in err
+        assert work_counts == {"assemble": 0, "_eval_all": 0, "solve": 0}
 
     @pytest.mark.parametrize("steps", ["1e-3,1e-3", "nan", "inf", "1e-3,nan"])
     def test_bad_fd_steps(self, capsys, perturbed_file, steps):
@@ -413,6 +419,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "mode" in err
+
+    @pytest.mark.parametrize("mode", ["512", "10000000000000000000"])
+    def test_iso_scan_mode_beyond_boundary_rule(self, capsys, work_counts, mode):
+        # refused before the disk reference is solved; 1e19 once overflowed
+        code, out, err = run_cli(
+            capsys, "iso-scan", "--family", "perturbed_disk", "--tau", "1.0",
+            "--params", "0.0,0.08", "--mode", mode,
+        )
+        assert code == 2
+        assert out == ""
+        assert "n_nodes" in err
+        assert work_counts["solve"] == 0
 
     def test_missing_required_argument(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--domain", "x.json")
@@ -558,8 +576,7 @@ _DOMAIN = st.fixed_dictionaries(
         "center": st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats()), min_size=1, max_size=3),
     },
 )
-_SOLVER = st.tuples(st.just("--kmax"), st.integers(-2, 20).map(str),
-                    st.just("--svd-tol"), st.one_of(st.just("1e-12"), _NUMBER))
+_SOLVER = st.tuples(st.just("--kmax"), st.integers(-2, 20).map(str))
 _FIELD = st.one_of(
     st.just("const"),
     st.builds("{}{}".format, st.sampled_from(["cos", "sin"]), st.integers(0, 1000)),

@@ -10,12 +10,11 @@ from bisteklov import (
     StarDomain,
     area,
     boundary_geometry,
-    center_boundary_centroid,
     interior_quadrature,
     rescale_to_area,
 )
 from bisteklov.geometry import _POSITIVITY_GRID, grid_series
-from oracles import trig_series
+from oracles import center_boundary_centroid, trig_series
 
 DISK = StarDomain(a0=1.0)
 WOBBLY = StarDomain(a0=1.0, cos_coeffs=(0.05, 0.0, 0.08), sin_coeffs=(0.0, 0.03), center=(0.2, -0.1))

@@ -9,14 +9,13 @@ from bisteklov import (
     DomainValidationError,
     StarDomain,
     area,
-    center_boundary_centroid,
-    inverse_sum_bound,
     iso_scan,
     lambda2_of,
     make_family,
     rescale_to_area,
-    weighted_boundary_inequality_check,
 )
+
+from oracles import center_boundary_centroid, inverse_sum_bound, weighted_boundary_inequality_check
 
 DISK = StarDomain(a0=1.0)
 
@@ -89,6 +88,15 @@ class TestMakeFamily:
         for mode in (0, -1):
             with pytest.raises(DomainValidationError):
                 make_family("perturbed_disk", parameters=(0.1,), mode=mode)
+
+    def test_mode_beyond_boundary_rule(self):
+        # mode M needs 4 (M + 1) boundary nodes, more than the 2048 of the largest
+        # rule from M = 512 on; 10^19 once overflowed building the coefficients
+        [(_, member)] = make_family("perturbed_disk", parameters=(0.01,), mode=511)
+        assert len(member.cos_coeffs) == 511
+        for mode in (512, 10**19):
+            with pytest.raises(DomainValidationError):
+                make_family("perturbed_disk", parameters=(0.01,), mode=mode)
 
 
 class TestIsoScan:

@@ -19,13 +19,11 @@ from bisteklov import (
     criticality_residual,
     fd_derivative,
     hadamard_derivative,
-    is_volume_preserving,
     make_trial_basis,
     realize_perturbation,
     rescale_to_area,
     solve,
     symmetric_function,
-    volume_preserving_projection,
 )
 from oracles import tracked_fd_derivative
 
@@ -115,36 +113,6 @@ class TestSymmetricFunction:
         )
         got = symmetric_function(values, F, s)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-class TestVolumePreservation:
-    def test_pure_trig_on_disk(self):
-        f = PerturbationField(cos_coeffs=(0.0, 1.0))
-        assert is_volume_preserving(f, DISK)
-
-    def test_constant_is_not(self):
-        f = PerturbationField(const=1.0)
-        assert not is_volume_preserving(f, DISK)
-        proj = volume_preserving_projection(f, DISK)
-        assert proj.const == pytest.approx(0.0, abs=1e-14)
-        assert is_volume_preserving(proj, DISK)
-
-    def test_trig_on_bumpy_domain_needs_projection(self):
-        # the arc element weights cos(2 theta) unevenly once the boundary is bumpy
-        f = PerturbationField(cos_coeffs=(0.0, 1.0))
-        assert not is_volume_preserving(f, PERTURBED)
-        proj = volume_preserving_projection(f, PERTURBED)
-        assert is_volume_preserving(proj, PERTURBED)
-        assert proj.cos_coeffs == f.cos_coeffs
-
-    def test_unresolved_field(self):
-        # 512 nodes resolve modes below 128 of domain and field together
-        f = PerturbationField(cos_coeffs=(0.0,) * 511 + (1.0,))
-        with pytest.raises(DomainValidationError):
-            is_volume_preserving(f, DISK)
-        with pytest.raises(DomainValidationError):
-            volume_preserving_projection(f, DISK)
-        assert is_volume_preserving(f, DISK, n_nodes=4 * 513)
 
 
 class TestRealizePerturbation:
