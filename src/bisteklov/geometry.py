@@ -61,7 +61,9 @@ def grid_series(const, cos_coeffs, sin_coeffs, n: int, derivatives: bool = False
     c_k = a_k - i b_k, and its d-th derivative has the spectrum (ik)^d c_k.  On the
     grid mode k equals mode k mod n, so the modes are folded modulo n; the
     Hermitian part of the folded spectrum has the same real samples, which one
-    batched inverse real FFT returns.
+    batched inverse real FFT returns.  Its factor 1/2 is applied to the samples:
+    halving is exact for normal floats either way, but a halved subnormal
+    coefficient rounds to zero and drops its mode.
     """
     k = np.concatenate([np.arange(1, len(cos_coeffs) + 1), np.arange(1, len(sin_coeffs) + 1)])
     c = np.concatenate([np.asarray(cos_coeffs, dtype=complex),
@@ -72,7 +74,7 @@ def grid_series(const, cos_coeffs, sin_coeffs, n: int, derivatives: bool = False
     folded[0, 0] += const
     # modes 0..n//2 and their mirrors -m mod n = 0, n-1, ..., n - n//2
     mirror = np.concatenate([folded[:, :1], folded[:, : n - n // 2 - 1 : -1]], axis=1)
-    f = np.fft.irfft(0.5 * (folded[:, : n // 2 + 1] + mirror.conj()), n, norm="forward")
+    f = 0.5 * np.fft.irfft(folded[:, : n // 2 + 1] + mirror.conj(), n, norm="forward")
     return (f[0], f[1], f[2]) if derivatives else f[0]
 
 
