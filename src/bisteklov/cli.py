@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("perturbed_disk", "ellipse_like"), required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--params", help="comma-separated amplitudes or aspect ratios")
-    p.add_argument("--mode", type=int, default=3, help="cosine mode for perturbed_disk (default 3)")
+    p.add_argument("--mode", type=int, help="cosine mode of perturbed_disk (default 3); "
+                   "ellipse_like takes none")
     p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_iso_scan)

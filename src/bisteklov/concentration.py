@@ -8,12 +8,14 @@ problem into angular modes; each mode is discretized with cubic Hermite elements
 in the radius, so values and radial derivatives are both nodal unknowns and the
 bending energy is represented exactly within the element space.  Assembly is
 vectorised per mesh, over all elements at once, straight into each mode's lower
-band (half-bandwidth 3), and its pencil is solved from one banded Cholesky factor
-of S + M, by Lanczos iteration for only the few eigenvalues the merged spectrum keeps.
+band (half-bandwidth 3), with the mode-independent Grams formed once per mesh.
+All modes' pencils are solved together: one banded Cholesky factor of the
+block-diagonal S + M, and one Lanczos loop that advances every mode's Krylov
+sequence in the same step, for only the few eigenvalues the merged spectrum keeps.
 
-scipy serves only this plate solver, so it is imported inside the two functions
-that use it and loads on the first plate solve: importing the package, and every
-other part of it, needs numpy alone.
+scipy serves only this plate solver, and only `scipy.linalg`, imported inside the
+pencil solve: importing the package, and every other part of it, needs numpy
+alone.  The mesh grading ports scipy's Brent root finder instead.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import DomainValidationError, NumericalError
 
 _DEFAULT_MASS = 2.0 * math.pi  # boundary length of the unit disk
 _GAUSS_PER_ELEMENT = 10
+_EPS = np.finfo(float).eps
 _BAND = 4  # diagonals in the lower band of a mode matrix: element e owns DOFs 2e .. 2e + 3
 
 
@@ -92,10 +95,6 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
     collar element size; if the collar elements are already coarser than a uniform
     bulk would be, the bulk stays uniform.
     """
-    # imported on every call, graded or not, so that any first plate solve
-    # loads all of the plate path's scipy at once
-    from scipy.optimize import brentq
-
     if not (0.0 < eps < 1.0):
         raise DomainValidationError(f"eps must lie in (0, 1), got {eps}")
     if n_bulk < 1 or n_collar < 1:
@@ -116,7 +115,7 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
         g_hi = min(1e3, 10.0 ** (300 / n_bulk))  # g**n_bulk finite; 1e3 up to n_bulk = 100
         if total(g_hi) < 0.0:  # root beyond: the largest size h_c g^(n-1) alone bounds it
             g_hi = (L / h_c) ** (1.0 / (n_bulk - 1))
-        g = brentq(total, 1.0 + 1e-12, g_hi)
+        g = _brentq(total, 1.0 + 1e-12, g_hi)
         sizes = h_c * g ** np.arange(n_bulk)
         bulk = L - np.concatenate(([0.0], np.cumsum(sizes)))[::-1]
         bulk[0] = 0.0
@@ -128,13 +127,54 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
     return RadialMesh(nodes=nodes, eps=eps)
 
 
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """A root of f between xpre and xcur, where f changes sign.
+
+    Brent's method step for step as the C routine of `scipy.optimize.brentq`, at
+    its default tolerances, so the root is the same to the last bit.
+    """
+    xtol, rtol = 2e-12, 4.0 * _EPS
+    xpre, xcur = np.float64(xpre), np.float64(xcur)
+    with np.errstate(all="ignore"):  # as in C, an overflowing trial step just fails its test
+        fpre, fcur = f(xpre), f(xcur)
+        if fpre == 0.0 or fcur == 0.0:
+            return xpre if fpre == 0.0 else xcur
+        if (fpre < 0.0) == (fcur < 0.0):
+            raise NumericalError("root bracket does not change sign")
+        xblk = fblk = spre = scur = 0.0
+        for _ in range(100):
+            if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+                xblk, fblk, spre = xpre, fpre, xcur - xpre
+                scur = spre
+            if abs(fblk) < abs(fcur):  # keep the better end as xcur
+                xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+            delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+            if fcur == 0.0 or abs(sbis) < delta:
+                return xcur
+            step = (sbis, sbis)  # bisect, unless interpolation takes a good short step
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                    step = (scur, stry)
+            (spre, scur), xpre, fpre = step, xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            fcur = f(xcur)
+    raise NumericalError("root finder did not converge in 100 steps")
+
+
 def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
     """What every angular mode of one mesh shares.
 
     Cubic Hermite shapes H, H1 = H', H2 = H'' at each element's Gauss points as
     (n_elements, 4, n_gauss) arrays (rows: value and slope left, value and slope
-    right; physical derivatives), radii r and weights w of r dr, and the element
-    mass matrices.  No n_dof x n_dof matrix is built: each mode assembles its bands.
+    right; physical derivatives), radii r and weights w of r dr.  From them, once
+    per mesh: the element Grams of the four energy terms that do not depend on the
+    mode (see `_mode_matrices`) and the mass bands of k = 0, k = 1 and k >= 2.  No
+    n_dof x n_dof matrix is built: each mode assembles its bands.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
     h = np.diff(mesh.nodes)[:, None]
@@ -148,7 +188,13 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
     H2 = np.stack([(-6.0 + 12.0 * xi) / h**2, (-4.0 + 6.0 * xi) / h,
                    (6.0 - 12.0 * xi) / h**2, (-2.0 + 6.0 * xi) / h], axis=1)
     mass = _element_gram(H, w * profile.value(r))
-    return SimpleNamespace(H=H, H1=H1, H2=H2, r=r, w=w, mass=mass)
+    r = r[:, None]
+    return SimpleNamespace(
+        H=H, H1_r=H1 / r, r2=r**2, w=w,
+        bend=_element_gram(H2, w), twist=_element_gram((H1 - H / r) / r, w),
+        slope=_element_gram(H1, w), value=_element_gram(H / r, w),
+        mass=[_assemble(mass, k) for k in range(3)],
+    )
 
 
 def _element_gram(t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -163,7 +209,7 @@ def _assemble(Ae: np.ndarray, k: int) -> np.ndarray:
     Center regularity drops DOF 1 for k = 0, DOF 0 for k = 1 and both for k >= 2.
     """
     b = np.arange(_BAND)[:, None]
-    cols = np.pad(Ae, ((0, 0), (0, _BAND - 1), (0, 0)))[:, b + b.T, b]  # Ae[e, b + d, b]
+    cols = np.concatenate([Ae, np.zeros_like(Ae[:, 1:])], axis=1)[:, b + b.T, b]  # Ae[e, b + d, b]
     B = np.zeros((2 * len(Ae) + 2, _BAND))
     B[:-2] += cols[:, :2].reshape(-1, _BAND)
     B[2:] += cols[:, 2:].reshape(-1, _BAND)
@@ -184,98 +230,124 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
 
     integrated against r dr (angular factor normalized away; it is common to both
     matrices).  Center regularity removes f'(0) for k = 0, f(0) for k = 1, and both
-    for k >= 2.  Each term is formed on all elements at once (`forms`, from
-    `_mesh_forms`, is built if not given) and the terms are added in the order
-    written; a global entry sums at most two element entries, in either order.
+    for k >= 2.  Each term is formed on all elements at once, the four that do not
+    depend on k taken from `forms` (`_mesh_forms`, built if not given), and the
+    terms are added in the order written; a global entry sums at most two element
+    entries, in either order.  The mass band is the one `forms` holds for k.
     """
     f = _mesh_forms(profile, mesh) if forms is None else forms
-    H, H1, r, w = f.H, f.H1, f.r[:, None], f.w
     k2 = float(k * k)
-    Se = _element_gram(f.H2, w)
+    Se = f.bend + 2.0 * k2 * f.twist if k >= 1 else f.bend.copy()
+    Se += _element_gram(f.H1_r - k2 * f.H / f.r2, f.w)
+    Se += tau * f.slope
     if k >= 1:
-        Se += 2.0 * k2 * _element_gram((H1 - H / r) / r, w)
-    Se += _element_gram(H1 / r - k2 * H / r**2, w)
-    Se += tau * _element_gram(H1, w)
-    if k >= 1:
-        Se += tau * k2 * _element_gram(H / r, w)
-    return _assemble(Se, k), _assemble(f.mass, k)
+        Se += tau * k2 * f.value
+    return _assemble(Se, k), f.mass[min(k, 2)]
 
 
-def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None):
+def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
     """Smallest eigenvalues of S x = lambda M x, S >= 0 and M > 0 as (n, 4) lower bands.
 
-    Works on the shifted inverse: with the banded Cholesky factor K = S + M = L L^T,
-    the operator C = L^-1 M L^-T has eigenvalues mu = 1/(lambda+1), so the smallest
-    lambda are read off the LARGEST mu.  This keeps the small end of the spectrum
-    accurate even when the stiffness scale is enormous, which dense solves on
-    (S, M) do not.  C is never formed: Lanczos (ARPACK) finds only the `count`
-    largest mu, applying C by two banded triangular solves and a banded product
-    with M, from a fixed start vector so that repeated runs at fixed BLAS thread
-    settings agree bit for bit.  An optional known eigenvector c with S c = 0 is
-    deflated exactly: y = L^T c is the eigenvector of C with mu = 1, it is
-    projected out of the operator, and an exact 0 is prepended.  Meshes too small
-    for a Lanczos basis form C instead.
+    Modes may come stacked as (modes, n, 4) bands, shorter ones padded at the end by
+    decoupled DOFs (S = 1, M = 0), with a list of `deflate` entries; a list of
+    spectra is then returned.  With K = S + M = L L^T (banded Cholesky), C = L^-1 M
+    L^-T has eigenvalues mu = 1/(lambda+1), so the smallest lambda, accurate even
+    when the stiffness scale is enormous, are read off the LARGEST mu.  C is never
+    formed: one factor of the block-diagonal S + M, and one Lanczos loop with full
+    reorthogonalisation (two classical Gram-Schmidt passes) that advances every mode
+    per step by two banded triangular solves and a banded product with M.  A mode
+    starts from ones on its DOFs, checks its Ritz values after min(dim, max(2 need
+    + 1, 20)) steps and every 4 more, and stops, frozen, once beta |y_last| <= eps
+    |theta| for every value it needs (ARPACK's tol = 0) or its Krylov space is
+    exhausted.  Each operation acts on each mode's rows alone, so a mode's values
+    are the bits it gets solved alone.  A c with S c = 0 is deflated exactly: y =
+    L^T c, C's eigenvector with mu = 1, is projected out of the start and the
+    operator, and an exact 0 is prepended.
     """
-    from scipy.linalg import cholesky_banded, eigh
-    from scipy.linalg.blas import dsbmv
+    from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dtbtrs
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    n = len(S)
+    single = S.ndim == 2
+    if single:
+        S, M, deflate = S[None], M[None], [deflate]
+    m, n = S.shape[:2]
+    dims = np.count_nonzero(M[:, :, 0], axis=1)  # each mode's DOFs, ahead of its pads
+    D = M.transpose(2, 0, 1).copy()  # M's diagonals
     try:
-        L = cholesky_banded((S + M).T, lower=True)
+        L = cholesky_banded((S + M).reshape(-1, _BAND).T, lower=True).T.reshape(m, n, _BAND)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pencil factorization failed: {exc}") from exc
-    # max/min of the squared pivots is a lower bound on cond(S + M)
-    pivots = L[0] ** 2
-    if pivots.max() * np.finfo(float).eps >= pivots.min():
-        raise NumericalError(
-            "pencil matrix S + M is singular to working precision "
-            f"(squared pivots span {pivots.max() / pivots.min():.1e})"
-        )
+    for p in (Li[:dim, 0] ** 2 for Li, dim in zip(L, dims)):  # max/min <= cond(S + M)
+        if p.max() * _EPS >= p.min():
+            raise NumericalError("pencil matrix S + M is singular to working precision "
+                                 f"(squared pivots span {p.max() / p.min():.1e})")
+    U = np.zeros((m, n))  # unit L^T c per deflated mode, 0 elsewhere
+    for Ui, Li, c in zip(U, L, deflate):
+        if c is not None:
+            c = np.r_[c, np.zeros(n - len(c))]
+            y = Li[:, 0] * c
+            for d in range(1, _BAND):
+                y[:n - d] += Li[:n - d, d] * c[d:]
+            Ui[:] = y / np.linalg.norm(y)
 
-    def triangular_solve(x: np.ndarray, trans: str) -> np.ndarray:
-        """L^-1 x (trans "N") or L^-T x (trans "T")."""
-        y, info = dtbtrs(L, x[:, None], uplo="L", trans=trans)
-        if info != 0:
-            raise NumericalError(f"banded triangular solve failed (info {info})")
-        return y[:, 0]
+    def dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = triangular_solve(x, "T")
-        return triangular_solve(dsbmv(_BAND - 1, 1.0, M.T, y, lower=1), "N")
+    def project(X: np.ndarray) -> np.ndarray:
+        return X - dot(U, X)[:, None] * U
 
-    matvec = apply
-    if deflate is not None:
-        y = L[0] * deflate  # L^T c from the band
+    def solve(X: np.ndarray, trans: str) -> np.ndarray:
+        """L^-1 X (trans "N") or L^-T X (trans "T"), as one vector over all modes."""
+        # the pivot check above leaves no zero on L's diagonal for dtbtrs to report
+        return dtbtrs(L.reshape(-1, _BAND).T, X.reshape(-1, 1), uplo="L", trans=trans)[0][:, 0]
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        # M's diagonals run on across modes: the couplings past a mode's end are 0
+        Y, Dd = solve(project(X), "T"), D.reshape(_BAND, -1)
+        Z = Dd[0] * Y
         for d in range(1, _BAND):
-            y[:n - d] += L[d, :n - d] * deflate[d:]
-        u = y / np.linalg.norm(y)
+            Z[d:] += Dd[d, :-d] * Y[:-d]
+            Z[:-d] += Dd[d, :-d] * Y[d:]
+        return project(solve(Z, "N").reshape(X.shape))
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            x = apply(x - (u @ x) * u)
-            return x - (u @ x) * u
-
-    # the deflated direction gives the prepended 0 and, projected, a mu = 0 of C
-    need = min(count, n) - (deflate is not None)
-    if need < 1:
-        mu = np.empty(0)
-    elif need >= n - 2:  # ARPACK needs a basis of need < ncv <= n - 2 vectors: form C
-        C = np.column_stack([matvec(e) for e in np.eye(n)])
-        mu = eigh(0.5 * (C + C.T), eigvals_only=True)[::-1][:need]
-    else:
-        v0 = np.ones(n)
-        if deflate is not None:
-            v0 -= (u @ v0) * u
-        op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        try:
-            mu = eigsh(op, k=need, which="LA", ncv=min(n - 2, max(2 * need + 1, 20)), tol=0,
-                       v0=v0, return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise NumericalError(f"pencil Lanczos iteration did not converge: {exc}") from exc
-        mu = np.sort(mu)[::-1]
-    lam = 1.0 / mu - 1.0
-    return np.concatenate([[0.0], lam]) if deflate is not None else lam
+    has = np.array([c is not None for c in deflate])
+    size, need = dims - has, np.minimum(count, dims) - has  # the deflated 0 is prepended
+    first = np.minimum(size, np.maximum(2 * need + 1, 20))
+    mu, live = [np.empty(0)] * m, np.flatnonzero(need >= 1)
+    L, D, U = L[live], D[:, live], U[live]
+    v = project((np.arange(n) < dims[live, None]).astype(float))
+    V = np.zeros((len(live), 24, n))  # grown by chunks of 24 steps
+    V[:, 0] = v / np.sqrt(dot(v, v))[:, None]
+    alpha, beta = np.zeros((2, len(live), size.max()))
+    for t in range(1, size.max() + 1):  # t: steps taken, the basis size
+        if not len(live):
+            break
+        w = apply(V[:, t - 1])
+        for _ in range(2):
+            h = (V[:, :t] @ w[:, :, None])[:, :, 0]
+            w = w - (h[:, None, :] @ V[:, :t])[:, 0]
+            alpha[:, t - 1] += h[:, -1]
+        beta[:, t - 1] = b = np.sqrt(dot(w, w))
+        f = first[live]
+        check = np.flatnonzero((t == size[live]) | (b == 0.0) | ((t >= f) & ((t - f) % 4 == 0)))
+        done = np.zeros(len(live), dtype=bool)
+        if len(check):
+            T, i = np.zeros((len(check), t, t)), np.arange(t)
+            T[:, i, i], T[:, i[1:], i[:-1]] = alpha[check, :t], beta[check, :t - 1]
+            for c, theta, Y in zip(check, *np.linalg.eigh(T)):
+                j = live[c]
+                theta, last = theta[::-1][:need[j]], Y[-1, ::-1][:need[j]]
+                if t == size[j] or b[c] == 0.0 or np.all(b[c] * np.abs(last) <= _EPS * theta):
+                    mu[j], done[c] = theta, True  # frozen
+            live, L, U, V, alpha, beta, w, b = (
+                a[~done] for a in (live, L, U, V, alpha, beta, w, b))
+            D = D[:, ~done]
+        if t == V.shape[1]:
+            V = np.concatenate([V, np.zeros_like(V[:, :24])], axis=1)
+        V[:, t] = w / b[:, None]
+    lam = [1.0 / x - 1.0 for x in mu]
+    lam = [np.r_[0.0, x] if c is not None else x for x, c in zip(lam, deflate)]
+    return lam[0] if single else lam
 
 
 def neumann_mode_eigenvalues(
@@ -296,7 +368,8 @@ def neumann_mode_eigenvalues(
     if count < 1:
         raise DomainValidationError(f"count must be >= 1, got {count}")
     _check_mesh(profile, mesh)
-    return _mode_eigenvalues(k, tau, profile, mesh, count, _mesh_forms(profile, mesh))
+    S, M = _mode_matrices(k, tau, profile, mesh)
+    return _solve_pencil(S, M, count, _constant(len(S)) if k == 0 else None)
 
 
 def _check_mesh(profile: DensityProfile, mesh: RadialMesh) -> None:
@@ -313,13 +386,12 @@ def _check_mesh(profile: DensityProfile, mesh: RadialMesh) -> None:
         )
 
 
-def _mode_eigenvalues(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
-                      count: int, forms: SimpleNamespace) -> np.ndarray:
-    """neumann_mode_eigenvalues on checked arguments; `forms` is `_mesh_forms(profile, mesh)`."""
-    S, M = _mode_matrices(k, tau, profile, mesh, forms)
-    # k = 0 deflates the constant: value DOFs 0, 2, 4, ... are 0, 1, 3, ... without f'(0)
-    deflate = np.r_[1.0, np.resize([1.0, 0.0], len(S) - 1)] if k == 0 else None
-    return _solve_pencil(S, M, count, deflate)
+def _constant(n: int) -> np.ndarray:
+    """The constant function among mode 0's n DOFs: value DOFs 0, 2, 4, ... are 0, 1, 3, ...
+
+    It spans the kernel of mode 0's stiffness, which `_solve_pencil` deflates.
+    """
+    return np.r_[1.0, np.resize([1.0, 0.0], n - 1)]
 
 
 def merged_spectrum(
@@ -333,10 +405,16 @@ def merged_spectrum(
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
     _check_mesh(profile, mesh)
-    vals: list[float] = []
     forms = _mesh_forms(profile, mesh)
-    for k in range(k_cap + 1):
-        ev = _mode_eigenvalues(k, tau, profile, mesh, j_max, forms)
+    bands = [_mode_matrices(k, tau, profile, mesh, forms) for k in range(k_cap + 1)]
+    # every mode in one pencil solve, padded to mode 0's length by DOFs with S = 1, M = 0
+    S, M = np.zeros((2, len(bands), len(bands[0][0]), _BAND))
+    S[:, :, 0] = 1.0
+    for Si, Mi, (Sk, Mk) in zip(S, M, bands):
+        Si[:len(Sk)], Mi[:len(Mk)] = Sk, Mk
+    spectra = _solve_pencil(S, M, j_max, [_constant(len(bands[0][0]))] + [None] * k_cap)
+    vals: list[float] = []
+    for k, ev in enumerate(spectra):
         vals.extend([float(lam) for lam in ev] * (1 if k == 0 else 2))
     vals.sort()
     if len(vals) < j_max:

@@ -37,21 +37,23 @@ def lambda2_of(domain: StarDomain, tau: float, k_max: int = 10) -> float:
 def make_family(
     family: str,
     parameters=None,
-    mode: int = 3,
+    mode: int | None = None,
     target_area: float = math.pi,
 ) -> list[tuple[float, StarDomain]]:
     """Members (parameter, domain) of a named scan family, rescaled to target_area.
 
-    "perturbed_disk": rho = 1 + amplitude cos(mode theta), parameter = amplitude.
+    "perturbed_disk": rho = 1 + amplitude cos(mode theta), parameter = amplitude,
+    mode 3 unless given.
     "ellipse_like":   trigonometric projection of an ellipse of unit area scaled
-    from aspect ratio a/b, parameter = aspect.
+    from aspect ratio a/b, parameter = aspect; it takes no mode.
     """
-    if mode < 1:
-        raise DomainValidationError(f"mode must be >= 1, got {mode}")
     params = None if parameters is None else tuple(parameters)
     if params == ():
         raise DomainValidationError("no parameter values given")
     if family == "perturbed_disk":
+        mode = 3 if mode is None else mode
+        if mode < 1:
+            raise DomainValidationError(f"mode must be >= 1, got {mode}")
         # refuse a mode the largest boundary rule cannot resolve before building it
         _check_n_nodes(StarDomain(a0=1.0), _RULE_GRID, mode)
         params = _DEFAULT_AMPLITUDES if params is None else params
@@ -62,6 +64,8 @@ def make_family(
             out.append((float(amp), rescale_to_area(dom, target_area)))
         return out
     if family == "ellipse_like":
+        if mode is not None:
+            raise DomainValidationError(f"the ellipse_like family takes no mode, got {mode}")
         params = _DEFAULT_ASPECTS if params is None else params
         out = []
         for aspect in params:
@@ -96,7 +100,7 @@ def iso_scan(
     family: str = "perturbed_disk",
     parameters=None,
     tau: float = 1.0,
-    mode: int = 3,
+    mode: int | None = None,
     target_area: float = math.pi,
     k_max: int = 10,
 ) -> IsoScanResult:

@@ -12,6 +12,8 @@ package's all-elements band assembly must match bit for bit, and their pencil is
 solved densely, every eigenvalue at once, as a reference for the package's
 banded Lanczos solve.  Trigonometric series are summed mode by mode at any angle,
 as a reference for the package's inverse-FFT sampler on the uniform grid.
+The graded radial mesh is also built with `scipy.optimize.brentq`, as a
+reference for the package's own port of Brent's method.
 Shape derivatives are also differenced eigenvalue by eigenvalue, re-solving each
 perturbed domain and matching its eigenvalues to the cluster by index, as a
 reference for the package's difference of the assembled pencil.
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.optimize import brentq
 
 from bisteklov.ball_spectrum import eigenvalue_of_order, multiplicity_of_order
 from bisteklov.concentration import _GAUSS_PER_ELEMENT
@@ -341,6 +344,31 @@ def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
         drop = [0, 1]
     keep = [i for i in range(ndof) if i not in drop]
     return S[np.ix_(keep, keep)], Mm[np.ix_(keep, keep)], keep
+
+
+def brentq_mesh_nodes(eps: float, n_bulk: int, n_collar: int) -> np.ndarray:
+    """Nodes of `concentration.make_radial_mesh`, the growth ratio found by `brentq`.
+
+    Reference for the package's port of Brent's method: the same sizes h_c g^j
+    from the interface inward, the same bracket and the same uniform fallbacks.
+    """
+    h_c = eps / n_collar
+    L = 1.0 - eps
+
+    def total(g: float) -> float:
+        return h_c * (g**n_bulk - 1.0) / (g - 1.0) - L
+
+    if n_bulk == 1 or h_c * n_bulk >= L or total(1.0 + 1e-6 / n_bulk) >= 0.0:
+        bulk = np.linspace(0.0, L, n_bulk + 1)
+    else:
+        g_hi = min(1e3, 10.0 ** (300 / n_bulk))
+        if total(g_hi) < 0.0:
+            g_hi = (L / h_c) ** (1.0 / (n_bulk - 1))
+        g = brentq(total, 1.0 + 1e-12, g_hi)
+        bulk = L - np.concatenate(([0.0], np.cumsum(h_c * g ** np.arange(n_bulk))))[::-1]
+        bulk[0] = 0.0
+        bulk[-1] = L
+    return np.concatenate([bulk, np.linspace(L, 1.0, n_collar + 1)[1:]])
 
 
 def lower_band(A: np.ndarray) -> np.ndarray:

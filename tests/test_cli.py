@@ -236,6 +236,17 @@ class TestConcentration:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_unfactorable_pencil_exits_1(self, capsys):
+        # defect (b): on the 100/400 mesh at eps = 0.025 the k = 0 matrix S + M is
+        # not numerically positive definite
+        code, out, err = run_cli(
+            capsys, "concentration", "--tau", "1", "--eps", "0.025",
+            "--mesh-bulk", "100", "--mesh-collar", "400",
+        )
+        assert code == 1
+        assert out == ""
+        assert "pencil factorization failed" in err
+
     def test_limit_beyond_mode_cap(self, capsys):
         # the plate modes stop at k = 8; index 18 of the limit has angular order 9
         code, out, err = run_cli(
@@ -278,6 +289,21 @@ class TestIsoScan:
         [(_, member)] = make_family("perturbed_disk", (0.01,), mode=300)
         want = solve(assemble(member, 1.0, make_trial_basis(10, 1.0))).eigenvalues[1]
         assert lam2 == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["100000", "3", "0"])
+    def test_ellipse_family_takes_no_mode(self, capsys, mode):
+        # ellipse_like ignores the cosine mode, so giving one is an input error
+        code, out, err = run_cli(
+            capsys, "iso-scan", "--family", "ellipse_like", "--tau", "1",
+            "--params", "1.0,1.2", "--mode", mode,
+        )
+        assert code == 2
+        assert out == ""
+        assert "takes no mode" in err
+
+    def test_perturbed_disk_default_mode(self, capsys):
+        argv = ("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0.0,0.05")
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--mode", "3")
 
 
 class TestExitCodes:
@@ -516,8 +542,8 @@ def test_module_entry_point():
 
 
 def test_scipy_loads_only_on_the_plate_path():
-    # scipy serves only the concentration plate solver: the package and every
-    # other subcommand run on numpy alone
+    # scipy serves only the concentration plate solver, and only scipy.linalg:
+    # the package and every other subcommand run on numpy alone
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -543,11 +569,15 @@ run("criticality", "--domain", {domain!r}, "--tau", "1")
 run("shape-derivative", "--domain", {domain!r}, "--tau", "1", "--field", "cos2", "--validate-fd")
 run("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0.0,0.05")
 assert not scipy_loaded(), scipy_loaded()
-out = run("concentration", "--tau", "1", "--eps", "0.2", "--modes", "2")
-assert out.startswith("eps,j,lambda_eps,lambda_limit,abs_error"), out
-# the first plate solve loads all of the plate path's scipy, so no later solve
-# pays for an import; eps = 0.2 leaves the bulk mesh ungraded, without brentq
-assert "scipy.optimize" in sys.modules and "scipy.sparse.linalg" in sys.modules
+# eps = 0.2 leaves the bulk mesh ungraded; eps = 0.05 grades it, by the
+# package's own Brent root finder
+for eps in ("0.2", "0.05"):
+    out = run("concentration", "--tau", "1", "--eps", eps, "--modes", "2")
+    assert out.startswith("eps,j,lambda_eps,lambda_limit,abs_error"), out
+# the plate path needs scipy.linalg alone
+loaded = scipy_loaded()
+assert "scipy.linalg" in loaded, loaded
+assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.optimize"))], loaded
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,7 @@ from bisteklov.concentration import _mesh_forms, _mode_matrices, _solve_pencil
 
 from oracles import (
     band_to_dense,
+    brentq_mesh_nodes,
     cartesian_energy_2d,
     dense_pencil,
     elementwise_mode_matrices,
@@ -49,7 +50,7 @@ def _constrained(k, full):
 
 
 def _deflation(k, mesh):
-    """The deflation vector _mode_eigenvalues passes for mode k: the constant for k = 0."""
+    """The deflation vector mode k is solved with: the constant for k = 0."""
     if k:
         return None
     full = np.zeros(2 * len(mesh.nodes))
@@ -136,6 +137,25 @@ class TestRadialMesh:
         bulk_sizes = np.diff(mesh.nodes[: n_bulk + 1])
         assert np.all(np.diff(bulk_sizes) < 0.0)
         assert bulk_sizes[-1] == pytest.approx(eps / 8, rel=1e-6)
+
+    @pytest.mark.parametrize("n_bulk", [2, 3, 7, 40, 101, 200])
+    def test_nodes_match_brentq(self, n_bulk):
+        # the growth ratio comes from a port of Brent's method, which must give
+        # scipy's brentq nodes to the last bit: moving them by 6e-13 once moved
+        # lambda_2 on the 80/16 mesh by 8e-7
+        for eps in np.geomspace(1e-4, 0.9, 25):
+            for n_collar in (1, 2, 5, 8, 16, 40, 144, 400):
+                want = brentq_mesh_nodes(eps, n_bulk, n_collar)
+                assert np.array_equal(make_radial_mesh(eps, n_bulk, n_collar).nodes, want)
+
+    def test_nodes_match_brentq_beyond_growth_cap(self):
+        # a growth ratio above 1e3 takes the bracket from the largest element size
+        eps, n_bulk, n_collar = 0.125, 2, 144
+        h_c = eps / n_collar
+        assert h_c * (1e3**n_bulk - 1.0) / (1e3 - 1.0) < 1.0 - eps  # the fallback bracket
+        nodes = make_radial_mesh(eps, n_bulk, n_collar).nodes
+        assert np.array_equal(nodes, brentq_mesh_nodes(eps, n_bulk, n_collar))
+        assert nodes[1] / (nodes[2] - nodes[1]) > 1e3
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -267,14 +287,38 @@ class TestPencil:
     @pytest.mark.parametrize("n_bulk,n_collar", [(1, 1), (2, 2)])
     @pytest.mark.parametrize("count", [6, 30])
     def test_tiny_meshes(self, n_bulk, n_collar, count):
-        # 3 to 9 DOFs: C is formed where Lanczos has no room, and every
-        # eigenvalue the mesh has is returned when more are asked for
+        # 3 to 9 DOFs: Lanczos runs until the Krylov space is exhausted, and
+        # every eigenvalue the mesh has is returned when more are asked for
         for k in range(9):
             got, want = self._both(n_bulk, n_collar, 0.2, 1.0, k, count)
             assert len(got) == len(want), k
             if k == 0:
                 assert got[0] == 0.0
             assert np.allclose(got, want, rtol=1e-9, atol=0), (k, got, want)
+
+    @pytest.mark.parametrize(
+        "n_bulk,n_collar,eps,count",
+        [(40, 8, 0.025, 6), (100, 100, 0.025, 6), (1, 1, 0.2, 30), (2, 2, 0.2, 30)],
+    )
+    @pytest.mark.parametrize("modes", [range(9), [8, 3, 0, 5], range(2, 9)])
+    def test_stacked_modes_match_each_alone(self, n_bulk, n_collar, eps, count, modes):
+        # one stacked solve gives every mode the bits it gets solved alone.  k <= 1
+        # modes have one more DOF than k >= 2, which are padded to their length;
+        # the tiny meshes exhaust their Krylov spaces before count values exist
+        profile = DensityProfile(eps)
+        mesh = make_radial_mesh(eps, n_bulk, n_collar)
+        bands = [_mode_matrices(k, 1.0, profile, mesh) for k in modes]
+        S, M = np.zeros((2, len(bands), max(len(Sk) for Sk, _ in bands), 4))
+        S[:, :, 0] = 1.0  # decoupled pads: S = 1, M = 0
+        for Si, Mi, (Sk, Mk) in zip(S, M, bands):
+            Si[:len(Sk)], Mi[:len(Mk)] = Sk, Mk
+        deflate = [_deflation(k, mesh) for k in modes]
+        stacked = _solve_pencil(S, M, count, deflate)
+        assert len(stacked) == len(bands)
+        for k, (Sk, Mk), c, got in zip(modes, bands, deflate, stacked):
+            alone = _solve_pencil(Sk, Mk, count, c)
+            assert len(alone) == min(count, len(Sk)), k
+            assert np.array_equal(got, alone), k
 
     def test_no_less_accurate_than_dense_oracle(self):
         # against a 40-digit eigen-solve of the same float S and M.  Both pencils

@@ -88,6 +88,9 @@ class TestMakeFamily:
         for mode in (0, -1):
             with pytest.raises(DomainValidationError):
                 make_family("perturbed_disk", parameters=(0.1,), mode=mode)
+        for mode in (0, 3, 100000):  # the family has no mode to set
+            with pytest.raises(DomainValidationError, match="takes no mode"):
+                make_family("ellipse_like", parameters=(1.2,), mode=mode)
 
     def test_mode_beyond_boundary_rule(self):
         # mode M needs 4 (M + 1) boundary nodes, more than the 2048 of the largest

@@ -265,12 +265,10 @@ class TestBoundaryRuleSize:
         assert err <= max(2.0 * err_512, 1e-13), (boundary_rule_size(domain, basis), err, err_512)
 
     def test_benchmark_domains_need_at_most_512_nodes(self):
-        iso_members = [
-            center_boundary_centroid(dom)
-            for mode in range(2, 7)
-            for family, params in (("perturbed_disk", [0.12]), ("ellipse_like", [1.5]))
-            for _, dom in make_family(family, params, mode=mode)
-        ]
+        members = make_family("ellipse_like", [1.5])
+        for mode in range(2, 7):
+            members += make_family("perturbed_disk", [0.12], mode=mode)
+        iso_members = [center_boundary_centroid(dom) for _, dom in members]
         for tau in (0.1, 0.5, 1.0, 5.0, 20.0):
             for dom in iso_members:
                 assert boundary_rule_size(dom, make_trial_basis(10, tau)) <= 512
