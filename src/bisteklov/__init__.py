@@ -40,7 +40,6 @@ from .concentration import (
     convergence_sweep,
     make_radial_mesh,
     merged_spectrum,
-    neumann_mode_eigenvalues,
 )
 from .iso_experiments import (
     IsoScanResult,

@@ -1,7 +1,7 @@
 """Free plate vibration on the unit disk with mass concentrated near the boundary.
 
 The density takes a small bulk value and a large value on a collar of width eps
-against the boundary, keeping total mass fixed.  As eps shrinks, the Neumann
+against the boundary, keeping the total mass at 2 pi.  As eps shrinks, the Neumann
 plate eigenvalues approach the Steklov eigenvalues of the same operator, with the
 surviving mass acting as a boundary measure.  Rotational symmetry splits the
 problem into angular modes; each mode is discretized with cubic Hermite elements
@@ -20,6 +20,7 @@ alone.  The mesh grading ports scipy's Brent root finder instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,8 +31,9 @@ import numpy as np
 from .ball_spectrum import sorted_spectrum
 from .errors import DomainValidationError, NumericalError
 
-_DEFAULT_MASS = 2.0 * math.pi  # boundary length of the unit disk
+_MASS = 2.0 * math.pi  # total mass: the boundary length of the unit disk, which the limit carries
 _GAUSS_PER_ELEMENT = 10
+_K_CAP = 8  # highest angular mode of the plate spectrum
 _EPS = np.finfo(float).eps
 _BAND = 4  # diagonals in the lower band of a mode matrix: element e owns DOFs 2e .. 2e + 3
 
@@ -40,21 +42,15 @@ _BAND = 4  # diagonals in the lower band of a mode matrix: element e owns DOFs 2
 class DensityProfile:
     """Two-level radial density: eps in the bulk, a large constant on the collar (1-eps, 1).
 
-    The collar value is chosen so the total mass over the disk equals M exactly.
+    The collar value is chosen so the total mass over the disk is 2 pi, the boundary
+    length the Steklov limit puts it on; the bulk holds at most 4 pi/27 of it.
     """
 
     eps: float
-    M: float = _DEFAULT_MASS
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0 and 1.0 - self.eps < 1.0):
             raise DomainValidationError(f"eps must lie in (0, 1) with 1 - eps < 1, got {self.eps}")
-        if not (self.M > 0.0):
-            raise DomainValidationError(f"total mass must be positive, got {self.M}")
-        if self.collar_value <= 0.0:
-            raise DomainValidationError(
-                f"mass M={self.M} too small for bulk density at eps={self.eps}"
-            )
 
     @property
     def bulk_value(self) -> float:
@@ -65,7 +61,7 @@ class DensityProfile:
         r_in = 1.0 - self.eps
         bulk_mass = self.eps * math.pi * r_in * r_in
         collar_area = math.pi * (1.0 - r_in * r_in)
-        return (self.M - bulk_mass) / collar_area
+        return (_MASS - bulk_mass) / collar_area
 
     def value(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -78,10 +74,6 @@ class RadialMesh:
 
     nodes: np.ndarray
     eps: float
-
-    @property
-    def n_elements(self) -> int:
-        return len(self.nodes) - 1
 
     @property
     def n_collar_elements(self) -> int:
@@ -176,7 +168,7 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
     mode (see `_mode_matrices`) and the mass bands of k = 0, k = 1 and k >= 2.  No
     n_dof x n_dof matrix is built: each mode assembles its bands.
     """
-    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
+    gx, gw = _gauss_rule()
     h = np.diff(mesh.nodes)[:, None]
     xi = np.broadcast_to(0.5 * (gx + 1.0), (len(h), len(gx)))
     r = mesh.nodes[:-1, None] + xi * h
@@ -195,6 +187,12 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
         slope=_element_gram(H1, w), value=_element_gram(H / r, w),
         mass=[_assemble(mass, k) for k in range(3)],
     )
+
+
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], built on first use: at import it would slow every start."""
+    return np.polynomial.legendre.leggauss(_GAUSS_PER_ELEMENT)
 
 
 def _element_gram(t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -219,7 +217,7 @@ def _assemble(Ae: np.ndarray, k: int) -> np.ndarray:
 
 
 def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
-                   forms: SimpleNamespace | None = None):
+                   forms: SimpleNamespace):
     """Lower bands (see `_assemble`) of stiffness and mass for angular mode k.
 
     The energy density per unit radius for u = f(r) trig(k theta) is the sum of
@@ -231,45 +229,41 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
     integrated against r dr (angular factor normalized away; it is common to both
     matrices).  Center regularity removes f'(0) for k = 0, f(0) for k = 1, and both
     for k >= 2.  Each term is formed on all elements at once, the four that do not
-    depend on k taken from `forms` (`_mesh_forms`, built if not given), and the
-    terms are added in the order written; a global entry sums at most two element
-    entries, in either order.  The mass band is the one `forms` holds for k.
+    depend on k taken from `forms` (`_mesh_forms` of this profile and mesh), and
+    the terms are added in the order written; a global entry sums at most two
+    element entries, in either order.  The mass band is the one `forms` holds for k.
     """
-    f = _mesh_forms(profile, mesh) if forms is None else forms
     k2 = float(k * k)
-    Se = f.bend + 2.0 * k2 * f.twist if k >= 1 else f.bend.copy()
-    Se += _element_gram(f.H1_r - k2 * f.H / f.r2, f.w)
-    Se += tau * f.slope
+    Se = forms.bend + 2.0 * k2 * forms.twist if k >= 1 else forms.bend.copy()
+    Se += _element_gram(forms.H1_r - k2 * forms.H / forms.r2, forms.w)
+    Se += tau * forms.slope
     if k >= 1:
-        Se += tau * k2 * f.value
-    return _assemble(Se, k), f.mass[min(k, 2)]
+        Se += tau * k2 * forms.value
+    return _assemble(Se, k), forms.mass[min(k, 2)]
 
 
 def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
-    """Smallest eigenvalues of S x = lambda M x, S >= 0 and M > 0 as (n, 4) lower bands.
+    """Smallest eigenvalues of S x = lambda M x per mode, S >= 0 and M > 0 as lower bands.
 
-    Modes may come stacked as (modes, n, 4) bands, shorter ones padded at the end by
-    decoupled DOFs (S = 1, M = 0), with a list of `deflate` entries; a list of
-    spectra is then returned.  With K = S + M = L L^T (banded Cholesky), C = L^-1 M
-    L^-T has eigenvalues mu = 1/(lambda+1), so the smallest lambda, accurate even
-    when the stiffness scale is enormous, are read off the LARGEST mu.  C is never
-    formed: one factor of the block-diagonal S + M, and one Lanczos loop with full
-    reorthogonalisation (two classical Gram-Schmidt passes) that advances every mode
-    per step by two banded triangular solves and a banded product with M.  A mode
-    starts from ones on its DOFs, checks its Ritz values after min(dim, max(2 need
-    + 1, 20)) steps and every 4 more, and stops, frozen, once beta |y_last| <= eps
-    |theta| for every value it needs (ARPACK's tol = 0) or its Krylov space is
-    exhausted.  Each operation acts on each mode's rows alone, so a mode's values
-    are the bits it gets solved alone.  A c with S c = 0 is deflated exactly: y =
-    L^T c, C's eigenvector with mu = 1, is projected out of the start and the
-    operator, and an exact 0 is prepended.
+    The modes come stacked as (modes, n, 4) bands (see `_assemble`), shorter ones
+    padded at the end by decoupled DOFs (S = 1, M = 0), with one `deflate` entry per
+    mode; one spectrum per mode is returned.  With K = S + M = L L^T (banded
+    Cholesky), C = L^-1 M L^-T has eigenvalues mu = 1/(lambda+1), so the smallest
+    lambda, accurate even when the stiffness scale is enormous, are read off the
+    LARGEST mu.  C is never formed: one factor of the block-diagonal S + M, and one
+    Lanczos loop with full reorthogonalisation (two classical Gram-Schmidt passes)
+    that advances every mode per step by two banded triangular solves and a banded
+    product with M.  A mode starts from ones on its DOFs, checks its Ritz values
+    after min(dim, max(2 need + 1, 20)) steps and every 4 more, and stops, frozen,
+    once beta |y_last| <= eps |theta| for every value it needs (ARPACK's tol = 0) or
+    its Krylov space is exhausted.  Each operation acts on each mode's rows alone,
+    so a mode's values are the bits it gets solved alone.  A c with S c = 0 is
+    deflated exactly: y = L^T c, C's eigenvector with mu = 1, is projected out of
+    the start and the operator, and an exact 0 is prepended.
     """
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dtbtrs
 
-    single = S.ndim == 2
-    if single:
-        S, M, deflate = S[None], M[None], [deflate]
     m, n = S.shape[:2]
     dims = np.count_nonzero(M[:, :, 0], axis=1)  # each mode's DOFs, ahead of its pads
     D = M.transpose(2, 0, 1).copy()  # M's diagonals
@@ -346,30 +340,7 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
             V = np.concatenate([V, np.zeros_like(V[:, :24])], axis=1)
         V[:, t] = w / b[:, None]
     lam = [1.0 / x - 1.0 for x in mu]
-    lam = [np.r_[0.0, x] if c is not None else x for x, c in zip(lam, deflate)]
-    return lam[0] if single else lam
-
-
-def neumann_mode_eigenvalues(
-    k: int,
-    tau: float,
-    profile: DensityProfile,
-    mesh: RadialMesh,
-    count: int = 6,
-) -> np.ndarray:
-    """Lowest eigenvalues of the free plate in angular mode k with the given density.
-
-    For k = 0 the constant function is an exact eigenfunction with eigenvalue 0 in
-    both the continuous and the discrete problem; it is deflated explicitly so the
-    returned leading eigenvalue is exactly 0.
-    """
-    if k < 0:
-        raise DomainValidationError(f"angular mode must be nonnegative, got {k}")
-    if count < 1:
-        raise DomainValidationError(f"count must be >= 1, got {count}")
-    _check_mesh(profile, mesh)
-    S, M = _mode_matrices(k, tau, profile, mesh)
-    return _solve_pencil(S, M, count, _constant(len(S)) if k == 0 else None)
+    return [np.r_[0.0, x] if c is not None else x for x, c in zip(lam, deflate)]
 
 
 def _check_mesh(profile: DensityProfile, mesh: RadialMesh) -> None:
@@ -394,25 +365,20 @@ def _constant(n: int) -> np.ndarray:
     return np.r_[1.0, np.resize([1.0, 0.0], n - 1)]
 
 
-def merged_spectrum(
-    tau: float,
-    profile: DensityProfile,
-    mesh: RadialMesh,
-    j_max: int,
-    k_cap: int = 8,
-) -> np.ndarray:
-    """First j_max plate eigenvalues over all angular modes, multiplicity two for k >= 1."""
+def merged_spectrum(tau: float, profile: DensityProfile, mesh: RadialMesh,
+                    j_max: int) -> np.ndarray:
+    """First j_max plate eigenvalues over angular modes 0.._K_CAP, multiplicity two for k >= 1."""
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
     _check_mesh(profile, mesh)
     forms = _mesh_forms(profile, mesh)
-    bands = [_mode_matrices(k, tau, profile, mesh, forms) for k in range(k_cap + 1)]
+    bands = [_mode_matrices(k, tau, profile, mesh, forms) for k in range(_K_CAP + 1)]
     # every mode in one pencil solve, padded to mode 0's length by DOFs with S = 1, M = 0
     S, M = np.zeros((2, len(bands), len(bands[0][0]), _BAND))
     S[:, :, 0] = 1.0
     for Si, Mi, (Sk, Mk) in zip(S, M, bands):
         Si[:len(Sk)], Mi[:len(Mk)] = Sk, Mk
-    spectra = _solve_pencil(S, M, j_max, [_constant(len(bands[0][0]))] + [None] * k_cap)
+    spectra = _solve_pencil(S, M, j_max, [_constant(len(bands[0][0]))] + [None] * _K_CAP)
     vals: list[float] = []
     for k, ev in enumerate(spectra):
         vals.extend([float(lam) for lam in ev] * (1 if k == 0 else 2))
@@ -435,16 +401,14 @@ def convergence_sweep(
     tau: float,
     eps_list,
     j_list,
-    M: float = _DEFAULT_MASS,
     n_bulk: int = 40,
     n_collar: int = 8,
-    k_cap: int = 8,
 ) -> list[SweepRow]:
     """Plate eigenvalues against their Steklov limits for a decreasing sequence of eps.
 
     Returns one row per (eps, j) pair with the concentrated-mass eigenvalue, the
     limiting ball eigenvalue, and their absolute difference.  Every limit up to
-    the largest j must have angular order at most k_cap (j <= 17 at k_cap = 8).
+    the largest j must have angular order at most _K_CAP = 8 (j <= 17).
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -458,19 +422,19 @@ def convergence_sweep(
         raise DomainValidationError(f"eigenvalue indexes must be >= 1, got {j_list}")
     j_max = j_list[-1]
     limit = sorted_spectrum(2, tau, j_max)
-    # merged_spectrum holds angular modes up to k_cap only; a limit of higher
+    # merged_spectrum holds angular modes up to _K_CAP only; a limit of higher
     # order would be paired with a plate eigenvalue of another mode
     order = max(o for _, _, o in limit.flatten())
-    if order > k_cap:
+    if order > _K_CAP:
         raise DomainValidationError(
             f"limit eigenvalue {j_max} has angular order {order}, above the plate's "
-            f"mode cap {k_cap}"
+            f"mode cap {_K_CAP}"
         )
     rows = []
     for eps in eps_list:
-        profile = DensityProfile(eps, M)
+        profile = DensityProfile(eps)
         mesh = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar)
-        spec = merged_spectrum(tau, profile, mesh, j_max, k_cap=k_cap)
+        spec = merged_spectrum(tau, profile, mesh, j_max)
         for j in j_list:
             lam_eps = float(spec[j - 1])
             lam_lim = limit.eigenvalue(j)

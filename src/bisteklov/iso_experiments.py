@@ -38,9 +38,8 @@ def make_family(
     family: str,
     parameters=None,
     mode: int | None = None,
-    target_area: float = math.pi,
 ) -> list[tuple[float, StarDomain]]:
-    """Members (parameter, domain) of a named scan family, rescaled to target_area.
+    """Members (parameter, domain) of a named scan family, rescaled to the unit disk's area pi.
 
     "perturbed_disk": rho = 1 + amplitude cos(mode theta), parameter = amplitude,
     mode 3 unless given.
@@ -61,7 +60,7 @@ def make_family(
         for amp in params:
             coeffs = (0.0,) * (mode - 1) + (float(amp),) if amp != 0.0 else ()
             dom = StarDomain(a0=1.0, cos_coeffs=coeffs)
-            out.append((float(amp), rescale_to_area(dom, target_area)))
+            out.append((float(amp), rescale_to_area(dom, math.pi)))
         return out
     if family == "ellipse_like":
         if mode is not None:
@@ -74,7 +73,7 @@ def make_family(
             a, b = math.sqrt(aspect), 1.0 / math.sqrt(aspect)
             th = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
             dom = fourier_projection(a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2))
-            out.append((float(aspect), rescale_to_area(dom, target_area)))
+            out.append((float(aspect), rescale_to_area(dom, math.pi)))
         return out
     raise DomainValidationError(f"unknown family {family!r}")
 
@@ -101,7 +100,6 @@ def iso_scan(
     parameters=None,
     tau: float = 1.0,
     mode: int | None = None,
-    target_area: float = math.pi,
     k_max: int = 10,
 ) -> IsoScanResult:
     """Compare lambda_2 across a fixed-area family against the equal-area disk.
@@ -111,9 +109,8 @@ def iso_scan(
     discretization error.  The verdict passes when every margin is >= -1e-7 and
     only the disk member of the family sits within 1e-7 of the bound.
     """
-    members = make_family(family, parameters, mode=mode, target_area=target_area)
-    radius = math.sqrt(target_area / math.pi)
-    bound = lambda2_of(StarDomain(a0=radius), tau, k_max=k_max)
+    members = make_family(family, parameters, mode=mode)
+    bound = lambda2_of(StarDomain(a0=1.0), tau, k_max=k_max)
     lam2s = parallel_map(lambda m: lambda2_of(m[1], tau, k_max=k_max), members)
     rows = []
     verdict = True

@@ -315,7 +315,7 @@ def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
     xi = 0.5 * (gx + 1.0)
     wq = 0.5 * gw
     k2 = float(k * k)
-    for e in range(mesh.n_elements):
+    for e in range(len(mesh.nodes) - 1):
         a, b = nodes[e], nodes[e + 1]
         h = b - a
         r = a + xi * h

@@ -1,27 +1,62 @@
-"""The functions the benchmark traces keep their names in the package.
+"""The functions the benchmark traces keep their names and argument shapes.
 
 `perfbench/tracing.py` wraps each `TARGETS` entry by looking it up in its
-`bisteklov` module, and a missing name stops every traced benchmark run.
+`bisteklov` module, and its counters read the arguments and results of the
+calls.  A missing name, or a signature a counter no longer understands, stops
+every traced benchmark run.
 """
 
+import contextlib
 import importlib
+import io
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from bisteklov import cli
+
+REPO = Path(__file__).resolve().parents[1]
+TRACING = REPO / "perfbench" / "tracing.py"
+DOMAIN = str(REPO / "domains" / "perturbed.json")
+
+# one small job per subcommand
+JOBS = (
+    ("ball-spectrum", "--tau", "1", "--count", "6"),
+    ("solve", "--domain", DOMAIN, "--tau", "1"),
+    ("criticality", "--domain", DOMAIN, "--tau", "1"),
+    ("shape-derivative", "--domain", DOMAIN, "--tau", "1", "--field", "cos2", "--validate-fd"),
+    ("concentration", "--tau", "1", "--eps", "0.2,0.1", "--modes", "3"),
+    ("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0,0.05"),
+)
 
 
-def _trace_targets():
+def _tracing():
     # executed from its source text, so nothing is written next to it
     namespace = {}
     exec(compile(TRACING.read_text(), str(TRACING), "exec"), namespace)
-    return [(module, name) for module, name, _ in namespace["TARGETS"]]
+    return namespace
 
 
-TARGETS = _trace_targets()
+TARGETS = [(module, name) for module, name, _ in _tracing()["TARGETS"]]
 
 
 @pytest.mark.parametrize("module, name", TARGETS, ids=[f"{m}.{n}" for m, n in TARGETS])
 def test_trace_target_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"bisteklov.{module}"), name, None))
+
+
+def test_traced_jobs_run_and_record_spans():
+    tracing = _tracing()
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        codes = []
+        for job_id, argv in enumerate(JOBS, start=1):
+            with tracer.job(job_id), contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.run(list(argv)))
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(JOBS)
+    recorded = {tracer.names[int(i)] for i in tracer.records()[:, 0]}
+    assert {"concentration._solve_pencil", "steklov_solver.assemble"} <= recorded
+    assert set(tracer.layer_metrics(len(JOBS))) == set(tracing["LAYER_METRICS"])
