@@ -155,13 +155,12 @@ def _solve_for(args, domain: StarDomain, field_modes: int = 0):
     """Solve on a rule that also resolves field_modes more modes, for a field integrated on it."""
     basis = make_trial_basis(args.kmax, args.tau)
     n_boundary = boundary_rule_size(domain, basis, field_modes)
-    forms = assemble(domain, args.tau, basis, n_boundary=n_boundary)
-    return solve(forms), basis
+    return solve(assemble(domain, args.tau, basis, n_boundary=n_boundary))
 
 
 def _cmd_solve(args) -> int:
     domain = _load_domain(args.domain)
-    solution, _ = _solve_for(args, domain)
+    solution = _solve_for(args, domain)
     d = solution.diagnostics
     doc = {
         "domain": _domain_as_dict(domain),
@@ -183,9 +182,9 @@ def _cmd_solve(args) -> int:
 def _cmd_shape_derivative(args) -> int:
     domain = _load_domain(args.domain)
     field = _parse_field(args.field, domain)
-    solution, basis = _solve_for(args, domain, field.max_mode)
+    solution = _solve_for(args, domain, field.max_mode)
     F = _resolve_F(args.F, solution)
-    deriv = hadamard_derivative(domain, solution, basis, F, args.s, field)
+    deriv = hadamard_derivative(solution, F, args.s, field)
     doc = {
         "domain": _domain_as_dict(domain),
         "tau": args.tau,
@@ -195,8 +194,7 @@ def _cmd_shape_derivative(args) -> int:
         "hadamard": deriv,
     }
     if args.validate_fd:
-        steps = tuple(_parse_float_list(args.steps, "step"))
-        fd = fd_derivative(domain, solution, basis, F, args.s, field, steps=steps)
+        fd = fd_derivative(solution, F, args.s, field)
         doc["fd_steps"] = list(fd.steps)
         doc["fd_estimates"] = list(fd.estimates)
         doc["fd_extrapolated"] = fd.extrapolated
@@ -207,9 +205,9 @@ def _cmd_shape_derivative(args) -> int:
 
 def _cmd_criticality(args) -> int:
     domain = _load_domain(args.domain)
-    solution, basis = _solve_for(args, domain)
+    solution = _solve_for(args, domain)
     F = _resolve_F(args.F, solution)
-    c_best, residual = criticality_residual(solution, basis, F)  # validates F
+    c_best, residual = criticality_residual(solution, F)  # validates F
     lam_f = float(np.mean(solution.eigenvalues[[j - 1 for j in F]]))
     doc = {
         "domain": _domain_as_dict(domain),
@@ -284,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="normal velocity: const, cosK or sinK")
     p.add_argument("--validate-fd", action="store_true", dest="validate_fd",
                    help="also compute central finite differences of the assembled pencil")
-    p.add_argument("--steps", default="1e-3,5e-4", help="FD step sizes (default 1e-3,5e-4)")
     p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_shape_derivative)

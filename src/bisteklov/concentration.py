@@ -216,8 +216,7 @@ def _assemble(Ae: np.ndarray, k: int) -> np.ndarray:
     return B[1:] if k <= 1 else B[2:]
 
 
-def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh,
-                   forms: SimpleNamespace):
+def _mode_matrices(k: int, tau: float, forms: SimpleNamespace):
     """Lower bands (see `_assemble`) of stiffness and mass for angular mode k.
 
     The energy density per unit radius for u = f(r) trig(k theta) is the sum of
@@ -229,9 +228,9 @@ def _mode_matrices(k: int, tau: float, profile: DensityProfile, mesh: RadialMesh
     integrated against r dr (angular factor normalized away; it is common to both
     matrices).  Center regularity removes f'(0) for k = 0, f(0) for k = 1, and both
     for k >= 2.  Each term is formed on all elements at once, the four that do not
-    depend on k taken from `forms` (`_mesh_forms` of this profile and mesh), and
-    the terms are added in the order written; a global entry sums at most two
-    element entries, in either order.  The mass band is the one `forms` holds for k.
+    depend on k taken from `forms` (`_mesh_forms` of the mesh), and the terms are
+    added in the order written; a global entry sums at most two element entries, in
+    either order.  The mass band is the one `forms` holds for k.
     """
     k2 = float(k * k)
     Se = forms.bend + 2.0 * k2 * forms.twist if k >= 1 else forms.bend.copy()
@@ -343,12 +342,8 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
     return [np.r_[0.0, x] if c is not None else x for x, c in zip(lam, deflate)]
 
 
-def _check_mesh(profile: DensityProfile, mesh: RadialMesh) -> None:
-    """Reject a mesh built for another eps; warn, at the caller's caller, on a coarse collar."""
-    if abs(mesh.eps - profile.eps) > 1e-14:
-        raise DomainValidationError(
-            f"mesh was built for eps={mesh.eps}, profile has eps={profile.eps}"
-        )
+def _check_mesh(mesh: RadialMesh) -> None:
+    """Warn, at the caller's caller, on a collar of fewer than four elements."""
     if mesh.n_collar_elements < 4:
         warnings.warn(
             f"collar resolved by only {mesh.n_collar_elements} elements; "
@@ -365,14 +360,14 @@ def _constant(n: int) -> np.ndarray:
     return np.r_[1.0, np.resize([1.0, 0.0], n - 1)]
 
 
-def merged_spectrum(tau: float, profile: DensityProfile, mesh: RadialMesh,
-                    j_max: int) -> np.ndarray:
-    """First j_max plate eigenvalues over angular modes 0.._K_CAP, multiplicity two for k >= 1."""
+def merged_spectrum(tau: float, mesh: RadialMesh, j_max: int) -> np.ndarray:
+    """First j_max plate eigenvalues over angular modes 0.._K_CAP, multiplicity two for k >= 1,
+    at the density DensityProfile(mesh.eps)."""
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
-    _check_mesh(profile, mesh)
-    forms = _mesh_forms(profile, mesh)
-    bands = [_mode_matrices(k, tau, profile, mesh, forms) for k in range(_K_CAP + 1)]
+    _check_mesh(mesh)
+    forms = _mesh_forms(DensityProfile(mesh.eps), mesh)
+    bands = [_mode_matrices(k, tau, forms) for k in range(_K_CAP + 1)]
     # every mode in one pencil solve, padded to mode 0's length by DOFs with S = 1, M = 0
     S, M = np.zeros((2, len(bands), len(bands[0][0]), _BAND))
     S[:, :, 0] = 1.0
@@ -432,9 +427,8 @@ def convergence_sweep(
         )
     rows = []
     for eps in eps_list:
-        profile = DensityProfile(eps)
         mesh = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar)
-        spec = merged_spectrum(tau, profile, mesh, j_max)
+        spec = merged_spectrum(tau, mesh, j_max)
         for j in j_list:
             lam_eps = float(spec[j - 1])
             lam_lim = limit.eigenvalue(j)

@@ -2,8 +2,8 @@
 
 Among domains of fixed area, the disk should maximize the first nonzero
 eigenvalue.  These experiments scan one-parameter families of star-shaped
-domains at fixed area, compare each member against the equal-area disk computed
-with the same discretization.
+domains at fixed area and compare each member against the equal-area disk,
+computed with the same discretization.
 """
 
 from __future__ import annotations

@@ -18,13 +18,8 @@ import numpy as np
 
 from .errors import DomainValidationError
 from .geometry import StarDomain, _check_n_nodes, fourier_projection, grid_series
-from .steklov_solver import (
-    EigenSolution,
-    TrialBasis,
-    assemble,
-    boundary_rule_size,
-    eigenfunction_boundary_data,
-)
+from .steklov_solver import (EigenSolution, assemble, boundary_rule_size,
+                             eigenfunction_boundary_data)
 
 _CLUSTER_SPREAD_TOL = 1e-4
 
@@ -69,9 +64,12 @@ def symmetric_function(eigenvalues, F: tuple[int, ...], s: int) -> float:
     return e[s]
 
 
-def _check_cluster(solution: EigenSolution, F: tuple[int, ...]) -> float:
-    """Validate that F is a full, well-separated near-degenerate group; return its mean."""
+def _check_cluster(solution: EigenSolution, F: tuple[int, ...], s: int):
+    """Validate 1 <= s <= |F| and that F is a full, well-separated near-degenerate group;
+    return F sorted and its mean."""
     F = tuple(sorted(F))
+    if not (1 <= s <= len(F)):
+        raise DomainValidationError(f"s must lie in 1..{len(F)}, got {s}")
     if list(F) != list(range(F[0], F[-1] + 1)):
         raise DomainValidationError(f"F must be a contiguous index range, got {F}")
     lam = solution.eigenvalues
@@ -89,32 +87,35 @@ def _check_cluster(solution: EigenSolution, F: tuple[int, ...]) -> float:
         raise DomainValidationError(
             f"F={F} does not cover its full degenerate cluster {(lo, hi)}"
         )
-    return lam_f
+    return F, lam_f
 
 
-def _trace_integrand(solution: EigenSolution, basis: TrialBasis, F: tuple[int, ...], lam_f: float):
-    """Per-node boundary density whose weighted integral against g gives the derivative."""
-    tr = eigenfunction_boundary_data(solution, tuple(F))
+def _trace_integrand(solution: EigenSolution, F: tuple[int, ...], s: int = 1):
+    """Weights, per-node density (its weighted integral against g gives the derivative) and
+    lambda_F of the full cluster F, checked with s; None for the trivial cluster."""
+    F, lam_f = _check_cluster(solution, F, s)
+    tau = solution.boundary.basis.tau
+    if abs(lam_f) <= 1e-9 * max(1.0, tau):
+        return None
+    tr = eigenfunction_boundary_data(solution, F)
     v, dvdn, g, h = tr.values, tr.normal_derivatives, tr.gradients, tr.hessians
     grad2 = np.einsum("mnc,mnc->mn", g, g)
     hess2 = h[:, :, 0] ** 2 + 2.0 * h[:, :, 1] ** 2 + h[:, :, 2] ** 2
     per_mode = lam_f * (tr.quad.curvatures[None, :] * v**2 + 2.0 * v * dvdn)
-    per_mode = per_mode - basis.tau * grad2 - hess2
-    return tr.quad, per_mode.sum(axis=0)
+    per_mode = per_mode - tau * grad2 - hess2
+    return tr.quad.weights, per_mode.sum(axis=0), lam_f
 
 
 def hadamard_derivative(
-    domain: StarDomain,
-    solution: EigenSolution,
-    basis: TrialBasis,
-    F: tuple[int, ...],
-    s: int,
-    field: PerturbationField,
+    solution: EigenSolution, F: tuple[int, ...], s: int, field: PerturbationField
 ) -> float:
     """Derivative of e_s over the eigenvalue cluster F along the normal field g.
 
     Parameters
     ----------
+    solution : EigenSolution
+        The solved problem; its domain, basis and tau are those of
+        `solution.boundary`.
     F : tuple of int
         1-based eigenvalue indexes forming a complete near-degenerate cluster
         (relative spread below 1e-4).
@@ -138,22 +139,16 @@ def hadamard_derivative(
     with the domain's is rejected.
     """
     n_nodes = solution.boundary.quad.weights.size
-    _check_n_nodes(domain, n_nodes, field.max_mode)
-    F = tuple(sorted(F))
-    if not (1 <= s <= len(F)):
-        raise DomainValidationError(f"s must lie in 1..{len(F)}, got {s}")
-    lam_f = _check_cluster(solution, F)
-    if abs(lam_f) <= 1e-9 * max(1.0, basis.tau):
+    _check_n_nodes(solution.boundary.domain, n_nodes, field.max_mode)
+    trace = _trace_integrand(solution, F, s)
+    if trace is None:
         return 0.0
-    quad, density = _trace_integrand(solution, basis, F, lam_f)
-    g = field.samples(n_nodes)
-    integral = float(np.dot(quad.weights, density * g))
+    weights, density, lam_f = trace
+    integral = float(np.dot(weights, density * field.samples(n_nodes)))
     return -(lam_f ** (s - 1)) * math.comb(len(F) - 1, s - 1) * integral
 
 
-def criticality_residual(
-    solution: EigenSolution, basis: TrialBasis, F: tuple[int, ...]
-) -> tuple[float, float]:
+def criticality_residual(solution: EigenSolution, F: tuple[int, ...]) -> tuple[float, float]:
     """How far the cluster F is from shape criticality under volume-preserving fields.
 
     The derivative vanishes for every volume-preserving field exactly when the
@@ -162,15 +157,14 @@ def criticality_residual(
     residual = ||density - c_best||_rms / (|c_best| + 1), on the solution's
     assembly rule.
     """
-    F = tuple(sorted(F))
-    lam_f = _check_cluster(solution, F)
-    if abs(lam_f) <= 1e-9 * max(1.0, basis.tau):
+    trace = _trace_integrand(solution, F)
+    if trace is None:
         return 0.0, 0.0
-    quad, density = _trace_integrand(solution, basis, F, lam_f)
-    L = float(quad.weights.sum())
-    c_best = float(np.dot(quad.weights, density) / L)
+    weights, density, _ = trace
+    L = float(weights.sum())
+    c_best = float(np.dot(weights, density) / L)
     dev = density - c_best
-    residual = math.sqrt(float(np.dot(quad.weights, dev * dev)) / L) / (abs(c_best) + 1.0)
+    residual = math.sqrt(float(np.dot(weights, dev * dev)) / L) / (abs(c_best) + 1.0)
     return c_best, residual
 
 
@@ -204,9 +198,7 @@ class FDResult:
 
 
 def fd_derivative(
-    domain: StarDomain,
     solution: EigenSolution,
-    basis: TrialBasis,
     F: tuple[int, ...],
     s: int,
     field: PerturbationField,
@@ -227,7 +219,7 @@ def fd_derivative(
     either domain's modes need it (boundary_rule_size).  No perturbed domain is
     solved.  F must be a full cluster, as for hadamard_derivative.  Steps must be
     finite, positive and distinct.  The two smallest steps are Richardson-combined
-    into the extrapolated estimate.
+    into the extrapolated estimate.  The domain, basis and tau are the solution's.
     """
     steps = tuple(float(t) for t in steps)
     if not steps or not all(math.isfinite(t) and t > 0.0 for t in steps):
@@ -235,22 +227,20 @@ def fd_derivative(
     if len(set(steps)) != len(steps):
         raise DomainValidationError(f"steps must be distinct, got {steps}")
     steps = tuple(sorted(steps, reverse=True))
-    F = tuple(sorted(F))
-    if not (1 <= s <= len(F)):
-        raise DomainValidationError(f"s must lie in 1..{len(F)}, got {s}")
-    _check_cluster(solution, F)
+    F, _ = _check_cluster(solution, F, s)
     lam = solution.eigenvalues
     lam_of_f = lam[[j - 1 for j in F]]
     X = solution.coefficients[:, [j - 1 for j in F]]
     w = np.array([1.0 if s == 1 else symmetric_function(lam, tuple(k for k in F if k != j), s - 1)
                   for j in F])
-    tau, n_boundary = basis.tau, solution.boundary.quad.weights.size
+    ev = solution.boundary
+    domain, basis, n_boundary = ev.domain, ev.basis, ev.quad.weights.size
 
     estimates = []
     for t in steps:
         plus, minus = (realize_perturbation(domain, field, sign * t) for sign in (+1.0, -1.0))
         n = max(n_boundary, boundary_rule_size(plus, basis), boundary_rule_size(minus, basis))
-        fp, fm = (assemble(dom, tau, basis, n_boundary=n) for dom in (plus, minus))
+        fp, fm = (assemble(dom, basis.tau, basis, n_boundary=n) for dom in (plus, minus))
         dA = fp.stiffness - fm.stiffness
         dB = fp.boundary_mass - fm.boundary_mass
         dlam = np.einsum("bi,bi->i", X, dA @ X) - lam_of_f * np.einsum("bi,bi->i", X, dB @ X)

@@ -162,8 +162,10 @@ def _eval_all(
 
 @dataclass(frozen=True)
 class BoundaryEvaluation:
-    """Every trial function on one boundary rule: the (val, grad, hess) of _eval_all."""
+    """Every trial function of `basis` on a boundary rule of `domain`: _eval_all's output."""
 
+    domain: StarDomain
+    basis: TrialBasis
     quad: BoundaryQuadrature
     values: np.ndarray  # (nb, n_nodes)
     gradients: np.ndarray  # (nb, n_nodes, 2)
@@ -231,8 +233,8 @@ def assemble(
     for this basis since every trial function solves Delta^2 u = tau Delta u, on
     the same boundary rule as the mass; no interior quadrature is needed.  The rule
     has n_boundary nodes, by default boundary_rule_size(domain, basis).  The
-    returned forms keep the rule and the basis evaluation they came from, for the
-    eigenfunction traces of the solution.
+    returned forms keep the domain, the basis, the rule and the basis evaluation
+    they came from, for the eigenfunction traces of the solution.
     """
     if abs(tau - basis.tau) > 1e-14 * max(1.0, tau):
         raise DomainValidationError(
@@ -258,7 +260,7 @@ def assemble(
     return AssembledForms(
         stiffness=0.5 * (A + A.T),
         boundary_mass=0.5 * (B + B.T),
-        boundary=BoundaryEvaluation(quad=bq, values=val, gradients=grad, hessians=hess),
+        boundary=BoundaryEvaluation(domain, basis, bq, val, grad, hess),
     )
 
 

@@ -367,18 +367,6 @@ class TestExitCodes:
         assert "n_nodes" in err
         assert work_counts == {"assemble": 0, "_eval_all": 0, "solve": 0}
 
-    @pytest.mark.parametrize("steps", ["1e-3,1e-3", "nan", "inf", "1e-3,nan"])
-    def test_bad_fd_steps(self, capsys, perturbed_file, steps):
-        # a repeated step once ended in a ZeroDivisionError traceback, and a
-        # non-finite one was reported as destroying star-shapedness
-        code, out, err = run_cli(
-            capsys, "shape-derivative", "--domain", perturbed_file, "--tau", "1.0",
-            "--field", "cos2", "--validate-fd", "--steps", steps,
-        )
-        assert code == 2
-        assert out == ""
-        assert "steps" in err
-
     @pytest.mark.parametrize("center", ["[NaN, 0]", "[0, Infinity]"])
     @pytest.mark.parametrize("command", [["solve"], ["criticality"], ["shape-derivative", "--field", "cos2"]],
                              ids=["solve", "criticality", "shape-derivative"])
@@ -504,7 +492,7 @@ class TestWorkCounts:
         # solve; the traces reuse the base assembly's evaluation
         code, _, _ = run_cli(
             capsys, "shape-derivative", "--domain", perturbed_file, "--tau", "1.0",
-            "--field", "cos2", "--validate-fd", "--steps", "1e-3,5e-4",
+            "--field", "cos2", "--validate-fd",
         )
         assert code == 0
         assert work_counts == {"assemble": 5, "_eval_all": 5, "solve": 1}
@@ -642,7 +630,7 @@ def _argv(draw):
         if command == "shape-derivative":
             argv += ["--field", draw(_FIELD), "--s", str(draw(st.integers(-1, 3)))]
             if draw(st.booleans()):
-                argv += ["--validate-fd", "--steps", draw(_LIST)]
+                argv.append("--validate-fd")
     return argv
 
 

@@ -59,7 +59,7 @@ def _deflation(k, mesh):
 
 def _mode_eigenvalues(k, tau, profile, mesh, count=6):
     """Lowest eigenvalues of angular mode k alone, solved as a stack of one mode."""
-    S, M = _mode_matrices(k, tau, profile, mesh, _mesh_forms(profile, mesh))
+    S, M = _mode_matrices(k, tau, _mesh_forms(profile, mesh))
     return _solve_pencil(S[None], M[None], count, [_deflation(k, mesh)])[0]
 
 
@@ -181,7 +181,7 @@ class TestModeAssembly:
     def test_constant_spans_the_kernel(self):
         profile = DensityProfile(0.1)
         mesh = make_radial_mesh(0.1)
-        bands = _mode_matrices(0, 1.0, profile, mesh, _mesh_forms(profile, mesh))
+        bands = _mode_matrices(0, 1.0, _mesh_forms(profile, mesh))
         S, M = map(band_to_dense, bands)
         c = _deflation(0, mesh)
         assert np.abs(S @ c).max() <= 1e-12 * np.abs(S).max()
@@ -212,7 +212,7 @@ class TestModeAssembly:
         tau = 1.3
         profile = DensityProfile(0.3)
         mesh = make_radial_mesh(0.3, n_bulk=20, n_collar=6)
-        S, _ = _mode_matrices(k, tau, profile, mesh, _mesh_forms(profile, mesh))
+        S, _ = _mode_matrices(k, tau, _mesh_forms(profile, mesh))
         full = np.zeros(2 * len(mesh.nodes))
         full[0::2] = f(mesh.nodes)
         full[1::2] = fp(mesh.nodes)
@@ -239,7 +239,7 @@ class TestElementwiseOracle:
         forms = _mesh_forms(profile, mesh)
         for tau in (0.1, 1.0, 20.0):
             for k in range(9):
-                S, M = _mode_matrices(k, tau, profile, mesh, forms)
+                S, M = _mode_matrices(k, tau, forms)
                 S_ref, M_ref, _ = elementwise_mode_matrices(k, tau, profile, mesh)
                 assert np.array_equal(S, lower_band(S_ref)), (tau, k)
                 assert np.array_equal(M, lower_band(M_ref)), (tau, k)
@@ -260,7 +260,7 @@ class TestElementwiseOracle:
             ev = _solve_pencil(lower_band(S)[None], lower_band(M)[None], 6, [deflate])[0]
             want.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         want.sort()
-        assert np.array_equal(merged_spectrum(tau, profile, mesh, 6), want[:6])
+        assert np.array_equal(merged_spectrum(tau, mesh, 6), want[:6])
 
 
 class TestPencil:
@@ -270,7 +270,7 @@ class TestPencil:
     def _both(n_bulk, n_collar, eps, tau, k, count=6):
         profile = DensityProfile(eps)
         mesh = make_radial_mesh(eps, n_bulk, n_collar)
-        S, M = _mode_matrices(k, tau, profile, mesh, _mesh_forms(profile, mesh))
+        S, M = _mode_matrices(k, tau, _mesh_forms(profile, mesh))
         deflate = _deflation(k, mesh)
         return (_solve_pencil(S[None], M[None], count, [deflate])[0],
                 dense_pencil(band_to_dense(S), band_to_dense(M), count, deflate))
@@ -309,7 +309,7 @@ class TestPencil:
         profile = DensityProfile(eps)
         mesh = make_radial_mesh(eps, n_bulk, n_collar)
         forms = _mesh_forms(profile, mesh)
-        bands = [_mode_matrices(k, 1.0, profile, mesh, forms) for k in modes]
+        bands = [_mode_matrices(k, 1.0, forms) for k in modes]
         S, M = np.zeros((2, len(bands), max(len(Sk) for Sk, _ in bands), 4))
         S[:, :, 0] = 1.0  # decoupled pads: S = 1, M = 0
         for Si, Mi, (Sk, Mk) in zip(S, M, bands):
@@ -334,7 +334,7 @@ class TestPencil:
         mesh = make_radial_mesh(0.025, 20, 8)
         forms = _mesh_forms(profile, mesh)
         for k in range(3):
-            S, M = _mode_matrices(k, 1.0, profile, mesh, forms)
+            S, M = _mode_matrices(k, 1.0, forms)
             deflate = _deflation(k, mesh)
             Sd, Md = band_to_dense(S), band_to_dense(M)
             Ri = mp.inverse(mp.cholesky(mp.matrix(Md.tolist())))
@@ -365,35 +365,27 @@ class TestModeEigenvalues:
 
     def test_converged_second_eigenvalues(self):
         for eps, want in LAMBDA2_CONVERGED.items():
-            profile = DensityProfile(eps)
             mesh = make_radial_mesh(eps)
-            spec = merged_spectrum(1.0, profile, mesh, 2)
+            spec = merged_spectrum(1.0, mesh, 2)
             assert spec[1] == pytest.approx(want, abs=5e-6), eps
 
     def test_mesh_halving_stability(self):
-        profile = DensityProfile(0.05)
-        a = merged_spectrum(1.0, profile, make_radial_mesh(0.05, 40, 8), 2)[1]
-        b = merged_spectrum(1.0, profile, make_radial_mesh(0.05, 80, 16), 2)[1]
+        a = merged_spectrum(1.0, make_radial_mesh(0.05, 40, 8), 2)[1]
+        b = merged_spectrum(1.0, make_radial_mesh(0.05, 80, 16), 2)[1]
         assert abs(a - b) < 1e-6
 
     def test_coarse_collar_warns(self):
-        profile = DensityProfile(0.2)
         mesh = make_radial_mesh(0.2, n_bulk=10, n_collar=2)
         with pytest.warns(UserWarning) as record_merged:
-            merged_spectrum(1.0, profile, mesh, 2)
+            merged_spectrum(1.0, mesh, 2)
         # attributed to the caller, not to the module
         assert record_merged[0].filename == __file__
-
-    def test_mesh_profile_mismatch(self):
-        with pytest.raises(DomainValidationError):
-            merged_spectrum(1.0, DensityProfile(0.2), make_radial_mesh(0.1), 2)
 
 
 class TestMergedSpectrum:
     def test_nonaxisymmetric_modes_come_in_pairs(self):
-        profile = DensityProfile(0.2)
         mesh = make_radial_mesh(0.2)
-        spec = merged_spectrum(1.0, profile, mesh, 5)
+        spec = merged_spectrum(1.0, mesh, 5)
         assert spec[0] == 0.0
         assert spec[1] == spec[2]  # k = 1 pair, duplicated exactly
         assert np.all(np.diff(spec) >= 0.0)
@@ -406,20 +398,19 @@ class TestMergedSpectrum:
             ev = _mode_eigenvalues(k, 1.0, profile, mesh, count=6)
             vals.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         vals.sort()
-        spec = merged_spectrum(1.0, profile, mesh, 6)
+        spec = merged_spectrum(1.0, mesh, 6)
         assert np.allclose(spec, vals[:6], rtol=0, atol=0)
 
     def test_insufficient_modes_detected(self):
         # modes 0..8 of the 1/1 mesh hold 5 + 2 * 5 + 7 * 2 * 4 = 71 values
-        profile = DensityProfile(0.2)
         with pytest.warns(UserWarning):  # deliberately tiny mesh
             mesh = make_radial_mesh(0.2, n_bulk=1, n_collar=1)
             with pytest.raises(NumericalError):
-                merged_spectrum(1.0, profile, mesh, 72)
+                merged_spectrum(1.0, mesh, 72)
 
     def test_validation(self):
         with pytest.raises(DomainValidationError):
-            merged_spectrum(1.0, DensityProfile(0.2), make_radial_mesh(0.2), 0)
+            merged_spectrum(1.0, make_radial_mesh(0.2), 0)
 
 
 class TestConvergenceSweep:

@@ -37,15 +37,14 @@ PERTURBED_COS2_DERIVATIVE = -1.4606622125405107
 
 
 def solved(domain: StarDomain, tau: float, k_max: int = 10):
-    basis = make_trial_basis(k_max, tau)
-    return solve(assemble(domain, tau, basis)), basis
+    return solve(assemble(domain, tau, make_trial_basis(k_max, tau)))
 
 
 def solved_for_field(domain: StarDomain, tau: float, k_max: int, field: PerturbationField):
     """Solve on a rule that also resolves the field, as the shape-derivative subcommand does."""
     basis = make_trial_basis(k_max, tau)
     n = boundary_rule_size(domain, basis, field.max_mode)
-    return solve(assemble(domain, tau, basis, n_boundary=n)), basis
+    return solve(assemble(domain, tau, basis, n_boundary=n))
 
 
 def seeded_star(cos_modes: dict, sin_modes: dict, center) -> StarDomain:
@@ -152,99 +151,99 @@ class TestHadamardDerivative:
     def test_disk_dilation(self):
         # lambda_2 = lambda_3 = tau / R, so e_1 and e_2 shrink at known exact rates
         for tau in (1.0, 2.5):
-            sol, basis = solved(DISK, tau)
+            sol = solved(DISK, tau)
             g = PerturbationField(const=1.0)
-            d1 = hadamard_derivative(DISK, sol, basis, (2, 3), 1, g)
+            d1 = hadamard_derivative(sol, (2, 3), 1, g)
             assert d1 == pytest.approx(-2.0 * tau, rel=1e-9)
-            d2 = hadamard_derivative(DISK, sol, basis, (2, 3), 2, g)
+            d2 = hadamard_derivative(sol, (2, 3), 2, g)
             assert d2 == pytest.approx(-2.0 * tau**2, rel=1e-9)
 
     def test_trivial_cluster_returns_zero(self):
-        sol, basis = solved(DISK, 1.0)
+        sol = solved(DISK, 1.0)
         g = PerturbationField(const=1.0)
-        assert hadamard_derivative(DISK, sol, basis, (1,), 1, g) == 0.0
+        assert hadamard_derivative(sol, (1,), 1, g) == 0.0
 
     def test_trig_fields_are_neutral_on_disk(self):
         # disk criticality: pure oscillations do not move symmetric functions
         for tau in (1.0, 2.5):
-            sol, basis = solved(DISK, tau)
+            sol = solved(DISK, tau)
             for s in (1, 2):
                 for k in (1, 2, 3, 4):
                     g = PerturbationField(cos_coeffs=(0.0,) * (k - 1) + (1.0,))
-                    d = hadamard_derivative(DISK, sol, basis, (2, 3), s, g)
+                    d = hadamard_derivative(sol, (2, 3), s, g)
                     assert abs(d) <= 1e-7 * max(1.0, tau**s), (tau, s, k)
 
     def test_linearity_in_field(self):
-        sol, basis = solved(PERTURBED, 1.0)
+        sol = solved(PERTURBED, 1.0)
         g1 = PerturbationField(const=0.7)
         g2 = PerturbationField(cos_coeffs=(0.0, 1.0))
         both = PerturbationField(const=0.7, cos_coeffs=(0.0, 1.0))
-        d1 = hadamard_derivative(PERTURBED, sol, basis, (2,), 1, g1)
-        d2 = hadamard_derivative(PERTURBED, sol, basis, (2,), 1, g2)
-        d12 = hadamard_derivative(PERTURBED, sol, basis, (2,), 1, both)
+        d1 = hadamard_derivative(sol, (2,), 1, g1)
+        d2 = hadamard_derivative(sol, (2,), 1, g2)
+        d12 = hadamard_derivative(sol, (2,), 1, both)
         assert d12 == pytest.approx(d1 + d2, rel=1e-10)
 
     def test_frozen_regression(self):
-        sol, basis = solved(PERTURBED, 1.0)
+        sol = solved(PERTURBED, 1.0)
         g = PerturbationField(cos_coeffs=(0.0, 1.0))
-        d = hadamard_derivative(PERTURBED, sol, basis, (2,), 1, g)
+        d = hadamard_derivative(sol, (2,), 1, g)
         assert d == pytest.approx(PERTURBED_COS2_DERIVATIVE, rel=1e-6)
 
     def test_cluster_validation(self):
-        sol, basis = solved(DISK, 1.0)
+        sol = solved(DISK, 1.0)
         g = PerturbationField(const=1.0)
         with pytest.raises(DomainValidationError):
             # half of a degenerate pair
-            hadamard_derivative(DISK, sol, basis, (2,), 1, g)
+            hadamard_derivative(sol, (2,), 1, g)
         with pytest.raises(DomainValidationError):
             # contiguous but straddling two clusters
-            hadamard_derivative(DISK, sol, basis, (3, 4), 1, g)
+            hadamard_derivative(sol, (3, 4), 1, g)
         with pytest.raises(DomainValidationError):
-            hadamard_derivative(DISK, sol, basis, (2, 4), 1, g)
+            hadamard_derivative(sol, (2, 4), 1, g)
         with pytest.raises(DomainValidationError):
-            hadamard_derivative(DISK, sol, basis, (2, 3), 3, g)
+            hadamard_derivative(sol, (2, 3), 3, g)
         with pytest.raises(DomainValidationError, match="outside"):
             # index 0 once read the last eigenvalue
-            hadamard_derivative(DISK, sol, basis, (0, 1), 1, g)
+            hadamard_derivative(sol, (0, 1), 1, g)
 
     def test_unresolved_field(self):
         # on 512 nodes cos(512 theta) aliases to the constant: the disk is critical,
         # yet the aliased integral read -2 tau, the dilation rate
-        sol, basis = solved(DISK, 1.0)
+        sol = solved(DISK, 1.0)
         g = PerturbationField(cos_coeffs=(0.0,) * 511 + (1.0,))
         with pytest.raises(DomainValidationError):
-            hadamard_derivative(DISK, sol, basis, (2, 3), 1, g)
-        fine = solve(assemble(DISK, 1.0, basis, n_boundary=4 * 513))
-        d = hadamard_derivative(DISK, fine, basis, (2, 3), 1, g)
+            hadamard_derivative(sol, (2, 3), 1, g)
+        fine = solve(assemble(DISK, 1.0, sol.boundary.basis, n_boundary=4 * 513))
+        d = hadamard_derivative(fine, (2, 3), 1, g)
         assert abs(d) <= 1e-7
 
 
 class TestCriticality:
     def test_disk_is_critical(self):
-        sol, basis = solved(DISK, 1.0)
-        c_best, residual = criticality_residual(sol, basis, (2, 3))
+        sol = solved(DISK, 1.0)
+        c_best, residual = criticality_residual(sol, (2, 3))
         assert residual < 1e-7
         assert c_best != 0.0
 
     def test_trivial_cluster(self):
-        sol, basis = solved(DISK, 1.0)
-        assert criticality_residual(sol, basis, (1,)) == (0.0, 0.0)
+        sol = solved(DISK, 1.0)
+        assert criticality_residual(sol, (1,)) == (0.0, 0.0)
 
     def test_threefold_symmetric_domain_is_not_critical(self):
         # cos(3 theta) bump keeps the first pair degenerate but not critical
         domain = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.0, 0.1))
-        sol, basis = solved(domain, 1.0)
+        sol = solved(domain, 1.0)
         assert sol.cluster_of(2) == (2, 3)
-        _, residual = criticality_residual(sol, basis, (2, 3))
+        _, residual = criticality_residual(sol, (2, 3))
         assert residual > 0.1
 
 
 class TestFiniteDifferences:
     def test_matches_hadamard_with_quadratic_decay(self):
-        sol, basis = solved(PERTURBED, 1.0)
+        sol = solved(PERTURBED, 1.0)
         g = PerturbationField(cos_coeffs=(0.0, 1.0))
-        had = hadamard_derivative(PERTURBED, sol, basis, (2,), 1, g)
-        fd = fd_derivative(PERTURBED, sol, basis, (2,), 1, g, steps=(2e-3, 1e-3))
+        had = hadamard_derivative(sol, (2,), 1, g)
+        fd = fd_derivative(sol, (2,), 1, g, steps=(2e-3, 1e-3))
         assert fd.extrapolated == pytest.approx(had, rel=1e-8)
         e_coarse = fd.estimates[0] - had
         e_fine = fd.estimates[1] - had
@@ -264,37 +263,37 @@ class TestFiniteDifferences:
             ),
         ]
         for domain, tau, F, s, g, exact in cases:
-            sol, basis = solved(domain, tau)
-            had = hadamard_derivative(domain, sol, basis, F, s, g)
-            fd = fd_derivative(domain, sol, basis, F, s, g, steps=(2e-3, 1e-3))
+            sol = solved(domain, tau)
+            had = hadamard_derivative(sol, F, s, g)
+            fd = fd_derivative(sol, F, s, g, steps=(2e-3, 1e-3))
             assert abs(had - fd.extrapolated) <= 1e-6 * max(1.0, abs(had)), (F, s)
             if exact is not None:
                 assert had == pytest.approx(exact * tau**s, rel=1e-9)
 
     def test_tracking_ambiguity_raises(self):
         # the re-solve-and-track oracle refuses steps that move the cluster past its gap
-        sol, basis = solved(PERTURBED, 1.0)
+        sol = solved(PERTURBED, 1.0)
         g = PerturbationField(cos_coeffs=(0.0, 1.0))
         with pytest.raises(NumericalError):
-            tracked_fd_derivative(PERTURBED, sol, basis, (2,), 1, g, steps=(0.4, 0.2))
+            tracked_fd_derivative(PERTURBED, sol, sol.boundary.basis, (2,), 1, g, steps=(0.4, 0.2))
 
     def test_partial_cluster_rejected(self):
         # index 2 alone is half of the disk's pair: its difference would depend on
         # the basis chosen inside the pair
-        sol, basis = solved(DISK, 1.0)
+        sol = solved(DISK, 1.0)
         with pytest.raises(DomainValidationError, match="cluster"):
-            fd_derivative(DISK, sol, basis, (2,), 1, PerturbationField(const=1.0))
+            fd_derivative(sol, (2,), 1, PerturbationField(const=1.0))
 
     @pytest.mark.parametrize("domain, tau, k_max, field", SEEDED_TRACKING_FAILURES,
                              ids=["star16", "star34", "star40", "star57"])
     def test_no_tracking_on_crowded_spectra(self, domain, tau, k_max, field):
         # steps of 1e-3 move lambda_2 of these stars across more than 0.45 of its gap,
         # which defeated tracking re-solved eigenvalues by index
-        sol, basis = solved_for_field(domain, tau, k_max, field)
+        sol = solved_for_field(domain, tau, k_max, field)
         with pytest.raises(NumericalError, match="tracking ambiguous"):
-            tracked_fd_derivative(domain, sol, basis, (2,), 1, field)
-        had = hadamard_derivative(domain, sol, basis, (2,), 1, field)
-        fd = fd_derivative(domain, sol, basis, (2,), 1, field).extrapolated
+            tracked_fd_derivative(domain, sol, sol.boundary.basis, (2,), 1, field)
+        had = hadamard_derivative(sol, (2,), 1, field)
+        fd = fd_derivative(sol, (2,), 1, field).extrapolated
         assert abs(fd - had) <= 1e-9 * max(abs(fd), tau)
 
     def test_agrees_with_tracked_eigenvalues(self):
@@ -311,14 +310,14 @@ class TestFiniteDifferences:
             field = (PerturbationField(const=1.0) if k == 0 else
                      PerturbationField(cos_coeffs=coeffs) if rng.random() < 0.5 else
                      PerturbationField(sin_coeffs=coeffs))
-            sol, basis = solved_for_field(domain, tau, 10, field)
+            sol = solved_for_field(domain, tau, 10, field)
             F = tuple(range(sol.cluster_of(2)[0], sol.cluster_of(2)[1] + 1))
-            fd = fd_derivative(domain, sol, basis, F, 1, field).extrapolated
+            fd = fd_derivative(sol, F, 1, field).extrapolated
             scale = max(abs(fd), tau)
-            had = hadamard_derivative(domain, sol, basis, F, 1, field)
+            had = hadamard_derivative(sol, F, 1, field)
             assert abs(fd - had) <= 1e-9 * scale, (domain, tau, field)
             try:
-                ref = tracked_fd_derivative(domain, sol, basis, F, 1, field).extrapolated
+                ref = tracked_fd_derivative(domain, sol, sol.boundary.basis, F, 1, field).extrapolated
             except NumericalError:
                 continue
             tracked += 1
@@ -326,18 +325,18 @@ class TestFiniteDifferences:
         assert tracked >= 8
 
     def test_step_validation(self):
-        sol, basis = solved(DISK, 1.0)
+        sol = solved(DISK, 1.0)
         g = PerturbationField(const=1.0)
         # a repeated step once divided by zero in the Richardson step, and a
         # non-finite one was reported as destroying star-shapedness
         for steps in ((0.0,), (-1e-3, 1e-3), (), (1e-3, 1e-3), (math.nan,), (math.inf,),
                       (1e-3, math.nan)):
             with pytest.raises(DomainValidationError, match="steps"):
-                fd_derivative(DISK, sol, basis, (2, 3), 1, g, steps=steps)
+                fd_derivative(sol, (2, 3), 1, g, steps=steps)
 
     def test_result_record(self):
-        sol, basis = solved(DISK, 1.0)
+        sol = solved(DISK, 1.0)
         g = PerturbationField(const=1.0)
-        fd = fd_derivative(DISK, sol, basis, (2, 3), 1, g, steps=(1e-3, 2e-3))
+        fd = fd_derivative(sol, (2, 3), 1, g, steps=(1e-3, 2e-3))
         assert fd.steps == (2e-3, 1e-3)  # sorted large to small
         assert len(fd.estimates) == 2

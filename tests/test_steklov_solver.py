@@ -219,6 +219,14 @@ class TestAssemble:
         with pytest.raises(DomainValidationError):
             assemble(DISK, 2.0, basis)
 
+    def test_solution_carries_its_problem(self):
+        # shape derivatives read the domain, basis and tau from the solution alone
+        basis = make_trial_basis(3, 1.0)
+        forms = assemble(ORACLE_DOMAINS[2], 1.0, basis)
+        assert forms.boundary.domain is ORACLE_DOMAINS[2]
+        assert forms.boundary.basis is basis
+        assert solve(forms).boundary is forms.boundary
+
     @pytest.mark.parametrize("k_max", [10, 20])
     @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
     @pytest.mark.parametrize(

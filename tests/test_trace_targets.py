@@ -58,5 +58,12 @@ def test_traced_jobs_run_and_record_spans():
         tracer.uninstall()
     assert codes == [0] * len(JOBS)
     recorded = {tracer.names[int(i)] for i in tracer.records()[:, 0]}
-    assert {"concentration._solve_pencil", "steklov_solver.assemble"} <= recorded
+    # the plate pencil, assembly, and the traced functions the subcommands call
+    # with a solution or a mesh alone
+    assert {
+        "concentration._solve_pencil", "steklov_solver.assemble",
+        "shape_calculus.hadamard_derivative", "shape_calculus.fd_derivative",
+        "shape_calculus.criticality_residual", "concentration.merged_spectrum",
+        "concentration._mode_matrices",
+    } <= recorded
     assert set(tracer.layer_metrics(len(JOBS))) == set(tracing["LAYER_METRICS"])
