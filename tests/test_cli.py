@@ -138,6 +138,17 @@ class TestShapeDerivative:
         assert doc["fd_discrepancy"] < 1e-6
         assert len(doc["fd_estimates"]) == 2
 
+    def test_fd_steps_are_fixed(self, capsys, perturbed_file):
+        argv = ["shape-derivative", "--domain", perturbed_file, "--tau", "1.0",
+                "--field", "cos2", "--validate-fd"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["fd_steps"] == [1e-3, 5e-4]
+        code, out, err = run_cli(capsys, *argv, "--steps", "1e-3,5e-4")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --steps" in err
+
     def test_fd_validation_on_many_mode_perturbation(self, capsys, tmp_path):
         # the realized sin3 perturbations of this domain carry 95-99 Fourier modes,
         # more than a 256-node angular rule resolves

@@ -206,6 +206,18 @@ class TestHadamardDerivative:
             # index 0 once read the last eigenvalue
             hadamard_derivative(sol, (0, 1), 1, g)
 
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    def test_tau_and_basis_come_from_the_solution(self, tau):
+        # a tau = 20 basis passed next to a tau = 1 solution once read -0.664 for
+        # -1.459; the re-solving oracle is given the domain and a basis of its own
+        sol = solved(PERTURBED, tau)
+        lo, hi = sol.cluster_of(2)
+        F = tuple(range(lo, hi + 1))
+        g = PerturbationField(cos_coeffs=(0.0, 1.0))
+        had = hadamard_derivative(sol, F, 1, g)
+        ref = tracked_fd_derivative(PERTURBED, sol, make_trial_basis(10, tau), F, 1, g)
+        assert abs(had - ref.extrapolated) <= 1e-6 * max(abs(had), tau)
+
     def test_unresolved_field(self):
         # on 512 nodes cos(512 theta) aliases to the constant: the disk is critical,
         # yet the aliased integral read -2 tau, the dilation rate
@@ -333,6 +345,14 @@ class TestFiniteDifferences:
                       (1e-3, math.nan)):
             with pytest.raises(DomainValidationError, match="steps"):
                 fd_derivative(sol, (2, 3), 1, g, steps=steps)
+
+    def test_s_validation(self):
+        # s is checked against |F| before any perturbed domain is assembled
+        sol = solved(DISK, 1.0)
+        g = PerturbationField(const=1.0)
+        for s in (0, 3):
+            with pytest.raises(DomainValidationError, match="s must lie in"):
+                fd_derivative(sol, (2, 3), s, g)
 
     def test_result_record(self):
         sol = solved(DISK, 1.0)
