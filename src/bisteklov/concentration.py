@@ -70,10 +70,25 @@ class DensityProfile:
 
 @dataclass(frozen=True)
 class RadialMesh:
-    """Strictly increasing nodes on [0, 1]; the collar interface 1-eps is a node."""
+    """Strictly increasing nodes on [0, 1]; the collar interface 1-eps is a node.
+
+    Both are checked at construction: with the interface inside an element, the
+    element's Gauss rule would integrate across the density jump and the
+    eigenvalues would be silently off.
+    """
 
     nodes: np.ndarray
     eps: float
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=float)
+        if not (nodes.ndim == 1 and nodes.size >= 2 and nodes[0] == 0.0 and nodes[-1] == 1.0
+                and np.all(np.diff(nodes) > 0.0)):
+            raise DomainValidationError("mesh nodes must increase strictly from 0 to 1")
+        if not np.any(np.abs(nodes - (1.0 - self.eps)) <= 1e-15):
+            raise DomainValidationError(
+                f"the collar interface 1 - eps = {1.0 - self.eps!r} is not a mesh node"
+            )
 
     @property
     def n_collar_elements(self) -> int:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainValidationError
-from .geometry import StarDomain, _check_n_nodes, fourier_projection, grid_series
-from .steklov_solver import (EigenSolution, assemble, boundary_rule_size,
-                             eigenfunction_boundary_data)
+from .geometry import StarDomain, _check_n_nodes, fourier_projection, grid_series, min_nodes
+from .steklov_solver import EigenSolution, _projected_forms, eigenfunction_boundary_data
 
 _CLUSTER_SPREAD_TOL = 1e-4
 
@@ -215,11 +214,14 @@ def fd_derivative(
         sum_i w_i x_i^T (dA - lambda_i dB) x_i / (2 t),
 
     where dA and dB are the stiffness and mass of the domain realized at +t minus
-    those at -t, both assembled on one rule: the base solution's, larger where
-    either domain's modes need it (boundary_rule_size).  No perturbed domain is
-    solved.  F must be a full cluster, as for hadamard_derivative.  Steps must be
-    finite, positive and distinct.  The two smallest steps are Richardson-combined
-    into the extrapolated estimate.  The domain, basis and tau are the solution's.
+    those at -t.  Only the |F| x |F| forms X^T A X and X^T B X of the cluster's
+    columns X are built (_projected_forms), never a basis-sized matrix, and no
+    perturbed domain is solved.  Both domains are evaluated on the solution's own
+    rule, raised only where their modes need more nodes (min_nodes); a field that
+    rule cannot resolve is rejected as by hadamard_derivative.  F must be a full
+    cluster, as for hadamard_derivative.  Steps must be finite, positive and
+    distinct.  The two smallest steps are Richardson-combined into the extrapolated
+    estimate.  The domain, basis and tau are the solution's.
     """
     steps = tuple(float(t) for t in steps)
     if not steps or not all(math.isfinite(t) and t > 0.0 for t in steps):
@@ -227,23 +229,22 @@ def fd_derivative(
     if len(set(steps)) != len(steps):
         raise DomainValidationError(f"steps must be distinct, got {steps}")
     steps = tuple(sorted(steps, reverse=True))
+    ev = solution.boundary
+    domain, basis, n_nodes = ev.domain, ev.basis, ev.quad.weights.size
+    _check_n_nodes(domain, n_nodes, field.max_mode)
     F, _ = _check_cluster(solution, F, s)
     lam = solution.eigenvalues
     lam_of_f = lam[[j - 1 for j in F]]
     X = solution.coefficients[:, [j - 1 for j in F]]
     w = np.array([1.0 if s == 1 else symmetric_function(lam, tuple(k for k in F if k != j), s - 1)
                   for j in F])
-    ev = solution.boundary
-    domain, basis, n_boundary = ev.domain, ev.basis, ev.quad.weights.size
 
     estimates = []
     for t in steps:
         plus, minus = (realize_perturbation(domain, field, sign * t) for sign in (+1.0, -1.0))
-        n = max(n_boundary, boundary_rule_size(plus, basis), boundary_rule_size(minus, basis))
-        fp, fm = (assemble(dom, basis.tau, basis, n_boundary=n) for dom in (plus, minus))
-        dA = fp.stiffness - fm.stiffness
-        dB = fp.boundary_mass - fm.boundary_mass
-        dlam = np.einsum("bi,bi->i", X, dA @ X) - lam_of_f * np.einsum("bi,bi->i", X, dB @ X)
+        n = max(n_nodes, min_nodes(plus), min_nodes(minus))
+        (Ap, Bp), (Am, Bm) = (_projected_forms(dom, basis, X, n) for dom in (plus, minus))
+        dlam = np.diag(Ap - Am) - lam_of_f * np.diag(Bp - Bm)
         estimates.append(float(np.dot(w, dlam)) / (2.0 * t))
 
     if len(steps) >= 2:

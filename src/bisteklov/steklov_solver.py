@@ -48,6 +48,9 @@ _GRAM_TOL = 1e-12
 # cap the rule, and the level relative to the mean a Fourier mode must exceed to count
 _RULE_GRID = 2048
 _RULE_SPECTRUM_TOL = 1e-14
+# largest angular order: its basis of 2 (2 k_max + 1) rows still fits the 2048-node
+# ceiling of the rule, which needs at least one node per row
+_K_MAX = (_RULE_GRID - 2) // 4
 # largest basis whose contraction, solve and traces run on one BLAS thread; at
 # 162 functions (k_max 40) two threads start to pay, by about 7% of wall time
 # on a 2-CPU Xeon VM
@@ -95,9 +98,13 @@ def _block_layout(k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_trial_basis(k_max: int, tau: float) -> TrialBasis:
-    """Standard basis of size 2 (2 k_max + 1): both families, all orders up to k_max."""
-    if k_max < 1:
-        raise DomainValidationError(f"k_max must be >= 1, got {k_max}")
+    """Standard basis of size 2 (2 k_max + 1): both families, all orders up to k_max.
+
+    k_max lies in 1..511, where the basis has at most 2046 rows: a larger one
+    would outgrow the largest boundary rule (boundary_rule_size).
+    """
+    if not (1 <= k_max <= _K_MAX):
+        raise DomainValidationError(f"k_max must lie in 1..{_K_MAX}, got {k_max}")
     _check_tau(tau)
     return TrialBasis(tau=float(tau), k_max=k_max)
 
@@ -245,23 +252,67 @@ def assemble(
     partner, factor = _boundary_flux_coefficients(basis)
     bq = boundary_geometry(domain, n_boundary)
     val, grad, hess = _eval_all(basis, bq.points, domain.center)
-    nx, ny = bq.normals[:, 0], bq.normals[:, 1]
+    flux = factor[:, None] * _normal_component(grad, bq.normals)[partner]
+    with _blas_scope(basis.size):
+        A, B = _trefftz_forms(val, grad, hess, flux, bq)
+    return AssembledForms(
+        stiffness=A,
+        boundary_mass=B,
+        boundary=BoundaryEvaluation(domain, basis, bq, val, grad, hess),
+    )
+
+
+def _normal_component(grad: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """du/dnu of every row from its gradient channels, (m, n_nodes, 2) -> (m, n_nodes)."""
+    return grad[:, :, 0] * normals[:, 0] + grad[:, :, 1] * normals[:, 1]
+
+
+def _trefftz_forms(
+    val: np.ndarray, grad: np.ndarray, hess: np.ndarray, flux: np.ndarray, quad: BoundaryQuadrature
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and boundary mass of m rows on the rule quad, both symmetrized.
+
+    The rows are trial functions, or fixed combinations of them: values (m, n),
+    gradients (m, n, 2), Hessians (m, n, 3) and flux = tau du/dnu - d(Delta u)/dnu
+    (m, n).  The stiffness is the boundary (Trefftz) form of the module docstring.
+    """
+    m = val.shape[0]
+    nx, ny = quad.normals[:, 0], quad.normals[:, 1]
     # D^2 u nu from the Hessian channels (xx, xy, yy)
     hess_n = np.stack(
         [hess[:, :, 0] * nx + hess[:, :, 1] * ny, hess[:, :, 1] * nx + hess[:, :, 2] * ny],
         axis=2,
     )
-    dn = grad[:, :, 0] * nx + grad[:, :, 1] * ny
-    flux = factor[:, None] * dn[partner]
-    with _blas_scope(basis.size):
-        A = (hess_n * bq.weights[:, None]).reshape(basis.size, -1) @ grad.reshape(basis.size, -1).T
-        A += (flux * bq.weights) @ val.T
-        B = (val * bq.weights) @ val.T
-    return AssembledForms(
-        stiffness=0.5 * (A + A.T),
-        boundary_mass=0.5 * (B + B.T),
-        boundary=BoundaryEvaluation(domain, basis, bq, val, grad, hess),
-    )
+    A = (hess_n * quad.weights[:, None]).reshape(m, -1) @ grad.reshape(m, -1).T
+    A += (flux * quad.weights) @ val.T
+    B = (val * quad.weights) @ val.T
+    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+
+
+def _projected_forms(
+    domain: StarDomain, basis: TrialBasis, X: np.ndarray, n_boundary: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """X^T A X and X^T B X of the forms `assemble` builds on an n_boundary-node rule.
+
+    The basis is evaluated on the rule as for `assemble`, but its values, gradients,
+    Hessians and fluxes are combined into the m columns of X (coefficients in the
+    basis) before the boundary form is taken, so only m rows are contracted and no
+    basis-sized matrix is formed.  Each row's flux is its factor times the normal
+    derivative of its harmonic partner (_boundary_flux_coefficients), so the flux
+    of a column of X is the normal derivative of the column of Y, which gathers
+    factor * X onto the partners.
+    """
+    bq = boundary_geometry(domain, n_boundary)
+    val, grad, hess = _eval_all(basis, bq.points, domain.center)
+    partner, factor = _boundary_flux_coefficients(basis)
+    Y = np.zeros_like(X)
+    np.add.at(Y, partner, factor[:, None] * X)
+    nb, n, m = basis.size, n_boundary, X.shape[1]
+    with _blas_scope(nb):
+        v = X.T @ val
+        g = (np.concatenate([X, Y], axis=1).T @ grad.reshape(nb, -1)).reshape(2 * m, n, 2)
+        h = (X.T @ hess.reshape(nb, -1)).reshape(m, n, 3)
+    return _trefftz_forms(v, g[:m], h, _normal_component(g[m:], bq.normals), bq)
 
 
 @dataclass(frozen=True)

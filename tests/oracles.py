@@ -15,8 +15,9 @@ as a reference for the package's inverse-FFT sampler on the uniform grid.
 The graded radial mesh is also built with `scipy.optimize.brentq`, as a
 reference for the package's own port of Brent's method.
 Shape derivatives are also differenced eigenvalue by eigenvalue, re-solving each
-perturbed domain and matching its eigenvalues to the cluster by index, as a
-reference for the package's difference of the assembled pencil.
+perturbed domain and matching its eigenvalues to the cluster by index, and as the
+difference of the full assembled pencils of the perturbed domains, each on a rule
+sized for it, as references for the package's difference of the cluster's forms.
 The ball's radial eigenprofiles and their Rayleigh quotient give a second route
 to the closed-form ball eigenvalues, and two boundary inequalities are evaluated
 on centroid-centred domains: the inverse-sum bound on 1/lambda_2 + 1/lambda_3 and
@@ -484,6 +485,49 @@ def tracked_fd_derivative(
             vals[sign] = symmetric_function(ev, F, s)
         estimates.append((vals[+1.0] - vals[-1.0]) / (2.0 * t))
 
+    if len(steps) >= 2:
+        t1, t2 = steps[-2], steps[-1]
+        d1, d2 = estimates[-2], estimates[-1]
+        extrapolated = (t1 * t1 * d2 - t2 * t2 * d1) / (t1 * t1 - t2 * t2)
+    else:
+        extrapolated = estimates[-1]
+    return FDResult(steps=steps, estimates=tuple(estimates), extrapolated=extrapolated)
+
+
+def assembled_fd_derivative(
+    solution, F: tuple[int, ...], s: int, field, steps: tuple[float, ...] = (1e-3, 5e-4)
+) -> FDResult:
+    """Central differences of e_s over the cluster F from the full assembled pencils.
+
+    Reference for `shape_calculus.fd_derivative`, which forms only the cluster's
+    |F| x |F| forms on the solution's rule.  Here the domains realized at +t and -t
+    are assembled in full, basis by basis, on one rule at least the solution's and
+    large enough for either domain (boundary_rule_size), and the differences of
+    their stiffness and mass are contracted with the cluster coefficients x_i:
+
+        sum_i w_i x_i^T (dA - lambda_i dB) x_i / (2 t),
+
+    with w_i = e_(s-1) of the other members of F.  The two smallest steps are
+    Richardson-combined into the extrapolated estimate.
+    """
+    steps = tuple(sorted((float(t) for t in steps), reverse=True))
+    F = tuple(sorted(F))
+    ev = solution.boundary
+    domain, basis, n_boundary = ev.domain, ev.basis, ev.quad.weights.size
+    lam = solution.eigenvalues
+    lam_of_f = lam[[j - 1 for j in F]]
+    X = solution.coefficients[:, [j - 1 for j in F]]
+    w = np.array([1.0 if s == 1 else symmetric_function(lam, tuple(k for k in F if k != j), s - 1)
+                  for j in F])
+    estimates = []
+    for t in steps:
+        plus, minus = (realize_perturbation(domain, field, sign * t) for sign in (+1.0, -1.0))
+        n = max(n_boundary, boundary_rule_size(plus, basis), boundary_rule_size(minus, basis))
+        fp, fm = (assemble(dom, basis.tau, basis, n_boundary=n) for dom in (plus, minus))
+        dA = fp.stiffness - fm.stiffness
+        dB = fp.boundary_mass - fm.boundary_mass
+        dlam = np.einsum("bi,bi->i", X, dA @ X) - lam_of_f * np.einsum("bi,bi->i", X, dB @ X)
+        estimates.append(float(np.dot(w, dlam)) / (2.0 * t))
     if len(steps) >= 2:
         t1, t2 = steps[-2], steps[-1]
         d1, d2 = estimates[-2], estimates[-1]

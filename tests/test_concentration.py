@@ -129,6 +129,19 @@ class TestRadialMesh:
         with pytest.raises(DomainValidationError):
             make_radial_mesh(0.2, n_bulk=0)
 
+    def test_interface_must_be_a_node(self):
+        # with 1 - eps = 0.9 inside the element (0.87, 0.875 ...), the Gauss rule
+        # integrated across the density jump: lambda_2 read 1.13634 for 1.12934
+        nodes = np.r_[np.linspace(0.0, 0.87, 41), np.linspace(0.875, 1.0, 9)]
+        with pytest.raises(DomainValidationError, match="interface"):
+            RadialMesh(nodes, eps=0.1)
+        for bad in ([0.0, 0.9, 0.5, 1.0], [0.1, 0.9, 1.0], [0.0, 0.9, 0.95],
+                    [0.0, 0.9, np.nan, 1.0]):
+            with pytest.raises(DomainValidationError, match="increase strictly"):
+                RadialMesh(np.array(bad), eps=0.1)
+        mesh = make_radial_mesh(0.1)
+        assert RadialMesh(mesh.nodes, eps=0.1).n_collar_elements == 8
+
     @pytest.mark.parametrize("eps,n_bulk", [(0.025, 103), (1e-3, 500), (1e-4, 5000)])
     def test_many_bulk_elements(self, eps, n_bulk):
         # the growth-ratio bracket once reached g**n_bulk = 1e3**n_bulk, which

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from bisteklov import (
     solve,
     symmetric_function,
 )
-from oracles import tracked_fd_derivative
+from bisteklov.geometry import min_nodes
+from oracles import assembled_fd_derivative, tracked_fd_derivative
 
 DISK = StarDomain(a0=1.0)
 # area-normalized second-mode bump; its lambda_2 cluster is a singleton
@@ -69,6 +71,41 @@ SEEDED_TRACKING_FAILURES = [
                  (-0.008381880563527247, -0.012389385464729341)),
      0.1, 14, PerturbationField(const=1.0)),
 ]
+
+
+def seeded_benchmark_cases():
+    """(domain, tau, k_max, field) of 60 stars as the benchmark seeds its domain jobs.
+
+    Stars are drawn as `perfbench/workloads.py::_star_domain` draws them, with
+    random.Random(7): one or two of the modes 2..6 at amplitudes up to 0.1 and a
+    centre offset up to 0.05.  Four stars per k_max in (10, 14, 20) and tau of the
+    acceptance grid, each with a field const, cosK or sinK, K <= 6.
+    """
+    rng = random.Random(7)
+    fields = [PerturbationField(const=1.0)] + [
+        PerturbationField(**{kind: (0.0,) * (k - 1) + (1.0,)})
+        for kind in ("cos_coeffs", "sin_coeffs") for k in range(1, 7)]
+    cases = []
+    for k_max in (10, 14, 20):
+        for tau in (0.1, 0.5, 1.0, 5.0, 20.0):
+            for _ in range(4):
+                modes = ({}, {})
+                for _ in range(rng.choice((1, 2))):
+                    modes[0 if rng.random() < 0.5 else 1][rng.randint(2, 6)] = rng.uniform(0.0, 0.1)
+                center = (rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+                cases.append((seeded_star(*modes, center), tau, k_max, rng.choice(fields)))
+    return cases
+
+
+SEEDED_BENCHMARK_CASES = seeded_benchmark_cases()
+
+
+def assert_fd_close(fd, ref, bound: float, context=None) -> None:
+    """Both FD results have the same steps, and every estimate and the extrapolated
+    value agree within bound."""
+    assert fd.steps == ref.steps
+    for got, want in zip((*fd.estimates, fd.extrapolated), (*ref.estimates, ref.extrapolated)):
+        assert abs(got - want) <= bound, context
 
 
 class TestSymmetricFunction:
@@ -335,6 +372,58 @@ class TestFiniteDifferences:
             tracked += 1
             assert abs(fd - ref) <= 1e-6 * scale, (domain, tau, field)
         assert tracked >= 8
+
+    @pytest.mark.parametrize("k_max", [10, 14, 20])
+    def test_matches_the_assembled_pencils_on_seeded_stars(self, k_max):
+        # only the cluster's forms, on the solution's rule, give the differences of
+        # the full pencils assembled on rules sized for each perturbed domain
+        for domain, tau, k, field in SEEDED_BENCHMARK_CASES:
+            if k != k_max:
+                continue
+            sol = solved_for_field(domain, tau, k_max, field)
+            lo, hi = sol.cluster_of(2)
+            F = tuple(range(lo, hi + 1))
+            fd = fd_derivative(sol, F, 1, field)
+            ref = assembled_fd_derivative(sol, F, 1, field)
+            assert_fd_close(fd, ref, 1e-9 * max(abs(ref.extrapolated), tau), (domain, tau, field))
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    @pytest.mark.parametrize("field", [PerturbationField(const=1.0),
+                                       PerturbationField(cos_coeffs=(0.0, 1.0)),
+                                       PerturbationField(sin_coeffs=(0.3, 0.0, 1.0))],
+                             ids=["const", "cos2", "sin1+sin3"])
+    def test_second_symmetric_function_of_the_disk_pair(self, tau, field):
+        sol = solved_for_field(DISK, tau, 10, field)
+        fd = fd_derivative(sol, (2, 3), 2, field)
+        ref = assembled_fd_derivative(sol, (2, 3), 2, field)
+        scale = max(abs(ref.extrapolated), tau**2)
+        assert_fd_close(fd, ref, 1e-9 * scale)
+        assert abs(fd.extrapolated - hadamard_derivative(sol, (2, 3), 2, field)) <= 1e-8 * scale
+
+    def test_mode_floor_raises_the_rule(self):
+        # the realized domains carry about 100 modes: 412 nodes at the step 1e-3,
+        # more than the solution's 384
+        domain = StarDomain(a0=1.0, cos_coeffs=(0.0,) * 5 + (0.1,), center=(0.05, 0.0))
+        field = PerturbationField(cos_coeffs=(0.0,) * 5 + (1.0,))
+        sol = solved_for_field(domain, 1.0, 10, field)
+        assert min_nodes(realize_perturbation(domain, field, 1e-3)) > sol.boundary.quad.weights.size
+        F = tuple(range(sol.cluster_of(2)[0], sol.cluster_of(2)[1] + 1))
+        fd = fd_derivative(sol, F, 1, field)
+        ref = assembled_fd_derivative(sol, F, 1, field)
+        scale = max(abs(ref.extrapolated), 1.0)
+        assert_fd_close(fd, ref, 1e-9 * scale)
+        assert abs(fd.extrapolated - hadamard_derivative(sol, F, 1, field)) <= 1e-8 * scale
+
+    def test_unresolved_field_rejected_as_by_hadamard(self):
+        # the difference runs on the solution's rule, which cannot resolve cos(512 theta)
+        sol = solved(DISK, 1.0)
+        g = PerturbationField(cos_coeffs=(0.0,) * 511 + (1.0,))
+        with pytest.raises(DomainValidationError) as had:
+            hadamard_derivative(sol, (2, 3), 1, g)
+        with pytest.raises(DomainValidationError) as fd:
+            fd_derivative(sol, (2, 3), 1, g)
+        assert str(fd.value) == str(had.value)
+        assert "too small for mode content" in str(fd.value)
 
     def test_step_validation(self):
         sol = solved(DISK, 1.0)

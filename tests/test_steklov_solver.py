@@ -27,7 +27,8 @@ from bisteklov import _util
 from bisteklov._util import single_blas_thread
 from bisteklov.geometry import interior_quadrature, min_nodes
 from bisteklov.special_functions import leading_term, ultraspherical_i_tail
-from bisteklov.steklov_solver import _SINGLE_THREAD_BASIS, _boundary_flux_coefficients, _eval_all
+from bisteklov.steklov_solver import (_SINGLE_THREAD_BASIS, TrialBasis, _boundary_flux_coefficients,
+                                     _eval_all, _projected_forms)
 from oracles import center_boundary_centroid, interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +81,18 @@ class TestTrialBasis:
             make_trial_basis(0, 1.0)
         with pytest.raises(DomainValidationError):
             make_trial_basis(3, -1.0)
+
+    def test_kmax_ceiling(self):
+        # the largest basis still fits the 2048-node rule ceiling; from k_max 512 the
+        # rule grew to basis.size (2050 nodes at 512, 20002 at 5000) and the
+        # evaluation with it, as k_max^2
+        top = make_trial_basis(511, 1.0)
+        assert top.size == 2046
+        assert boundary_rule_size(DISK, top) <= 2048
+        assert TrialBasis(1.0, 512).size > 2048
+        for k_max in (512, 5000, 10**6):
+            with pytest.raises(DomainValidationError, match=r"k_max must lie in 1\.\.511"):
+                make_trial_basis(k_max, 1.0)
 
 
 class TestEvalBasis:
@@ -213,6 +226,23 @@ class TestAssemble:
             assert tags[partner[i]] == ("harmonic", k, parity)
             want = tau if family == "harmonic" else -tau
             assert factor[i] == want
+
+    @pytest.mark.parametrize("k_max, n_boundary", [(3, 64), (10, 224), (14, 400)])
+    @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=["disk", "perturbed", "offcentre"])
+    def test_projected_forms_match_the_assembled_forms(self, domain, k_max, n_boundary):
+        # the cluster's forms of the shape-derivative check: combining the rows first
+        # and contracting after gives X^T A X and X^T B X of the full forms
+        tau = 2.5
+        basis = make_trial_basis(k_max, tau)
+        X = np.random.default_rng(k_max).standard_normal((basis.size, 3))
+        forms = assemble(domain, tau, basis, n_boundary=n_boundary)
+        A, B = _projected_forms(domain, basis, X, n_boundary)
+        column_norm = np.abs(X).sum(axis=0).max()
+        for got, full in ((A, forms.stiffness), (B, forms.boundary_mass)):
+            assert got.shape == (3, 3)
+            assert np.array_equal(got, got.T)
+            err = np.abs(got - X.T @ full @ X).max()
+            assert err <= 1e-15 * np.abs(full).max() * column_norm**2
 
     def test_tau_mismatch_rejected(self):
         basis = make_trial_basis(3, 1.0)
