@@ -79,6 +79,12 @@ class TrialBasis:
     tau: float
     k_max: int
 
+    def __post_init__(self):
+        # from k_max 512 the basis outgrows the largest boundary rule (boundary_rule_size)
+        if not (1 <= self.k_max <= _K_MAX):
+            raise DomainValidationError(f"k_max must lie in 1..{_K_MAX}, got {self.k_max}")
+        _check_tau(self.tau)
+
     @property
     def size(self) -> int:
         return 2 * (2 * self.k_max + 1)
@@ -98,14 +104,7 @@ def _block_layout(k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_trial_basis(k_max: int, tau: float) -> TrialBasis:
-    """Standard basis of size 2 (2 k_max + 1): both families, all orders up to k_max.
-
-    k_max lies in 1..511, where the basis has at most 2046 rows: a larger one
-    would outgrow the largest boundary rule (boundary_rule_size).
-    """
-    if not (1 <= k_max <= _K_MAX):
-        raise DomainValidationError(f"k_max must lie in 1..{_K_MAX}, got {k_max}")
-    _check_tau(tau)
+    """Standard basis of size 2 (2 k_max + 1): both families, all orders up to k_max in 1..511."""
     return TrialBasis(tau=float(tau), k_max=k_max)
 
 
@@ -179,6 +178,20 @@ class BoundaryEvaluation:
     hessians: np.ndarray  # (nb, n_nodes, 3), channels (xx, xy, yy)
 
 
+def _evaluate(domain: StarDomain, basis: TrialBasis, n_boundary: int) -> BoundaryEvaluation:
+    """The basis on the n_boundary-node rule of the domain."""
+    bq = boundary_geometry(domain, n_boundary)
+    return BoundaryEvaluation(domain, basis, bq, *_eval_all(basis, bq.points, domain.center))
+
+
+def _combine(ev: BoundaryEvaluation, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (m, n), gradients (m, n, 2) and Hessians (m, n, 3) of the m coefficient columns C."""
+    nb, m = C.shape
+    with _blas_scope(nb):
+        return tuple((C.T @ a.reshape(nb, -1)).reshape(m, *a.shape[1:])
+                     for a in (ev.values, ev.gradients, ev.hessians))
+
+
 @dataclass(frozen=True)
 class AssembledForms:
     """Symmetric stiffness (Hessian-Hessian plus tau gradient-gradient) and boundary mass,
@@ -187,22 +200,6 @@ class AssembledForms:
     stiffness: np.ndarray
     boundary_mass: np.ndarray
     boundary: BoundaryEvaluation
-
-
-def _boundary_flux_coefficients(basis: TrialBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Row map for tau du/dnu - d(Delta u)/dnu as a multiple of one harmonic normal derivative.
-
-    Harmonic rows have Delta u = 0, so the flux is tau dh/dnu of the row itself.  A
-    Bessel row of order k is u = T_k(tau rho / 4) h_k with h_k the harmonic row of
-    the same order and parity; (u + h_k) c_0 s^k is i_k(s r) cos/sin(k theta), s =
-    sqrt(tau), so Delta u = tau (u + h_k) and the flux is -tau dh_k/dnu.  The
-    partner of a row is its position within its block.  Returns (partner index,
-    factor) per row.
-    """
-    order, _ = _block_layout(basis.k_max)
-    partner = np.tile(np.arange(order.size), 2)
-    factor = np.repeat([basis.tau, -basis.tau], order.size)
-    return partner, factor
 
 
 def boundary_rule_size(domain: StarDomain, basis: TrialBasis, field_modes: int = 0) -> int:
@@ -242,6 +239,11 @@ def assemble(
     has n_boundary nodes, by default boundary_rule_size(domain, basis).  The
     returned forms keep the domain, the basis, the rule and the basis evaluation
     they came from, for the eigenfunction traces of the solution.
+
+    The flux tau du/dnu - d(Delta u)/dnu of a harmonic row h is tau dh/dnu, as
+    Delta h = 0.  The Bessel row u = T_k(tau rho / 4) h_k at h_k's position in the
+    second block has (u + h_k) c_0 s^k = i_k(s r) cos/sin(k theta), s = sqrt(tau),
+    so Delta u = tau (u + h_k) and its flux is -tau dh_k/dnu.
     """
     if abs(tau - basis.tau) > 1e-14 * max(1.0, tau):
         raise DomainValidationError(
@@ -249,17 +251,12 @@ def assemble(
         )
     if n_boundary is None:
         n_boundary = boundary_rule_size(domain, basis)
-    partner, factor = _boundary_flux_coefficients(basis)
-    bq = boundary_geometry(domain, n_boundary)
-    val, grad, hess = _eval_all(basis, bq.points, domain.center)
-    flux = factor[:, None] * _normal_component(grad, bq.normals)[partner]
+    ev = _evaluate(domain, basis, n_boundary)
+    dh = _normal_component(ev.gradients[: basis.size // 2], ev.quad.normals)
+    flux = np.concatenate([basis.tau * dh, -basis.tau * dh])
     with _blas_scope(basis.size):
-        A, B = _trefftz_forms(val, grad, hess, flux, bq)
-    return AssembledForms(
-        stiffness=A,
-        boundary_mass=B,
-        boundary=BoundaryEvaluation(domain, basis, bq, val, grad, hess),
-    )
+        A, B = _trefftz_forms(ev.values, ev.gradients, ev.hessians, flux, ev.quad)
+    return AssembledForms(stiffness=A, boundary_mass=B, boundary=ev)
 
 
 def _normal_component(grad: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -297,22 +294,15 @@ def _projected_forms(
     The basis is evaluated on the rule as for `assemble`, but its values, gradients,
     Hessians and fluxes are combined into the m columns of X (coefficients in the
     basis) before the boundary form is taken, so only m rows are contracted and no
-    basis-sized matrix is formed.  Each row's flux is its factor times the normal
-    derivative of its harmonic partner (_boundary_flux_coefficients), so the flux
-    of a column of X is the normal derivative of the column of Y, which gathers
-    factor * X onto the partners.
+    basis-sized matrix is formed.  By the flux identity of `assemble`, the flux of
+    a column x is the normal derivative of the column tau (x_harmonic - x_bessel)
+    on the harmonic rows.
     """
-    bq = boundary_geometry(domain, n_boundary)
-    val, grad, hess = _eval_all(basis, bq.points, domain.center)
-    partner, factor = _boundary_flux_coefficients(basis)
-    Y = np.zeros_like(X)
-    np.add.at(Y, partner, factor[:, None] * X)
-    nb, n, m = basis.size, n_boundary, X.shape[1]
-    with _blas_scope(nb):
-        v = X.T @ val
-        g = (np.concatenate([X, Y], axis=1).T @ grad.reshape(nb, -1)).reshape(2 * m, n, 2)
-        h = (X.T @ hess.reshape(nb, -1)).reshape(m, n, 3)
-    return _trefftz_forms(v, g[:m], h, _normal_component(g[m:], bq.normals), bq)
+    ev = _evaluate(domain, basis, n_boundary)
+    half, m = basis.size // 2, X.shape[1]
+    Y = np.vstack([basis.tau * X[:half] - basis.tau * X[half:], np.zeros_like(X[half:])])
+    v, g, h = _combine(ev, np.concatenate([X, Y], axis=1))
+    return _trefftz_forms(v[:m], g[:m], h[:m], _normal_component(g[m:], ev.quad.normals), ev.quad)
 
 
 @dataclass(frozen=True)
@@ -451,12 +441,7 @@ def eigenfunction_boundary_data(solution: EigenSolution, which: tuple[int, ...])
     for j in which:
         if not (1 <= j <= n_modes):
             raise DomainValidationError(f"eigenvalue index {j} outside 1..{n_modes}")
-    ev = solution.boundary
-    bq = ev.quad
-    C = solution.coefficients[:, [j - 1 for j in which]]  # (nb, m)
-    with _blas_scope(C.shape[0]):
-        v = C.T @ ev.values
-        g = np.einsum("bm,bnc->mnc", C, ev.gradients, optimize=True)
-        h = np.einsum("bm,bnc->mnc", C, ev.hessians, optimize=True)
-        dvdn = np.einsum("mnc,nc->mn", g, bq.normals, optimize=True)
+    bq = solution.boundary.quad
+    v, g, h = _combine(solution.boundary, solution.coefficients[:, [j - 1 for j in which]])
+    dvdn = _normal_component(g, bq.normals)
     return BoundaryTraces(quad=bq, values=v, normal_derivatives=dvdn, gradients=g, hessians=h)

@@ -27,8 +27,7 @@ from bisteklov import _util
 from bisteklov._util import single_blas_thread
 from bisteklov.geometry import interior_quadrature, min_nodes
 from bisteklov.special_functions import leading_term, ultraspherical_i_tail
-from bisteklov.steklov_solver import (_SINGLE_THREAD_BASIS, TrialBasis, _boundary_flux_coefficients,
-                                     _eval_all, _projected_forms)
+from bisteklov.steklov_solver import _SINGLE_THREAD_BASIS, TrialBasis, _eval_all, _projected_forms
 from oracles import center_boundary_centroid, interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,10 +88,18 @@ class TestTrialBasis:
         top = make_trial_basis(511, 1.0)
         assert top.size == 2046
         assert boundary_rule_size(DISK, top) <= 2048
-        assert TrialBasis(1.0, 512).size > 2048
+        assert 2 * (2 * 512 + 1) > 2048
+        with pytest.raises(DomainValidationError, match=r"k_max must lie in 1\.\.511"):
+            TrialBasis(1.0, 512)
         for k_max in (512, 5000, 10**6):
             with pytest.raises(DomainValidationError, match=r"k_max must lie in 1\.\.511"):
                 make_trial_basis(k_max, 1.0)
+
+    @pytest.mark.parametrize("tau, k_max", [(1.0, 512), (1.0, 0), (0.0, 10)])
+    def test_direct_construction_is_checked(self, tau, k_max):
+        # the public dataclass applies the same bounds as make_trial_basis
+        with pytest.raises(DomainValidationError):
+            TrialBasis(tau, k_max)
 
 
 class TestEvalBasis:
@@ -215,17 +222,6 @@ class TestAssemble:
         assert np.abs(A[0]).max() < 1e-12 * np.abs(A).max()
         # Re(w) has zero Hessian and unit gradient: energy tau * area
         assert A[1, 1] == pytest.approx(tau * np.pi, rel=1e-12)
-
-    @pytest.mark.parametrize("k_max", [1, 3, 10])
-    def test_flux_row_map(self, k_max):
-        tau = 2.5
-        basis = make_trial_basis(k_max, tau)
-        partner, factor = _boundary_flux_coefficients(basis)
-        tags = basis.tags
-        for i, (family, k, parity) in enumerate(tags):
-            assert tags[partner[i]] == ("harmonic", k, parity)
-            want = tau if family == "harmonic" else -tau
-            assert factor[i] == want
 
     @pytest.mark.parametrize("k_max, n_boundary", [(3, 64), (10, 224), (14, 400)])
     @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=["disk", "perturbed", "offcentre"])
@@ -462,10 +458,23 @@ class TestBoundaryData:
         assert np.abs(traces.normal_derivatives[0]).max() < 1e-8
 
     def test_normal_derivative_consistency(self):
-        sol, _ = solve_domain(DISK, 1.0)
-        traces = eigenfunction_boundary_data(sol, which=(2,))
-        manual = np.einsum("nc,nc->n", traces.gradients[0], traces.quad.normals)
-        assert np.allclose(traces.normal_derivatives[0], manual, atol=1e-14)
+        # values, gradients and Hessians are the coefficient columns applied to the
+        # basis evaluation the solution carries; dv/dnu is the gradient along the normal
+        which = (2, 3, 5)
+        for domain in ORACLE_DOMAINS:
+            sol, _ = solve_domain(domain, 1.0, k_max=14)
+            traces = eigenfunction_boundary_data(sol, which=which)
+            manual = np.einsum("mnc,nc->mn", traces.gradients, traces.quad.normals)
+            assert np.allclose(traces.normal_derivatives, manual, atol=1e-14)
+            C = sol.coefficients[:, [j - 1 for j in which]]
+            for got, table in (
+                (traces.values, sol.boundary.values),
+                (traces.gradients, sol.boundary.gradients),
+                (traces.hessians, sol.boundary.hessians),
+            ):
+                want = np.einsum("bm,bn...->mn...", C, table)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_index_validation(self):
         sol, _ = solve_domain(DISK, 1.0)

@@ -64,6 +64,7 @@ def test_traced_jobs_run_and_record_spans():
         "concentration._solve_pencil", "steklov_solver.assemble",
         "shape_calculus.hadamard_derivative", "shape_calculus.fd_derivative",
         "shape_calculus.criticality_residual", "concentration.merged_spectrum",
-        "concentration._mode_matrices",
+        "concentration._mode_matrices", "steklov_solver._eval_all",
+        "steklov_solver.eigenfunction_boundary_data", "steklov_solver.solve",
     } <= recorded
     assert set(tracer.layer_metrics(len(JOBS))) == set(tracing["LAYER_METRICS"])
