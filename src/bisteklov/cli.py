@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--F", default="AUTO",
-                   help="comma-separated 1-based cluster indexes, or AUTO for the cluster of index 2")
+                   help="a contiguous group of 1-based indexes that splits no cluster, comma-separated, "
+                   "or AUTO for the cluster of index 2")
     p.add_argument("--s", type=int, default=1, help="order of the symmetric function (default 1)")
     p.add_argument("--field", required=True, help="normal velocity: const, cosK or sinK")
     p.add_argument("--validate-fd", action="store_true", dest="validate_fd",

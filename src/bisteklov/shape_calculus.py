@@ -1,12 +1,12 @@
 """Shape derivatives of Steklov eigenvalues under normal boundary perturbations.
 
-For a cluster F of eigenvalues (a full near-degenerate group) the elementary
-symmetric functions of the cluster are differentiable with respect to the domain
-even where individual eigenvalues are not.  Their derivative along a normal
-velocity field g is a single weighted boundary integral of eigenfunction trace
-data; this module evaluates it, checks it against finite differences of the
-assembled pencil on realized perturbed domains, and measures how far a domain is
-from criticality.
+For a group F of eigenvalues separated from the rest of the spectrum (contiguous,
+splitting no near-degenerate cluster) the elementary symmetric functions e_s of
+the group are analytic in the domain even where its eigenvalues cross.  Their
+derivative along a normal velocity field g is one boundary integral of trace
+data, each member weighted by e_(s-1) of the others; this module evaluates it,
+checks it against finite differences of the assembled pencil on realized
+perturbed domains, and measures how far a domain is from criticality.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 from .errors import DomainValidationError
 from .geometry import StarDomain, _check_n_nodes, fourier_projection, grid_series, min_nodes
 from .steklov_solver import EigenSolution, _projected_forms, eigenfunction_boundary_data
-
-_CLUSTER_SPREAD_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,8 @@ def symmetric_function(eigenvalues, F: tuple[int, ...], s: int) -> float:
 
 
 def _check_cluster(solution: EigenSolution, F: tuple[int, ...], s: int):
-    """Validate 1 <= s <= |F| and that F is a full, well-separated near-degenerate group;
-    return F sorted and its mean."""
+    """Validate 1 <= s <= |F| and that F is a contiguous group splitting no cluster;
+    return F sorted and the weights w_j = e_(s-1)(F without j), e_0 = 1."""
     F = tuple(sorted(F))
     if not (1 <= s <= len(F)):
         raise DomainValidationError(f"s must lie in 1..{len(F)}, got {s}")
@@ -74,41 +72,36 @@ def _check_cluster(solution: EigenSolution, F: tuple[int, ...], s: int):
     lam = solution.eigenvalues
     if F[0] < 1 or F[-1] > len(lam):
         raise DomainValidationError(f"F={F} lies outside the computed indexes 1..{len(lam)}")
-    vals = lam[[j - 1 for j in F]]
-    lam_f = float(vals.mean())
-    spread = float(vals.max() - vals.min())
-    if spread > _CLUSTER_SPREAD_TOL * max(1.0, abs(lam_f)):
-        raise DomainValidationError(
-            f"eigenvalues of F={F} spread by {spread:.3e}; not a degenerate cluster"
-        )
-    lo, hi = solution.cluster_of(F[0])
+    lo, hi = solution.cluster_of(F[0])[0], solution.cluster_of(F[-1])[1]
     if (lo, hi) != (F[0], F[-1]):
-        raise DomainValidationError(
-            f"F={F} does not cover its full degenerate cluster {(lo, hi)}"
-        )
-    return F, lam_f
+        raise DomainValidationError(f"F={F} splits a cluster; the smallest admissible group "
+                                    f"is {tuple(range(lo, hi + 1))}")
+    w = np.array([1.0 if s == 1 else symmetric_function(lam, tuple(k for k in F if k != j), s - 1)
+                  for j in F])
+    return F, w
 
 
 def _trace_integrand(solution: EigenSolution, F: tuple[int, ...], s: int = 1):
-    """Weights, per-node density (its weighted integral against g gives the derivative) and
-    lambda_F of the full cluster F, checked with s; None for the trivial cluster."""
-    F, lam_f = _check_cluster(solution, F, s)
-    tau = solution.boundary.basis.tau
-    if abs(lam_f) <= 1e-9 * max(1.0, tau):
+    """Rule weights and per-node density (its weighted integral against g gives the
+    derivative of e_s over the group F); None for the trivial group F = (1,)."""
+    F, w = _check_cluster(solution, F, s)
+    if F == (1,):
         return None
+    tau = solution.boundary.basis.tau
+    lam = solution.eigenvalues[[j - 1 for j in F]]
     tr = eigenfunction_boundary_data(solution, F)
     v, dvdn, g, h = tr.values, tr.normal_derivatives, tr.gradients, tr.hessians
     grad2 = np.einsum("mnc,mnc->mn", g, g)
     hess2 = h[:, :, 0] ** 2 + 2.0 * h[:, :, 1] ** 2 + h[:, :, 2] ** 2
-    per_mode = lam_f * (tr.quad.curvatures[None, :] * v**2 + 2.0 * v * dvdn)
+    per_mode = lam[:, None] * (tr.quad.curvatures[None, :] * v**2 + 2.0 * v * dvdn)
     per_mode = per_mode - tau * grad2 - hess2
-    return tr.quad.weights, per_mode.sum(axis=0), lam_f
+    return tr.quad.weights, w @ per_mode
 
 
 def hadamard_derivative(
     solution: EigenSolution, F: tuple[int, ...], s: int, field: PerturbationField
 ) -> float:
-    """Derivative of e_s over the eigenvalue cluster F along the normal field g.
+    """Derivative of e_s over the eigenvalue group F along the normal field g.
 
     Parameters
     ----------
@@ -116,8 +109,8 @@ def hadamard_derivative(
         The solved problem; its domain, basis and tau are those of
         `solution.boundary`.
     F : tuple of int
-        1-based eigenvalue indexes forming a complete near-degenerate cluster
-        (relative spread below 1e-4).
+        1-based eigenvalue indexes: a contiguous group that splits no cluster of
+        `solution.clusters` (a single cluster is the smallest such group).
     s : int
         Order of the elementary symmetric function, 1 <= s <= |F|.
     field : PerturbationField
@@ -125,14 +118,13 @@ def hadamard_derivative(
 
     Notes
     -----
-    With boundary-orthonormal eigenfunctions v_m of the cluster and lambda_F the
-    cluster mean, the derivative equals
+    With boundary-orthonormal eigenfunctions v_j of the group, their eigenvalues
+    lambda_j and weights w_j = e_(s-1) of the other members (e_0 = 1), it equals
 
-        - lambda_F^(s-1) C(|F|-1, s-1) *
-          boundary integral of [ sum_m ( lambda_F (K v_m^2 + 2 v_m dv_m/dnu)
-                                          - tau |grad v_m|^2 - |D^2 v_m|^2 ) ] g.
+        - boundary integral of [ sum_j w_j ( lambda_j (K v_j^2 + 2 v_j dv_j/dnu)
+                                             - tau |grad v_j|^2 - |D^2 v_j|^2 ) ] g.
 
-    The trivial cluster F = {1} (lambda = 0, constant eigenfunction) has an
+    The trivial group F = {1} (lambda = 0, constant eigenfunction) has an
     identically vanishing density and returns exactly 0.  The integral runs on the
     solution's assembly rule; a field whose modes that rule cannot resolve together
     with the domain's is rejected.
@@ -142,13 +134,12 @@ def hadamard_derivative(
     trace = _trace_integrand(solution, F, s)
     if trace is None:
         return 0.0
-    weights, density, lam_f = trace
-    integral = float(np.dot(weights, density * field.samples(n_nodes)))
-    return -(lam_f ** (s - 1)) * math.comb(len(F) - 1, s - 1) * integral
+    weights, density = trace
+    return -float(np.dot(weights, density * field.samples(n_nodes)))
 
 
 def criticality_residual(solution: EigenSolution, F: tuple[int, ...]) -> tuple[float, float]:
-    """How far the cluster F is from shape criticality under volume-preserving fields.
+    """How far e_1 over the group F is from shape criticality under volume-preserving fields.
 
     The derivative vanishes for every volume-preserving field exactly when the
     trace density is constant along the boundary.  Returns (c_best, residual):
@@ -159,7 +150,7 @@ def criticality_residual(solution: EigenSolution, F: tuple[int, ...]) -> tuple[f
     trace = _trace_integrand(solution, F)
     if trace is None:
         return 0.0, 0.0
-    weights, density, _ = trace
+    weights, density = trace
     L = float(weights.sum())
     c_best = float(np.dot(weights, density) / L)
     dev = density - c_best
@@ -203,9 +194,9 @@ def fd_derivative(
     field: PerturbationField,
     steps: tuple[float, ...] = (1e-3, 5e-4),
 ) -> FDResult:
-    """Central finite differences of the discrete e_s over the cluster F along the field.
+    """Central finite differences of the discrete e_s over the group F along the field.
 
-    The symmetric functions of a cluster depend analytically on the assembled pencil
+    The symmetric functions of a group depend analytically on the assembled pencil
     even where its eigenvalues cross (Lancaster 1964; Kato 1966), so the difference
     is taken of the pencil, not of re-solved eigenvalues.  With the base solution's
     b-orthonormal coefficients x_i, its eigenvalues lambda_i and w_i = e_(s-1) of the
@@ -214,12 +205,12 @@ def fd_derivative(
         sum_i w_i x_i^T (dA - lambda_i dB) x_i / (2 t),
 
     where dA and dB are the stiffness and mass of the domain realized at +t minus
-    those at -t.  Only the |F| x |F| forms X^T A X and X^T B X of the cluster's
+    those at -t.  Only the |F| x |F| forms X^T A X and X^T B X of the group's
     columns X are built (_projected_forms), never a basis-sized matrix, and no
     perturbed domain is solved.  Both domains are evaluated on the solution's own
     rule, raised only where their modes need more nodes (min_nodes); a field that
-    rule cannot resolve is rejected as by hadamard_derivative.  F must be a full
-    cluster, as for hadamard_derivative.  Steps must be finite, positive and
+    rule cannot resolve is rejected as by hadamard_derivative.  F must be a group
+    as for hadamard_derivative.  Steps must be finite, positive and
     distinct.  The two smallest steps are Richardson-combined into the extrapolated
     estimate.  The domain, basis and tau are the solution's.
     """
@@ -232,12 +223,9 @@ def fd_derivative(
     ev = solution.boundary
     domain, basis, n_nodes = ev.domain, ev.basis, ev.quad.weights.size
     _check_n_nodes(domain, n_nodes, field.max_mode)
-    F, _ = _check_cluster(solution, F, s)
-    lam = solution.eigenvalues
-    lam_of_f = lam[[j - 1 for j in F]]
+    F, w = _check_cluster(solution, F, s)
+    lam_of_f = solution.eigenvalues[[j - 1 for j in F]]
     X = solution.coefficients[:, [j - 1 for j in F]]
-    w = np.array([1.0 if s == 1 else symmetric_function(lam, tuple(k for k in F if k != j), s - 1)
-                  for j in F])
 
     estimates = []
     for t in steps:

@@ -28,6 +28,7 @@ _TERM_CUTOFF = 1e-17
 _MAX_TERMS = 200
 _Z_MAX = 100.0
 _TAU_MAX = _Z_MAX**2  # keeps sqrt(tau) r inside the series range on the unit ball
+_Z_SLACK = 1.0 + 1e-12  # radii of boundary nodes round a few ulps past rho
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,14 @@ def _check_tau(tau: float) -> None:
         raise DomainValidationError(f"tau={tau} outside supported range (0, {_TAU_MAX}]")
 
 
+def _check_reach(tau: float, rho_max: float) -> None:
+    """Bessel rows of a domain reaching rho_max from its center stay in the series range."""
+    if math.sqrt(tau) * rho_max > _Z_MAX * _Z_SLACK:
+        raise DomainValidationError(
+            f"tau={tau} and the domain's rho_max={rho_max:.6g} put sqrt(tau) rho_max outside "
+            f"supported range (0, {_Z_MAX:g}]; this domain needs tau <= {(_Z_MAX / rho_max) ** 2:.6g}")
+
+
 def series_tail(nu, q) -> np.ndarray:
     """T_nu(q) = S_nu(q) - 1, elementwise over broadcast arrays nu > -1 and q >= 0.
 
@@ -56,7 +65,7 @@ def series_tail(nu, q) -> np.ndarray:
     """
     nu, q = np.asarray(nu, dtype=float), np.asarray(q, dtype=float)
     q_max = float(q.max(initial=0.0))
-    if q_max > _Z_MAX**2 / 4.0:
+    if q_max > (_Z_MAX * _Z_SLACK) ** 2 / 4.0:
         raise DomainValidationError(
             f"argument z={2.0 * math.sqrt(q_max)} outside supported range (0, {_Z_MAX}]"
         )

@@ -39,7 +39,7 @@ import numpy as np
 from ._util import single_blas_thread
 from .errors import DomainValidationError, NumericalError
 from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry, min_nodes
-from .special_functions import _check_tau, integer_order_tails, series_tail
+from .special_functions import _check_reach, _check_tau, integer_order_tails, series_tail
 
 _CLUSTER_RELGAP = 1e-6
 # relative level below which an eigenvalue of the scaled Gram matrix is filtered
@@ -181,6 +181,7 @@ class BoundaryEvaluation:
 def _evaluate(domain: StarDomain, basis: TrialBasis, n_boundary: int) -> BoundaryEvaluation:
     """The basis on the n_boundary-node rule of the domain."""
     bq = boundary_geometry(domain, n_boundary)
+    _check_reach(basis.tau, float(np.hypot(*(bq.points - domain.center).T).max()))
     return BoundaryEvaluation(domain, basis, bq, *_eval_all(basis, bq.points, domain.center))
 
 
@@ -220,6 +221,7 @@ def boundary_rule_size(domain: StarDomain, basis: TrialBasis, field_modes: int =
     """
     k = basis.k_max
     r, r1, _ = domain.samples(_RULE_GRID, derivatives=True)
+    _check_reach(basis.tau, float(r.max()))
     s = 1.0 + series_tail(float(k), 0.25 * basis.tau * r * r)  # increasing in r
     e = (r / r.max()) ** k * (s / s.max())
     spectrum = np.abs(np.fft.rfft(e * e * np.sqrt(r * r + r1 * r1)))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisteklov import StarDomain, assemble, make_family, make_trial_basis, solve
+from bisteklov import StarDomain, assemble, make_family, make_trial_basis, solve, sorted_spectrum
 from bisteklov.cli import run
 
 DOMAINS = Path(__file__).resolve().parents[1] / "domains"
@@ -205,6 +205,19 @@ class TestShapeDerivative:
         doc = json.loads(out)
         assert doc["fd_discrepancy"] <= 1e-9 * max(abs(doc["fd_extrapolated"]), 0.1)
 
+    @pytest.mark.parametrize("s", ["1", "2"])
+    def test_group_of_two_clusters(self, capsys, s):
+        # lambda_2 and lambda_3 of the perturbed domain are two clusters 0.15 apart
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", str(DOMAINS / "perturbed.json"), "--tau", "1",
+            "--F", "2,3", "--s", s, "--field", "cos2", "--validate-fd",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["F"] == [2, 3]
+        fd = doc["fd_extrapolated"]
+        assert abs(doc["hadamard"] - fd) <= 1e-6 * max(abs(fd), 1.0)
+
 
 class TestCriticality:
     def test_disk_residual(self, capsys, disk_file):
@@ -213,6 +226,16 @@ class TestCriticality:
         doc = json.loads(out)
         assert doc["residual"] < 1e-7
         assert doc["lambda_F"] == pytest.approx(1.0, rel=1e-8)
+
+    def test_group_of_two_clusters(self, capsys):
+        code, out, err = run_cli(
+            capsys, "criticality", "--domain", str(DOMAINS / "perturbed.json"), "--tau", "1",
+            "--F", "2,3",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["F"] == [2, 3]
+        assert doc["residual"] > 0.0
 
 
 class TestConcentration:
@@ -331,6 +354,27 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "outside supported range" in err
+
+    @pytest.mark.parametrize("tau", [9999.0, 10000.0])
+    def test_disk_at_the_largest_tau(self, capsys, disk_file, tau):
+        # boundary nodes of the unit disk lie a few ulps outside radius 1, which at
+        # tau = 1e4 once put the Bessel series at z = 100.00000000000001
+        code, out, err = run_cli(capsys, "solve", "--domain", disk_file, "--tau", str(tau))
+        assert code == 0, err
+        ref = [lam for _, lam, _ in sorted_spectrum(2, tau, 9).flatten()]
+        assert np.allclose(json.loads(out)["eigenvalues"][1:9], ref[1:9], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("argv, rho_max, tau_max", [
+        (("solve", "--domain", str(DOMAINS / "perturbed.json"), "--tau", "10000"), "1.05", "9070.29"),
+        (("iso-scan", "--family", "ellipse_like", "--tau", "8000"), "1.14018", "7692.31"),
+    ], ids=["solve", "iso-scan"])
+    def test_tau_beyond_the_domain_reach(self, capsys, argv, rho_max, tau_max):
+        # the refusal names tau and the domain's largest radius, not a series argument
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"rho_max={rho_max}" in err
+        assert f"tau <= {tau_max}" in err
 
     def test_missing_a0(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -481,6 +525,17 @@ class TestExitCodes:
             "--F", "2,x", "--field", "const",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("cmd, F, smallest", [
+        ("shape-derivative", "2", "(2, 3)"), ("criticality", "2", "(2, 3)"),
+        ("criticality", "3,4", "(2, 3, 4, 5)"),
+    ])
+    def test_split_cluster_names_the_smallest_group(self, capsys, disk_file, cmd, F, smallest):
+        extra = ("--field", "const") if cmd == "shape-derivative" else ()
+        code, out, err = run_cli(capsys, cmd, "--domain", disk_file, "--tau", "1.0", "--F", F, *extra)
+        assert code == 2
+        assert out == ""
+        assert f"smallest admissible group is {smallest}" in err
 
     def test_incomplete_cluster(self, capsys, disk_file):
         # index 2 alone is half of the disk's degenerate pair

@@ -200,6 +200,17 @@ class TestHadamardDerivative:
         g = PerturbationField(const=1.0)
         assert hadamard_derivative(sol, (1,), 1, g) == 0.0
 
+    @pytest.mark.parametrize("tau", [1e-6, 1e-9])
+    def test_small_tau_group_holding_the_zero_eigenvalue(self, tau):
+        # from tau = 1e-6 down the pair lambda_2 = lambda_3 = tau joins lambda_1 = 0 in one
+        # cluster; e_1 over (1, 2, 3) still shrinks at -2 tau under dilation.  One
+        # mean lambda for all three members once read -2 tau / 3, and a density
+        # below 1e-9 was once taken for the trivial group's and read 0
+        sol = solved(DISK, tau)
+        assert sol.cluster_of(2) == (1, 3)
+        d = hadamard_derivative(sol, (1, 2, 3), 1, PerturbationField(const=1.0))
+        assert d == pytest.approx(-2.0 * tau, rel=1e-5)
+
     def test_trig_fields_are_neutral_on_disk(self):
         # disk criticality: pure oscillations do not move symmetric functions
         for tau in (1.0, 2.5):
@@ -242,6 +253,36 @@ class TestHadamardDerivative:
         with pytest.raises(DomainValidationError, match="outside"):
             # index 0 once read the last eigenvalue
             hadamard_derivative(sol, (0, 1), 1, g)
+
+    def test_groups_weight_each_member_by_the_others(self):
+        # lambda_2 and lambda_3 of PERTURBED are two clusters 0.15 apart: d e_1 is the
+        # sum of their derivatives and d e_2 = lambda_3 d lambda_2 + lambda_2 d lambda_3
+        sol = solved(PERTURBED, 1.0)
+        lam2, lam3 = sol.eigenvalues[1:3]
+        assert sol.cluster_of(2) == (2, 2) and sol.cluster_of(3) == (3, 3)
+        for g in (PerturbationField(const=1.0), PerturbationField(cos_coeffs=(0.0, 1.0))):
+            d2, d3 = (hadamard_derivative(sol, (j,), 1, g) for j in (2, 3))
+            assert hadamard_derivative(sol, (2, 3), 1, g) == pytest.approx(d2 + d3, rel=1e-12, abs=1e-12)
+            assert hadamard_derivative(sol, (2, 3), 2, g) == pytest.approx(
+                lam3 * d2 + lam2 * d3, rel=1e-12, abs=1e-12)
+
+    def test_near_crossing_group_is_stable_under_refinement(self):
+        # lambda_2 and lambda_3 lie 1.2e-5 apart (relative), two clusters.  The
+        # derivative of lambda_2 alone moves by 2.0e-6 between rules of 320 and 384
+        # nodes, its eigenvector being conditioned by 1 / gap; the pair's symmetric
+        # functions depend on the pair's span only and move by about 2e-10
+        domain = StarDomain(a0=1.0, sin_coeffs=(0.0, 0.0, 0.0, 0.0178, 0.0206), center=(0.03, 0.049))
+        tau, g = 1000.0, PerturbationField(cos_coeffs=(0.0, 1.0))
+        basis = make_trial_basis(20, tau)
+        sols = [solve(assemble(domain, tau, basis, n_boundary=n)) for n in (320, 384)]
+        for sol in sols:
+            assert sol.clusters[1:3] == ((2, 2), (3, 3))
+        for s in (1, 2):
+            had = [hadamard_derivative(sol, (2, 3), s, g) for sol in sols]
+            assert abs(had[1] - had[0]) <= 1e-11 * max(abs(had[1]), tau**s), s
+            for sol, d in zip(sols, had):
+                ref = assembled_fd_derivative(sol, (2, 3), s, g).extrapolated
+                assert abs(d - ref) <= 1e-9 * max(abs(ref), tau**s), s
 
     @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
     def test_tau_and_basis_come_from_the_solution(self, tau):
@@ -387,6 +428,26 @@ class TestFiniteDifferences:
             ref = assembled_fd_derivative(sol, F, 1, field)
             assert_fd_close(fd, ref, 1e-9 * max(abs(ref.extrapolated), tau), (domain, tau, field))
 
+    @pytest.mark.parametrize("k_max", [10, 14, 20])
+    def test_separated_groups_on_seeded_stars(self, k_max):
+        # (2, ..., 5) joins clusters of unequal eigenvalues on every star, (2, 3) on 8
+        # of the 20; Hadamard and the cluster-only difference both match the full pencils
+        joined = 0
+        for domain, tau, k, field in SEEDED_BENCHMARK_CASES:
+            if k != k_max:
+                continue
+            sol = solved_for_field(domain, tau, k_max, field)
+            joined += sol.cluster_of(2) != (2, 3)
+            for F in ((2, 3), (2, 3, 4, 5)):
+                for s in (1, 2):
+                    ref = assembled_fd_derivative(sol, F, s, field)
+                    scale = max(abs(ref.extrapolated), max(1.0, tau) ** s)
+                    had = hadamard_derivative(sol, F, s, field)
+                    assert abs(had - ref.extrapolated) <= 1e-9 * scale, (domain, tau, field, F, s)
+                    assert_fd_close(fd_derivative(sol, F, s, field), ref, 1e-9 * scale,
+                                    (domain, tau, field, F, s))
+        assert joined >= 5
+
     @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
     @pytest.mark.parametrize("field", [PerturbationField(const=1.0),
                                        PerturbationField(cos_coeffs=(0.0, 1.0)),
@@ -449,3 +510,28 @@ class TestFiniteDifferences:
         fd = fd_derivative(sol, (2, 3), 1, g, steps=(1e-3, 2e-3))
         assert fd.steps == (2e-3, 1e-3)  # sorted large to small
         assert len(fd.estimates) == 2
+
+
+class TestAnalyticity:
+    """Symmetric functions of a separated group are analytic in the domain (the
+    source paper; Lamberti & Lanza de Cristoforis 2004), so along an analytic family
+    their Chebyshev coefficients decay geometrically (Trefethen, Approximation
+    Theory and Approximation Practice, ch. 8)."""
+
+    def test_chebyshev_decay_along_a_family_through_the_disk(self):
+        # rho = 1 + t cos 2 theta at area pi, t in [-0.1, 0.1] at 41 Chebyshev-Lobatto
+        # points: lambda_2 and lambda_3 split at the disk t = 0, where lambda_2 alone
+        # has a |t| kink and its coefficients decay only algebraically
+        cheb = np.polynomial.chebyshev
+        x = np.cos(np.pi * np.arange(41) / 40)
+        rows = []
+        for xi in x:
+            domain = rescale_to_area(StarDomain(a0=1.0, cos_coeffs=(0.0, 0.1 * xi)), np.pi)
+            lam = solved(domain, 1.0, 20).eigenvalues
+            rows.append((lam[1], symmetric_function(lam, (2, 3), 1), symmetric_function(lam, (2, 3), 2)))
+        lam2, e1, e2 = (cheb.chebfit(x, v, 40) for v in np.array(rows).T)
+        for c in (e1, e2):
+            assert np.abs(c[16:]).max() < 1e-12 * abs(c[0])
+            # the disk is critical: the interpolant is flat at t = 0
+            assert abs(cheb.chebval(0.0, cheb.chebder(c)) / 0.1) < 1e-10
+        assert abs(lam2[40]) > 1e-5 * abs(lam2[0])

@@ -328,6 +328,17 @@ class TestBoundaryRuleSize:
         assert boundary_rule_size(wavy, basis, field_modes=200) >= min_nodes(wavy, 200)
         assert boundary_rule_size(DISK, basis, field_modes=600) == 2048
 
+    def test_reach_checked_before_the_series(self):
+        # radius 1.05 at tau = 1e4: sqrt(tau) rho_max = 105 is refused where the rule is
+        # sized and where the basis is evaluated, in terms of tau and the domain
+        domain = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.05))
+        basis = make_trial_basis(10, 1e4)
+        with pytest.raises(DomainValidationError, match=r"rho_max=1\.05 .*tau <= 9070\.29"):
+            boundary_rule_size(domain, basis)
+        with pytest.raises(DomainValidationError, match=r"rho_max=1\.05 .*tau <= 9070\.29"):
+            assemble(domain, 1e4, basis, n_boundary=256)
+        assert boundary_rule_size(domain, make_trial_basis(10, 9070.0)) >= 64
+
     def test_explicit_rule_wins(self):
         basis = make_trial_basis(4, 1.0)
         forms = assemble(ORACLE_DOMAINS[1], 1.0, basis)
