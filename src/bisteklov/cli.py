@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from ._util import single_blas_thread
 from .ball_spectrum import sorted_spectrum
 from .concentration import convergence_sweep
 from .errors import DomainValidationError, NumericalError
@@ -325,7 +326,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.fn(args)
+        with single_blas_thread():
+            return args.fn(args)
     except DomainValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,22 +21,15 @@ forms and the solution, so the eigenfunction traces behind shape derivatives are
 contractions of it, not a second evaluation.
 The pencil is solved through a filtered congruence pipeline that tolerates the
 strong numerical dependence of such global bases.
-
-Bases of up to _SINGLE_THREAD_BASIS functions (k_max <= 31) run their dense
-algebra on one OpenBLAS thread.  At those sizes a second thread buys no wall
-time, doubles the CPU of a solve and makes its time depend on a second core
-being free.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import single_blas_thread
 from .errors import DomainValidationError, NumericalError
 from .geometry import BoundaryQuadrature, StarDomain, boundary_geometry, min_nodes
 from .special_functions import _check_reach, _check_tau, integer_order_tails, series_tail
@@ -51,16 +44,6 @@ _RULE_SPECTRUM_TOL = 1e-14
 # largest angular order: its basis of 2 (2 k_max + 1) rows still fits the 2048-node
 # ceiling of the rule, which needs at least one node per row
 _K_MAX = (_RULE_GRID - 2) // 4
-# largest basis whose contraction, solve and traces run on one BLAS thread; at
-# 162 functions (k_max 40) two threads start to pay, by about 7% of wall time
-# on a 2-CPU Xeon VM
-_SINGLE_THREAD_BASIS = 128
-
-
-def _blas_scope(basis_size: int):
-    if basis_size <= _SINGLE_THREAD_BASIS:
-        return single_blas_thread()
-    return contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -188,9 +171,8 @@ def _evaluate(domain: StarDomain, basis: TrialBasis, n_boundary: int) -> Boundar
 def _combine(ev: BoundaryEvaluation, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (m, n), gradients (m, n, 2) and Hessians (m, n, 3) of the m coefficient columns C."""
     nb, m = C.shape
-    with _blas_scope(nb):
-        return tuple((C.T @ a.reshape(nb, -1)).reshape(m, *a.shape[1:])
-                     for a in (ev.values, ev.gradients, ev.hessians))
+    return tuple((C.T @ a.reshape(nb, -1)).reshape(m, *a.shape[1:])
+                 for a in (ev.values, ev.gradients, ev.hessians))
 
 
 @dataclass(frozen=True)
@@ -256,8 +238,7 @@ def assemble(
     ev = _evaluate(domain, basis, n_boundary)
     dh = _normal_component(ev.gradients[: basis.size // 2], ev.quad.normals)
     flux = np.concatenate([basis.tau * dh, -basis.tau * dh])
-    with _blas_scope(basis.size):
-        A, B = _trefftz_forms(ev.values, ev.gradients, ev.hessians, flux, ev.quad)
+    A, B = _trefftz_forms(ev.values, ev.gradients, ev.hessians, flux, ev.quad)
     return AssembledForms(stiffness=A, boundary_mass=B, boundary=ev)
 
 
@@ -335,12 +316,14 @@ class EigenSolution:
 
 
 def _detect_clusters(lam: np.ndarray) -> tuple[tuple[int, int], ...]:
-    # near-degenerate groups: split where the gap exceeds the relative threshold
+    # near-degenerate groups: split where the gap exceeds the relative threshold.
+    # lambda_1 = 0 (the constants, in the trial space for every domain and tau > 0)
+    # is simple, so it is split off however small the next eigenvalue is
     clusters = []
     lo = 0
     for i in range(len(lam) - 1):
         gap = lam[i + 1] - lam[i]
-        if gap > _CLUSTER_RELGAP * max(1.0, abs(lam[i + 1])):
+        if i == 0 or gap > _CLUSTER_RELGAP * max(1.0, abs(lam[i + 1])):
             clusters.append((lo + 1, i + 1))
             lo = i + 1
     clusters.append((lo + 1, len(lam)))
@@ -361,11 +344,6 @@ def solve(forms: AssembledForms) -> EigenSolution:
     small one.  Coefficients are returned in the original basis and are orthonormal
     in the boundary inner product.
     """
-    with _blas_scope(forms.stiffness.shape[0]):
-        return _solve(forms)
-
-
-def _solve(forms: AssembledForms) -> EigenSolution:
     A, B = forms.stiffness, forms.boundary_mass
     d = np.sqrt(np.diag(A) + np.diag(B))
     if not np.all(d > 0.0):

@@ -21,7 +21,8 @@ sized for it, as references for the package's difference of the cluster's forms.
 The ball's radial eigenprofiles and their Rayleigh quotient give a second route
 to the closed-form ball eigenvalues, and two boundary inequalities are evaluated
 on centroid-centred domains: the inverse-sum bound on 1/lambda_2 + 1/lambda_3 and
-the weighted boundary moments against the equal-area disk.
+the weighted boundary moments against the equal-area disk.  The small-tau limits
+of lambda_2 / tau and lambda_3 / tau follow from the same boundary moments.
 """
 
 from __future__ import annotations
@@ -703,6 +704,21 @@ def inverse_sum_bound(
     moment = float(np.dot(bq.weights, np.einsum("nc,nc->n", bq.points, bq.points)))
     rhs = moment / (tau * area(dom))
     return lhs, rhs, lhs - rhs
+
+
+def small_tau_limit(domain: StarDomain, n_nodes: int = 1024) -> tuple[float, float]:
+    """Limits of lambda_2 / tau and lambda_3 / tau as tau -> 0: |Omega| / mu_max,min(M).
+
+    An eigenfunction with lambda = O(tau) has D^2 u -> 0, so it tends to an affine
+    function, b-orthogonal to the constants: u = b . (x - c) with c the boundary
+    centroid, whose Rayleigh quotient is tau |Omega| |b|^2 / (b^T M b) with
+    M = boundary integral of (x - c)(x - c)^T ds.  The affine functions are trial
+    functions, so the computed lambda_2,3 / tau do not exceed these limits.
+    """
+    bq = boundary_geometry(domain, n_nodes)
+    d = bq.points - bq.weights @ bq.points / bq.weights.sum()
+    mu_min, mu_max = np.linalg.eigvalsh((d * bq.weights[:, None]).T @ d)
+    return area(domain) / mu_max, area(domain) / mu_min
 
 
 _WEIGHT_CATALOG = {

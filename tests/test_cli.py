@@ -238,6 +238,29 @@ class TestCriticality:
         assert doc["residual"] > 0.0
 
 
+    @pytest.mark.parametrize("tau", ["1e-06", "1e-09"])
+    def test_zero_eigenvalue_stays_apart_at_small_tau(self, capsys, disk_file, tau):
+        # the disk's pair lambda_2 = lambda_3 = tau once joined lambda_1 = 0 in one
+        # cluster from tau = 1e-6 down: AUTO read (1, 2, 3), lambda_F 2 tau / 3, and
+        # --F 2,3 exited 2
+        code, out, err = run_cli(capsys, "solve", "--domain", disk_file, "--tau", tau)
+        assert code == 0, err
+        assert json.loads(out)["clusters"][:3] == [[1, 1], [2, 3], [4, 5]]
+        for F in ("AUTO", "2,3"):
+            code, out, err = run_cli(capsys, "criticality", "--domain", disk_file, "--tau", tau, "--F", F)
+            assert code == 0, err
+            doc = json.loads(out)
+            assert doc["F"] == [2, 3]
+            assert doc["lambda_F"] == pytest.approx(float(tau), rel=1e-5)
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", disk_file, "--tau", tau, "--field", "const",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["F"] == [2, 3]
+        assert doc["hadamard"] == pytest.approx(-2.0 * float(tau), rel=1e-5)
+
+
 class TestConcentration:
     def test_sweep_csv(self, capsys):
         code, out, _ = run_cli(
@@ -650,6 +673,44 @@ assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.optimize")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count():
+    # every job runs on one OpenBLAS thread whatever the caller's setting; a basis
+    # of 162 rows (k_max 40) once ran on the caller's threads and moved the digits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    domain = str(DOMAINS / "perturbed.json")
+    jobs = [
+        ["ball-spectrum", "--tau", "1", "--count", "6"],
+        ["solve", "--domain", domain, "--tau", "1"],
+        ["solve", "--domain", domain, "--tau", "1", "--kmax", "40"],
+        ["criticality", "--domain", domain, "--tau", "1", "--F", "2,3"],
+        ["shape-derivative", "--domain", domain, "--tau", "1", "--field", "cos2", "--validate-fd"],
+        ["concentration", "--tau", "1", "--eps", "0.2,0.05", "--modes", "3"],
+        ["iso-scan", "--family", "ellipse_like", "--tau", "1", "--params", "1.0,1.3"],
+    ]
+    script = f"""
+import contextlib, io, json
+import bisteklov.cli
+
+outputs = []
+for argv in {jobs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = bisteklov.cli.run(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = json.loads(proc.stdout)
+    assert [code for code, _ in outputs["1"]] == [0] * len(jobs)
+    for argv, one, two in zip(jobs, outputs["1"], outputs["2"]):
+        assert one == two, argv
 
 
 # Robustness: any invocation on bounded inputs exits 0, 1 or 2 and never raises.

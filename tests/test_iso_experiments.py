@@ -1,6 +1,8 @@
 """Tests for the fixed-area eigenvalue comparisons and boundary inequalities."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,25 @@ from bisteklov import (
     DomainValidationError,
     StarDomain,
     area,
+    assemble,
     iso_scan,
     lambda2_of,
     make_family,
+    make_trial_basis,
     rescale_to_area,
+    solve,
 )
 
-from oracles import center_boundary_centroid, inverse_sum_bound, weighted_boundary_inequality_check
+from oracles import (
+    center_boundary_centroid,
+    inverse_sum_bound,
+    small_tau_limit,
+    weighted_boundary_inequality_check,
+)
+from test_shape_calculus import SEEDED_BENCHMARK_CASES
 
 DISK = StarDomain(a0=1.0)
+DOMAIN_FILES = sorted((Path(__file__).resolve().parents[1] / "domains").glob("*.json"))
 
 
 class TestLambda2Of:
@@ -144,6 +156,38 @@ class TestInverseSumBound:
         lhs, rhs, gap = inverse_sum_bound(DISK, 4.0)
         assert lhs == pytest.approx(0.5, rel=1e-8)
         assert abs(gap) <= 1e-8
+
+
+class TestSmallTauLimit:
+    """lambda_2 / tau and lambda_3 / tau tend to small_tau_limit, first order in tau."""
+
+    CASES = (
+        [(p.name, StarDomain(**json.loads(p.read_text())), 14) for p in DOMAIN_FILES]
+        + [(f"{family}-{param:g}", dom, 14)
+           for family in ("perturbed_disk", "ellipse_like") for param, dom in make_family(family)]
+        + [(f"star-{i}", dom, k_max) for i, (dom, _, k_max, _) in enumerate(SEEDED_BENCHMARK_CASES)]
+    )
+
+    @pytest.mark.parametrize("domain, k_max", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_first_order_approach(self, domain, k_max):
+        taus = np.array([1e-2, 1e-3, 1e-4])[:, None]
+        gaps = np.array([solve(assemble(domain, tau, make_trial_basis(k_max, tau))).eigenvalues[1:3]
+                         for tau in taus[:, 0]]) / taus - np.array(small_tau_limit(domain))
+        # roundoff of lambda / tau: the eigenvalues carry an absolute error near 1e-15
+        noise = 1e-14 / taus
+        assert np.all(np.abs(gaps[-1]) <= 1e-6)
+        # from below, as the affine functions are trial functions, and tenfold smaller
+        # per decade of tau; on a disk the gap is roundoff alone
+        assert np.all(gaps < noise)
+        first_order = gaps[0] * taus / taus[0]
+        assert np.all(np.abs(gaps - first_order) <= 0.01 * np.abs(first_order) + noise), gaps
+
+    def test_measured_limits(self):
+        # rho = 1 + 0.1 cos 3 theta at area pi is isotropic; the aspect-1.3 ellipse is not
+        (_, pd), = make_family("perturbed_disk", (0.1,))
+        (_, el), = make_family("ellipse_like", (1.3,))
+        assert small_tau_limit(pd) == pytest.approx((0.97143667, 0.97143667), abs=1e-8)
+        assert small_tau_limit(el) == pytest.approx((0.81204838, 1.20532149), abs=1e-8)
 
 
 class TestWeightedBoundaryInequality:

@@ -202,12 +202,13 @@ class TestHadamardDerivative:
 
     @pytest.mark.parametrize("tau", [1e-6, 1e-9])
     def test_small_tau_group_holding_the_zero_eigenvalue(self, tau):
-        # from tau = 1e-6 down the pair lambda_2 = lambda_3 = tau joins lambda_1 = 0 in one
-        # cluster; e_1 over (1, 2, 3) still shrinks at -2 tau under dilation.  One
-        # mean lambda for all three members once read -2 tau / 3, and a density
-        # below 1e-9 was once taken for the trivial group's and read 0
+        # lambda_1 = 0 stays a cluster of its own however small the pair lambda_2 =
+        # lambda_3 = tau, which once joined it from tau = 1e-6 down; e_1 over the two
+        # clusters (1, 2, 3) shrinks at -2 tau under dilation.  One mean lambda for all
+        # three members once read -2 tau / 3, and a density below 1e-9 was once taken
+        # for the trivial group's and read 0
         sol = solved(DISK, tau)
-        assert sol.cluster_of(2) == (1, 3)
+        assert sol.cluster_of(2) == (2, 3)
         d = hadamard_derivative(sol, (1, 2, 3), 1, PerturbationField(const=1.0))
         assert d == pytest.approx(-2.0 * tau, rel=1e-5)
 

@@ -25,9 +25,10 @@ from bisteklov import (
 )
 from bisteklov import _util
 from bisteklov._util import single_blas_thread
+from bisteklov.cli import run
 from bisteklov.geometry import interior_quadrature, min_nodes
 from bisteklov.special_functions import leading_term, ultraspherical_i_tail
-from bisteklov.steklov_solver import _SINGLE_THREAD_BASIS, TrialBasis, _eval_all, _projected_forms
+from bisteklov.steklov_solver import TrialBasis, _eval_all, _projected_forms
 from oracles import center_boundary_centroid, interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -496,7 +497,7 @@ class TestBoundaryData:
 
 
 class TestBlasThreads:
-    """Small bases run their dense algebra on one OpenBLAS thread, larger ones on the caller's count."""
+    """Each CLI job runs on one OpenBLAS thread; library calls run on the caller's count."""
 
     @staticmethod
     def fake_openblas(monkeypatch, count: int):
@@ -509,24 +510,32 @@ class TestBlasThreads:
         monkeypatch.setattr(_util, "_openblas_thread_calls", lambda: (lambda: state["count"], set_count))
         return state, calls
 
-    def test_small_basis_runs_on_one_thread(self, monkeypatch):
+    @pytest.mark.parametrize("code, argv", [
+        (0, ("solve", "--domain", str(ROOT / "domains" / "perturbed.json"), "--tau", "1", "--kmax", "10")),
+        (0, ("solve", "--domain", str(ROOT / "domains" / "perturbed.json"), "--tau", "1", "--kmax", "40")),
+        (0, ("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0.0,0.05")),
+        (0, ("concentration", "--tau", "1", "--eps", "0.2", "--modes", "2")),
+        (2, ("solve", "--domain", str(ROOT / "domains" / "missing.json"), "--tau", "1")),
+        (1, ("concentration", "--tau", "1", "--eps", "1e-10", "--modes", "2")),
+    ], ids=["solve-10", "solve-40", "iso-scan", "concentration", "exit-2", "exit-1"])
+    def test_each_cli_job_runs_on_one_thread(self, monkeypatch, capsys, code, argv):
         state, calls = self.fake_openblas(monkeypatch, 2)
-        sol, basis = solve_domain(ORACLE_DOMAINS[1], 1.0, k_max=10)
-        eigenfunction_boundary_data(sol, which=(2,))
-        assert basis.size <= _SINGLE_THREAD_BASIS
-        assert calls == [1, 2] * 3  # assemble, solve, traces; each restores the count
+        assert run(list(argv)) == code
+        capsys.readouterr()
+        assert calls == [1, 2]  # set once around the job, restored however it ends
+        assert state["count"] == 2
+
+    def test_library_calls_keep_the_thread_count(self, monkeypatch):
+        state, calls = self.fake_openblas(monkeypatch, 2)
+        for k_max in (10, 40):
+            sol, _ = solve_domain(ORACLE_DOMAINS[1], 1.0, k_max=k_max)
+            eigenfunction_boundary_data(sol, which=(2,))
+        assert calls == []
         assert state["count"] == 2
 
     def test_one_thread_caller_is_left_alone(self, monkeypatch):
         _, calls = self.fake_openblas(monkeypatch, 1)
         solve_domain(ORACLE_DOMAINS[1], 1.0, k_max=10)
-        assert calls == []
-
-    def test_large_basis_keeps_the_thread_count(self, monkeypatch):
-        _, calls = self.fake_openblas(monkeypatch, 2)
-        sol, basis = solve_domain(DISK, 1.0, k_max=32)
-        assert basis.size > _SINGLE_THREAD_BASIS
-        assert sol.eigenvalues[1] == pytest.approx(disk_reference(1.0, 2)[1], rel=1e-10)
         assert calls == []
 
     def test_count_restored_after_an_error(self, monkeypatch):
