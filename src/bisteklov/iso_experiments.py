@@ -106,20 +106,20 @@ def iso_scan(
 
     The disk reference is computed with the same solver and resolution, so the
     margin bound - lambda_2 carries only the family's true deficit plus matched
-    discretization error.  The verdict passes when every margin is >= -1e-7 and
-    only the disk member of the family sits within 1e-7 of the bound.
+    discretization error.  The verdict passes when every margin is >= -1e-7 tau
+    and only the disk member of the family sits within 1e-7 tau of the bound:
+    margins scale with tau, so the tie band does too.
     """
     members = make_family(family, parameters, mode=mode)
     bound = lambda2_of(StarDomain(a0=1.0), tau, k_max=k_max)
+    tol = _MARGIN_TOL * tau
     lam2s = parallel_map(lambda m: lambda2_of(m[1], tau, k_max=k_max), members)
     rows = []
     verdict = True
     for (param, dom), lam2 in zip(members, lam2s):
         margin = bound - lam2
         is_disk = param == 0.0 if family == "perturbed_disk" else param == 1.0
-        if margin < -_MARGIN_TOL:
-            verdict = False
-        if abs(margin) <= _MARGIN_TOL and not is_disk:
+        if margin < -tol or (abs(margin) <= tol and not is_disk):
             verdict = False
         rows.append(IsoScanRow(family, param, area(dom), tau, lam2, bound, margin))
     return IsoScanResult(rows=tuple(rows), verdict=verdict)

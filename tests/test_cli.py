@@ -324,11 +324,12 @@ class TestConcentration:
 
 
 class TestIsoScan:
-    def test_verdict_line(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "iso-scan", "--family", "perturbed_disk", "--tau", "1.0",
-            "--params", "0.0,0.08",
-        )
+    # at tau = 1e-5 every margin of the default members is below 1e-7 in absolute
+    # terms; the tie band is relative to tau
+    @pytest.mark.parametrize("args", [("--tau", "1.0", "--params", "0.0,0.08"), ("--tau", "1e-5")],
+                             ids=["tau1", "tau1e-5"])
+    def test_verdict_line(self, capsys, args):
+        code, out, _ = run_cli(capsys, "iso-scan", "--family", "perturbed_disk", *args)
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0].startswith("family,parameter")

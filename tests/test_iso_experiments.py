@@ -139,6 +139,23 @@ class TestIsoScan:
         result = iso_scan("perturbed_disk", parameters=(0.0, 1e-6), tau=1.0)
         assert not result.verdict
 
+    @pytest.mark.parametrize("tau", [1e-5, 1e-6, 1e-8])
+    @pytest.mark.parametrize("family", ["perturbed_disk", "ellipse_like"])
+    def test_small_tau_passes(self, family, tau):
+        # margins scale with tau: every non-disk member lies at least 1.2e-3 tau
+        # below the disk, far outside the tie band 1e-7 tau, while at tau <= 1e-5
+        # all of them lie within the absolute 1e-7 that the band used to be
+        result = iso_scan(family, tau=tau)
+        assert result.verdict
+        disk = 0.0 if family == "perturbed_disk" else 1.0
+        assert all(row.margin > 1e-7 * tau for row in result.rows if row.parameter != disk)
+
+    def test_tie_band_scales_with_tau(self):
+        # at tau = 20 amplitude 1e-4 costs a margin of 1.2e-6 = 6.1e-8 tau, inside
+        # the band 1e-7 tau; amplitude 2e-4 (4.8e-6) clears it
+        assert not iso_scan("perturbed_disk", parameters=(0.0, 1e-4), tau=20.0).verdict
+        assert iso_scan("perturbed_disk", parameters=(0.0, 2e-4), tau=20.0).verdict
+
 
 class TestInverseSumBound:
     def test_disk_equality(self):
@@ -188,6 +205,84 @@ class TestSmallTauLimit:
         (_, el), = make_family("ellipse_like", (1.3,))
         assert small_tau_limit(pd) == pytest.approx((0.97143667, 0.97143667), abs=1e-8)
         assert small_tau_limit(el) == pytest.approx((0.81204838, 1.20532149), abs=1e-8)
+
+
+class TestEveryTau:
+    """Two Rayleigh-Ritz facts at every tau on TestSmallTauLimit's domains.
+
+    The span {1, b . (x - c)} of the affine trial pair gives lambda_2 / tau <=
+    |Omega| / mu_max(M) and {1, x, y} gives lambda_3 / tau <= |Omega| / mu_min(M),
+    the small_tau_limit values.  And lambda_j / tau is nonincreasing in tau: for a
+    fixed u the quotient (int |D^2 u|^2 + tau int |grad u|^2) / (tau int u^2 ds) is,
+    and the admissible space does not depend on tau.
+    """
+
+    TAUS = np.array([1e-3, 0.1, 1.0, 10.0, 100.0, 1000.0, 5000.0])
+
+    @pytest.fixture(scope="class")
+    def ratios(self):
+        """lambda_j / tau, j = 2..9, an array (tau, j) per case name."""
+        return {
+            name: np.array([solve(assemble(dom, tau, make_trial_basis(k_max, tau))).eigenvalues[1:9]
+                            for tau in self.TAUS]) / self.TAUS[:, None]
+            for name, dom, k_max in TestSmallTauLimit.CASES
+        }
+
+    def test_affine_bound(self, ratios):
+        # equality on the disk; roundoff allowed a decade above the worst measured
+        # relative excess, 8.6e-13 (on the disk, at one OpenBLAS thread)
+        excess = {name: float((ratios[name][:, :2] / small_tau_limit(dom) - 1.0).max())
+                  for name, dom, _ in TestSmallTauLimit.CASES}
+        assert max(excess.values()) <= 1e-11, {k: v for k, v in excess.items() if v > 1e-11}
+
+    def test_monotone_in_tau(self, ratios):
+        # roundoff allowed a decade above the worst measured relative rise, 4.8e-13
+        # (on the disk, at two OpenBLAS threads)
+        rise = {name: float((r[1:] / r[:-1] - 1.0).max()) for name, r in ratios.items()}
+        assert max(rise.values()) <= 5e-12, {k: v for k, v in rise.items() if v > 5e-12}
+
+    def test_disk_bounds_lambda2_at_area_pi(self):
+        # at area pi, mu_max(M) >= tr M / 2 >= pi, so |Omega| / mu_max(M) <= 1 = the
+        # disk's lambda_2 / tau, with equality on the disk; with test_affine_bound,
+        # lambda_2 <= tau at every tau
+        for family, disk in (("perturbed_disk", 0.0), ("ellipse_like", 1.0)):
+            for param, dom in make_family(family):
+                limit = small_tau_limit(dom)[0]
+                if param == disk:
+                    assert limit == pytest.approx(1.0, abs=1e-13)
+                else:
+                    assert limit < 1.0 - 1e-4
+
+
+class TestHigherClusters:
+    """The disk stops maximising the k = 2 and k = 3 clusters at a finite tau.
+
+    The second difference (e_1(a) - e_1(0)) / a^2 of the pair's mean along
+    rho = 1 + a cos(m theta) at area pi changes sign between the two tau: the disk
+    turns from a local maximum of that cluster into a saddle.  Measured
+    (a = 0.02 / 0.01, the same at k_max 20 and 28): -6.234 / -6.198 and
+    +4.606 / +4.675 for (4, 5) along cos 3 theta at tau 4 and 6; -36.66 / -35.68
+    and +96.87 / +99.24 for (6, 7) along cos 5 theta at tau 10 and 14.
+    """
+
+    @pytest.mark.parametrize("k_max", [20, 28])
+    @pytest.mark.parametrize("pair, mode, tau, sign", [
+        ((4, 5), 3, 4.0, -1.0), ((4, 5), 3, 6.0, 1.0),
+        ((6, 7), 5, 10.0, -1.0), ((6, 7), 5, 14.0, 1.0),
+    ])
+    def test_second_difference_sign(self, pair, mode, tau, sign, k_max):
+        basis = make_trial_basis(k_max, tau)
+
+        def pair_mean(amp):
+            [(_, dom)] = make_family("perturbed_disk", (amp,), mode=mode)
+            sol = solve(assemble(dom, tau, basis))
+            assert pair in sol.clusters
+            return sol.eigenvalues[pair[0] - 1: pair[1]].mean()
+
+        e0 = pair_mean(0.0)
+        d2 = [(pair_mean(amp) - e0) / amp**2 for amp in (0.02, 0.01)]
+        assert all(np.sign(d) == sign for d in d2), d2
+        assert d2[0] == pytest.approx(d2[1], rel=0.05)
 
 
 class TestWeightedBoundaryInequality:
