@@ -132,8 +132,10 @@ def sorted_spectrum(N: int, tau: float, j_max: int) -> SortedSpectrum:
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
     mults: list[int] = []
-    while len(mults) < 3 or sum(mults) < j_max:
+    count = 0
+    while len(mults) < 3 or count < j_max:
         mults.append(multiplicity_of_order(len(mults), N))
+        count += mults[-1]
     lams = eigenvalue_of_order(np.arange(len(mults)), N, tau).tolist()
     entries = []
     start = 1

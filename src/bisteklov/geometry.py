@@ -88,6 +88,9 @@ def fourier_projection(samples: np.ndarray, center=(0.0, 0.0)) -> StarDomain:
     a0 = float(co[0].real)
     ak = 2.0 * co[1:].real
     bk = -2.0 * co[1:].imag
+    if len(samples) % 2 == 0:
+        # the Nyquist mode n/2 is its own mirror: counted once, and its sine is zero on the grid
+        ak[-1], bk[-1] = co[-1].real, 0.0
     cutoff = _COEF_TRIM * max(abs(a0), float(np.abs(ak).max()), float(np.abs(bk).max()))
     big = np.flatnonzero((np.abs(ak) > cutoff) | (np.abs(bk) > cutoff))
     keep = int(big[-1]) + 1 if big.size else 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainValidationError
 from .geometry import StarDomain, _check_n_nodes, fourier_projection, grid_series, min_nodes
-from .steklov_solver import EigenSolution, _projected_forms, eigenfunction_boundary_data
+from .steklov_solver import EigenSolution, _combine, _evaluate, _trefftz_forms, eigenfunction_boundary_data
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,9 @@ def fd_derivative(
         sum_i w_i x_i^T (dA - lambda_i dB) x_i / (2 t),
 
     where dA and dB are the stiffness and mass of the domain realized at +t minus
-    those at -t.  Only the |F| x |F| forms X^T A X and X^T B X of the group's
-    columns X are built (_projected_forms), never a basis-sized matrix, and no
+    those at -t.  The basis evaluation of each realized domain is combined into the
+    group's columns X before the boundary form is taken, so only the |F| x |F|
+    forms X^T A X and X^T B X are built, never a basis-sized matrix, and no
     perturbed domain is solved.  Both domains are evaluated on the solution's own
     rule, raised only where their modes need more nodes (min_nodes); a field that
     rule cannot resolve is rejected as by hadamard_derivative.  F must be a group
@@ -231,7 +232,8 @@ def fd_derivative(
     for t in steps:
         plus, minus = (realize_perturbation(domain, field, sign * t) for sign in (+1.0, -1.0))
         n = max(n_nodes, min_nodes(plus), min_nodes(minus))
-        (Ap, Bp), (Am, Bm) = (_projected_forms(dom, basis, X, n) for dom in (plus, minus))
+        (Ap, Bp), (Am, Bm) = (_trefftz_forms(_combine(_evaluate(dom, basis, n), X))
+                              for dom in (plus, minus))
         dlam = np.diag(Ap - Am) - lam_of_f * np.diag(Bp - Bm)
         estimates.append(float(np.dot(w, dlam)) / (2.0 * t))
 

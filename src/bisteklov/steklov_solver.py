@@ -16,9 +16,12 @@ solutions),
     a(u, v) = boundary integral of (D^2 u nu) . grad v + (tau du/dnu - d(Delta u)/dnu) v,
 
 so both forms are assembled from one evaluation of the basis on a boundary rule
-sized to the integrands (boundary_rule_size).  That evaluation travels with the
-forms and the solution, so the eigenfunction traces behind shape derivatives are
-contractions of it, not a second evaluation.
+sized to the integrands (boundary_rule_size).  The evaluation carries each row's
+values, gradients, Hessians and flux tau du/dnu - d(Delta u)/dnu; combined into
+coefficient columns it is the same type, so one contraction (_trefftz_forms) gives
+the forms of the basis and of any columns.  It travels with the forms and the
+solution, so the eigenfunction traces behind shape derivatives are contractions of
+it, not a second evaluation.
 The pencil is solved through a filtered congruence pipeline that tolerates the
 strong numerical dependence of such global bases.
 """
@@ -26,7 +29,7 @@ strong numerical dependence of such global bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,28 +154,52 @@ def _eval_all(
 
 @dataclass(frozen=True)
 class BoundaryEvaluation:
-    """Every trial function of `basis` on a boundary rule of `domain`: _eval_all's output."""
+    """m rows on a boundary rule of `domain`: every trial function of `basis` (_evaluate)
+    or fixed combinations of them (_combine), with their fluxes tau du/dnu - d(Delta u)/dnu."""
 
     domain: StarDomain
     basis: TrialBasis
     quad: BoundaryQuadrature
-    values: np.ndarray  # (nb, n_nodes)
-    gradients: np.ndarray  # (nb, n_nodes, 2)
-    hessians: np.ndarray  # (nb, n_nodes, 3), channels (xx, xy, yy)
+    values: np.ndarray  # (m, n_nodes)
+    gradients: np.ndarray  # (m, n_nodes, 2)
+    hessians: np.ndarray  # (m, n_nodes, 3), channels (xx, xy, yy)
+    fluxes: np.ndarray  # (m, n_nodes)
+
+    @property
+    def normal_derivatives(self) -> np.ndarray:
+        """du/dnu of every row, (m, n_nodes)."""
+        return _normal_component(self.gradients, self.quad.normals)
+
+
+def _normal_component(grad: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """du/dnu of every row from its gradient channels, (m, n_nodes, 2) -> (m, n_nodes)."""
+    return grad[:, :, 0] * normals[:, 0] + grad[:, :, 1] * normals[:, 1]
 
 
 def _evaluate(domain: StarDomain, basis: TrialBasis, n_boundary: int) -> BoundaryEvaluation:
-    """The basis on the n_boundary-node rule of the domain."""
+    """The basis on the n_boundary-node rule of the domain.
+
+    The flux tau du/dnu - d(Delta u)/dnu of a harmonic row h is tau dh/dnu, as
+    Delta h = 0.  The Bessel row u = T_k(tau rho / 4) h_k at h_k's position in the
+    second block has (u + h_k) c_0 s^k = i_k(s r) cos/sin(k theta), s = sqrt(tau),
+    so Delta u = tau (u + h_k) and its flux is -tau dh_k/dnu.
+    """
     bq = boundary_geometry(domain, n_boundary)
     _check_reach(basis.tau, float(np.hypot(*(bq.points - domain.center).T).max()))
-    return BoundaryEvaluation(domain, basis, bq, *_eval_all(basis, bq.points, domain.center))
+    val, grad, hess = _eval_all(basis, bq.points, domain.center)
+    flux = basis.tau * _normal_component(grad[: basis.size // 2], bq.normals)
+    return BoundaryEvaluation(domain, basis, bq, val, grad, hess, np.concatenate([flux, -flux]))
 
 
-def _combine(ev: BoundaryEvaluation, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values (m, n), gradients (m, n, 2) and Hessians (m, n, 3) of the m coefficient columns C."""
+def _combine(ev: BoundaryEvaluation, C: np.ndarray) -> BoundaryEvaluation:
+    """The m coefficient columns C (nb, m) of ev's rows as rows on its rule: one GEMM per channel."""
     nb, m = C.shape
-    return tuple((C.T @ a.reshape(nb, -1)).reshape(m, *a.shape[1:])
-                 for a in (ev.values, ev.gradients, ev.hessians))
+
+    def contract(a: np.ndarray) -> np.ndarray:
+        return (C.T @ a.reshape(nb, -1)).reshape(m, *a.shape[1:])
+
+    return replace(ev, values=contract(ev.values), gradients=contract(ev.gradients),
+                   hessians=contract(ev.hessians), fluxes=contract(ev.fluxes))
 
 
 @dataclass(frozen=True)
@@ -223,11 +250,6 @@ def assemble(
     has n_boundary nodes, by default boundary_rule_size(domain, basis).  The
     returned forms keep the domain, the basis, the rule and the basis evaluation
     they came from, for the eigenfunction traces of the solution.
-
-    The flux tau du/dnu - d(Delta u)/dnu of a harmonic row h is tau dh/dnu, as
-    Delta h = 0.  The Bessel row u = T_k(tau rho / 4) h_k at h_k's position in the
-    second block has (u + h_k) c_0 s^k = i_k(s r) cos/sin(k theta), s = sqrt(tau),
-    so Delta u = tau (u + h_k) and its flux is -tau dh_k/dnu.
     """
     if abs(tau - basis.tau) > 1e-14 * max(1.0, tau):
         raise DomainValidationError(
@@ -236,56 +258,27 @@ def assemble(
     if n_boundary is None:
         n_boundary = boundary_rule_size(domain, basis)
     ev = _evaluate(domain, basis, n_boundary)
-    dh = _normal_component(ev.gradients[: basis.size // 2], ev.quad.normals)
-    flux = np.concatenate([basis.tau * dh, -basis.tau * dh])
-    A, B = _trefftz_forms(ev.values, ev.gradients, ev.hessians, flux, ev.quad)
+    A, B = _trefftz_forms(ev)
     return AssembledForms(stiffness=A, boundary_mass=B, boundary=ev)
 
 
-def _normal_component(grad: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """du/dnu of every row from its gradient channels, (m, n_nodes, 2) -> (m, n_nodes)."""
-    return grad[:, :, 0] * normals[:, 0] + grad[:, :, 1] * normals[:, 1]
+def _trefftz_forms(ev: BoundaryEvaluation) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and boundary mass of the rows of ev, both symmetrized.
 
-
-def _trefftz_forms(
-    val: np.ndarray, grad: np.ndarray, hess: np.ndarray, flux: np.ndarray, quad: BoundaryQuadrature
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and boundary mass of m rows on the rule quad, both symmetrized.
-
-    The rows are trial functions, or fixed combinations of them: values (m, n),
-    gradients (m, n, 2), Hessians (m, n, 3) and flux = tau du/dnu - d(Delta u)/dnu
-    (m, n).  The stiffness is the boundary (Trefftz) form of the module docstring.
+    The stiffness is the boundary (Trefftz) form of the module docstring.
     """
-    m = val.shape[0]
-    nx, ny = quad.normals[:, 0], quad.normals[:, 1]
+    m, w = ev.values.shape[0], ev.quad.weights
+    nx, ny = ev.quad.normals[:, 0], ev.quad.normals[:, 1]
     # D^2 u nu from the Hessian channels (xx, xy, yy)
+    hess = ev.hessians
     hess_n = np.stack(
         [hess[:, :, 0] * nx + hess[:, :, 1] * ny, hess[:, :, 1] * nx + hess[:, :, 2] * ny],
         axis=2,
     )
-    A = (hess_n * quad.weights[:, None]).reshape(m, -1) @ grad.reshape(m, -1).T
-    A += (flux * quad.weights) @ val.T
-    B = (val * quad.weights) @ val.T
+    A = (hess_n * w[:, None]).reshape(m, -1) @ ev.gradients.reshape(m, -1).T
+    A += (ev.fluxes * w) @ ev.values.T
+    B = (ev.values * w) @ ev.values.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
-
-
-def _projected_forms(
-    domain: StarDomain, basis: TrialBasis, X: np.ndarray, n_boundary: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """X^T A X and X^T B X of the forms `assemble` builds on an n_boundary-node rule.
-
-    The basis is evaluated on the rule as for `assemble`, but its values, gradients,
-    Hessians and fluxes are combined into the m columns of X (coefficients in the
-    basis) before the boundary form is taken, so only m rows are contracted and no
-    basis-sized matrix is formed.  By the flux identity of `assemble`, the flux of
-    a column x is the normal derivative of the column tau (x_harmonic - x_bessel)
-    on the harmonic rows.
-    """
-    ev = _evaluate(domain, basis, n_boundary)
-    half, m = basis.size // 2, X.shape[1]
-    Y = np.vstack([basis.tau * X[:half] - basis.tau * X[half:], np.zeros_like(X[half:])])
-    v, g, h = _combine(ev, np.concatenate([X, Y], axis=1))
-    return _trefftz_forms(v[:m], g[:m], h[:m], _normal_component(g[m:], ev.quad.normals), ev.quad)
 
 
 @dataclass(frozen=True)
@@ -399,19 +392,8 @@ def solve(forms: AssembledForms) -> EigenSolution:
     )
 
 
-@dataclass(frozen=True)
-class BoundaryTraces:
-    """Boundary restriction of selected eigenfunctions on a quadrature rule."""
-
-    quad: BoundaryQuadrature
-    values: np.ndarray  # (m, n_nodes)
-    normal_derivatives: np.ndarray  # (m, n_nodes)
-    gradients: np.ndarray  # (m, n_nodes, 2)
-    hessians: np.ndarray  # (m, n_nodes, 3), channels (xx, xy, yy)
-
-
-def eigenfunction_boundary_data(solution: EigenSolution, which: tuple[int, ...]) -> BoundaryTraces:
-    """Traces (v, dv/dnu, grad v, D^2 v) of the selected eigenfunctions on the boundary.
+def eigenfunction_boundary_data(solution: EigenSolution, which: tuple[int, ...]) -> BoundaryEvaluation:
+    """Values, gradients, Hessians and fluxes of the selected eigenfunctions on the boundary.
 
     which holds 1-based eigenvalue indexes, matching the ordering in the solution.
     The traces live on the assembly rule and combine the basis evaluation the
@@ -421,7 +403,4 @@ def eigenfunction_boundary_data(solution: EigenSolution, which: tuple[int, ...])
     for j in which:
         if not (1 <= j <= n_modes):
             raise DomainValidationError(f"eigenvalue index {j} outside 1..{n_modes}")
-    bq = solution.boundary.quad
-    v, g, h = _combine(solution.boundary, solution.coefficients[:, [j - 1 for j in which]])
-    dvdn = _normal_component(g, bq.normals)
-    return BoundaryTraces(quad=bq, values=v, normal_derivatives=dvdn, gradients=g, hessians=h)
+    return _combine(solution.boundary, solution.coefficients[:, [j - 1 for j in which]])

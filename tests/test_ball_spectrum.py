@@ -1,6 +1,7 @@
 """Tests for the ball spectrum: closed-form eigenvalues, profiles, enumeration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -266,6 +267,13 @@ class TestSortedSpectrum:
                 assert lam == want_lam
                 assert order == want_order
             assert [row[0] for row in flat] == list(range(1, j_max + 1))
+
+    def test_many_orders_in_linear_time(self):
+        # the multiplicities are counted as they are added, not re-summed per order
+        start = time.perf_counter()
+        spec = sorted_spectrum(2, 1.0, 200_000)
+        assert time.perf_counter() - start < 5.0
+        assert spec.entries[-1].angular_order == 100_000
 
     def test_ascending(self):
         flat = sorted_spectrum(2, 5.0, 30).flatten()

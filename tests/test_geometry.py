@@ -13,7 +13,7 @@ from bisteklov import (
     interior_quadrature,
     rescale_to_area,
 )
-from bisteklov.geometry import _POSITIVITY_GRID, grid_series
+from bisteklov.geometry import _POSITIVITY_GRID, fourier_projection, grid_series
 from oracles import center_boundary_centroid, trig_series
 
 DISK = StarDomain(a0=1.0)
@@ -93,6 +93,14 @@ class TestStarDomain:
     def test_max_mode(self):
         assert DISK.max_mode == 0
         assert WOBBLY.max_mode == 3
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 33, 64])
+    def test_fourier_projection_interpolates(self, n):
+        # an even grid's Nyquist mode is counted once, not doubled like the others
+        samples = 1.0 + 0.2 * (np.random.default_rng(n).random(n) - 0.5)
+        dom = fourier_projection(samples, center=(0.1, -0.2))
+        assert dom.center == (0.1, -0.2)
+        assert np.abs(dom.samples(n) - samples).max() <= 1e-14
 
     def test_rho_derivatives_consistency(self):
         n = 17

@@ -28,7 +28,7 @@ from bisteklov._util import single_blas_thread
 from bisteklov.cli import run
 from bisteklov.geometry import interior_quadrature, min_nodes
 from bisteklov.special_functions import leading_term, ultraspherical_i_tail
-from bisteklov.steklov_solver import TrialBasis, _eval_all, _projected_forms
+from bisteklov.steklov_solver import TrialBasis, _combine, _eval_all, _evaluate, _trefftz_forms
 from oracles import center_boundary_centroid, interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,13 +233,32 @@ class TestAssemble:
         basis = make_trial_basis(k_max, tau)
         X = np.random.default_rng(k_max).standard_normal((basis.size, 3))
         forms = assemble(domain, tau, basis, n_boundary=n_boundary)
-        A, B = _projected_forms(domain, basis, X, n_boundary)
+        A, B = _trefftz_forms(_combine(_evaluate(domain, basis, n_boundary), X))
         column_norm = np.abs(X).sum(axis=0).max()
         for got, full in ((A, forms.stiffness), (B, forms.boundary_mass)):
             assert got.shape == (3, 3)
             assert np.array_equal(got, got.T)
             err = np.abs(got - X.T @ full @ X).max()
             assert err <= 1e-15 * np.abs(full).max() * column_norm**2
+
+    @pytest.mark.parametrize("k_max", [10, 20])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    def test_eigenfunction_forms_are_the_pencil(self, tau, k_max):
+        # the columns carry their fluxes: the Trefftz forms of b-orthonormal
+        # eigenfunctions are (diag lambda, I)
+        sol, _ = solve_domain(ORACLE_DOMAINS[1], tau, k_max=k_max)
+        A, B = _trefftz_forms(eigenfunction_boundary_data(sol, tuple(range(1, 9))))
+        lam = sol.eigenvalues[:8]
+        scale = max(1.0, lam[-1])
+        assert np.abs(A - np.diag(lam)).max() <= 1e-12 * scale
+        assert np.abs(B - np.eye(8)).max() <= 1e-12 * scale
+
+    def test_combine_with_the_identity_is_exact(self):
+        ev = _evaluate(ORACLE_DOMAINS[2], make_trial_basis(6, 2.0), 128)
+        rows = _combine(ev, np.eye(ev.basis.size))
+        assert rows.domain is ev.domain and rows.basis is ev.basis and rows.quad is ev.quad
+        for name in ("values", "gradients", "hessians", "fluxes"):
+            assert np.array_equal(getattr(rows, name), getattr(ev, name)), name
 
     def test_tau_mismatch_rejected(self):
         basis = make_trial_basis(3, 1.0)
@@ -470,8 +489,8 @@ class TestBoundaryData:
         assert np.abs(traces.normal_derivatives[0]).max() < 1e-8
 
     def test_normal_derivative_consistency(self):
-        # values, gradients and Hessians are the coefficient columns applied to the
-        # basis evaluation the solution carries; dv/dnu is the gradient along the normal
+        # values, gradients, Hessians and fluxes are the coefficient columns applied to
+        # the basis evaluation the solution carries; dv/dnu is the gradient along the normal
         which = (2, 3, 5)
         for domain in ORACLE_DOMAINS:
             sol, _ = solve_domain(domain, 1.0, k_max=14)
@@ -483,6 +502,7 @@ class TestBoundaryData:
                 (traces.values, sol.boundary.values),
                 (traces.gradients, sol.boundary.gradients),
                 (traces.hessians, sol.boundary.hessians),
+                (traces.fluxes, sol.boundary.fluxes),
             ):
                 want = np.einsum("bm,bn...->mn...", C, table)
                 assert got.shape == want.shape
