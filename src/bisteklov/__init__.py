@@ -35,8 +35,6 @@ from .shape_calculus import (
     symmetric_function,
 )
 from .concentration import (
-    DensityProfile,
-    RadialMesh,
     convergence_sweep,
     make_radial_mesh,
     merged_spectrum,

@@ -11,6 +11,7 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -32,7 +33,7 @@ from .shape_calculus import (
 )
 from .steklov_solver import _RULE_GRID, assemble, boundary_rule_size, make_trial_basis, solve
 
-_DOMAIN_KEYS = {"a0", "cos_coeffs", "sin_coeffs", "center"}
+_DOMAIN_KEYS = {f.name for f in dataclasses.fields(StarDomain)}
 
 
 def _load_domain(path: str) -> StarDomain:
@@ -51,25 +52,11 @@ def _load_domain(path: str) -> StarDomain:
     if "a0" not in raw:
         raise DomainValidationError("domain file is missing the required field 'a0'")
     try:
-        a0 = float(raw["a0"])
-        cos_coeffs = tuple(float(c) for c in raw.get("cos_coeffs", ()))
-        sin_coeffs = tuple(float(c) for c in raw.get("sin_coeffs", ()))
-        center_raw = raw.get("center", (0.0, 0.0))
-        if len(center_raw) != 2:
-            raise DomainValidationError("'center' must hold exactly two numbers")
-        center = (float(center_raw[0]), float(center_raw[1]))
+        return StarDomain(**raw)
+    except DomainValidationError:
+        raise
     except (TypeError, ValueError) as exc:
         raise DomainValidationError(f"malformed domain field: {exc}") from exc
-    return StarDomain(a0=a0, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs, center=center)
-
-
-def _domain_as_dict(domain: StarDomain) -> dict:
-    return {
-        "a0": domain.a0,
-        "cos_coeffs": list(domain.cos_coeffs),
-        "sin_coeffs": list(domain.sin_coeffs),
-        "center": list(domain.center),
-    }
 
 
 def _parse_field(spec: str, domain: StarDomain) -> PerturbationField:
@@ -164,7 +151,7 @@ def _cmd_solve(args) -> int:
     solution = _solve_for(args, domain)
     d = solution.diagnostics
     doc = {
-        "domain": _domain_as_dict(domain),
+        "domain": dataclasses.asdict(domain),
         "tau": args.tau,
         "k_max": args.kmax,
         "eigenvalues": [float(v) for v in solution.eigenvalues],
@@ -187,7 +174,7 @@ def _cmd_shape_derivative(args) -> int:
     F = _resolve_F(args.F, solution)
     deriv = hadamard_derivative(solution, F, args.s, field)
     doc = {
-        "domain": _domain_as_dict(domain),
+        "domain": dataclasses.asdict(domain),
         "tau": args.tau,
         "F": list(F),
         "s": args.s,
@@ -211,7 +198,7 @@ def _cmd_criticality(args) -> int:
     c_best, residual = criticality_residual(solution, F)  # validates F
     lam_f = float(np.mean(solution.eigenvalues[[j - 1 for j in F]]))
     doc = {
-        "domain": _domain_as_dict(domain),
+        "domain": dataclasses.asdict(domain),
         "tau": args.tau,
         "F": list(F),
         "lambda_F": lam_f,

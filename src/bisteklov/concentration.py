@@ -6,7 +6,10 @@ plate eigenvalues approach the Steklov eigenvalues of the same operator, with th
 surviving mass acting as a boundary measure.  Rotational symmetry splits the
 problem into angular modes; each mode is discretized with cubic Hermite elements
 in the radius, so values and radial derivatives are both nodal unknowns and the
-bending energy is represented exactly within the element space.  Assembly is
+bending energy is represented exactly within the element space.  A plate is named
+by tau, eps and the element counts of the bulk and the collar: `merged_spectrum`
+builds the graded mesh, whose nodes include the collar interface 1 - eps, and the
+density from them, so the two cannot disagree.  Assembly is
 vectorised per mesh, over all elements at once, straight into each mode's lower
 band (half-bandwidth 3), with the mode-independent Grams formed once per mesh.
 All modes' pencils are solved together: one banded Cholesky factor of the
@@ -38,69 +41,26 @@ _EPS = np.finfo(float).eps
 _BAND = 4  # diagonals in the lower band of a mode matrix: element e owns DOFs 2e .. 2e + 3
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    """Two-level radial density: eps in the bulk, a large constant on the collar (1-eps, 1).
+def _density(eps: float):
+    """Two-level radial density r -> rho(r): eps in the bulk, a large constant on the collar (1-eps, 1).
 
     The collar value is chosen so the total mass over the disk is 2 pi, the boundary
     length the Steklov limit puts it on; the bulk holds at most 4 pi/27 of it.
     """
-
-    eps: float
-
-    def __post_init__(self):
-        if not (0.0 < self.eps < 1.0 and 1.0 - self.eps < 1.0):
-            raise DomainValidationError(f"eps must lie in (0, 1) with 1 - eps < 1, got {self.eps}")
-
-    @property
-    def bulk_value(self) -> float:
-        return self.eps
-
-    @property
-    def collar_value(self) -> float:
-        r_in = 1.0 - self.eps
-        bulk_mass = self.eps * math.pi * r_in * r_in
-        collar_area = math.pi * (1.0 - r_in * r_in)
-        return (_MASS - bulk_mass) / collar_area
-
-    def value(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.where(r < 1.0 - self.eps, self.bulk_value, self.collar_value)
+    r_in = 1.0 - eps
+    bulk_mass = eps * math.pi * r_in * r_in
+    collar_area = math.pi * (1.0 - r_in * r_in)
+    collar_value = (_MASS - bulk_mass) / collar_area
+    return lambda r: np.where(r < r_in, eps, collar_value)
 
 
-@dataclass(frozen=True)
-class RadialMesh:
-    """Strictly increasing nodes on [0, 1]; the collar interface 1-eps is a node.
+def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> np.ndarray:
+    """Nodes rising strictly from 0 to 1: a uniform collar [1-eps, 1] and a bulk graded toward it.
 
-    Both are checked at construction: with the interface inside an element, the
-    element's Gauss rule would integrate across the density jump and the
-    eigenvalues would be silently off.
-    """
-
-    nodes: np.ndarray
-    eps: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if not (nodes.ndim == 1 and nodes.size >= 2 and nodes[0] == 0.0 and nodes[-1] == 1.0
-                and np.all(np.diff(nodes) > 0.0)):
-            raise DomainValidationError("mesh nodes must increase strictly from 0 to 1")
-        if not np.any(np.abs(nodes - (1.0 - self.eps)) <= 1e-15):
-            raise DomainValidationError(
-                f"the collar interface 1 - eps = {1.0 - self.eps!r} is not a mesh node"
-            )
-
-    @property
-    def n_collar_elements(self) -> int:
-        return int(np.sum(self.nodes > 1.0 - self.eps + 1e-15))
-
-
-def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialMesh:
-    """Mesh with a uniform collar [1-eps, 1] and a bulk graded toward the interface.
-
-    Bulk element sizes grow geometrically away from the interface, starting at the
-    collar element size; if the collar elements are already coarser than a uniform
-    bulk would be, the bulk stays uniform.
+    The collar interface 1-eps is a node, so no element's Gauss rule integrates
+    across the density jump.  Bulk element sizes grow geometrically away from the
+    interface, starting at the collar element size; if the collar elements are
+    already coarser than a uniform bulk would be, the bulk stays uniform.
     """
     if not (0.0 < eps < 1.0):
         raise DomainValidationError(f"eps must lie in (0, 1), got {eps}")
@@ -131,7 +91,7 @@ def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> RadialM
     nodes = np.concatenate([bulk, collar[1:]])
     if not np.all(np.diff(nodes) > 0.0):  # elements below the spacing of floats near 1
         raise DomainValidationError(f"eps={eps} too small for {n_collar} collar elements")
-    return RadialMesh(nodes=nodes, eps=eps)
+    return nodes
 
 
 def _brentq(f, xpre: float, xcur: float) -> float:
@@ -173,8 +133,8 @@ def _brentq(f, xpre: float, xcur: float) -> float:
     raise NumericalError("root finder did not converge in 100 steps")
 
 
-def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
-    """What every angular mode of one mesh shares.
+def _mesh_forms(density, nodes: np.ndarray) -> SimpleNamespace:
+    """What every angular mode of one mesh shares, at the radial density r -> density(r).
 
     Cubic Hermite shapes H, H1 = H', H2 = H'' at each element's Gauss points as
     (n_elements, 4, n_gauss) arrays (rows: value and slope left, value and slope
@@ -184,9 +144,9 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
     n_dof x n_dof matrix is built: each mode assembles its bands.
     """
     gx, gw = _gauss_rule()
-    h = np.diff(mesh.nodes)[:, None]
+    h = np.diff(nodes)[:, None]
     xi = np.broadcast_to(0.5 * (gx + 1.0), (len(h), len(gx)))
-    r = mesh.nodes[:-1, None] + xi * h
+    r = nodes[:-1, None] + xi * h
     w = 0.5 * gw * h * r
     H = np.stack([1.0 - 3.0 * xi**2 + 2.0 * xi**3, h * (xi - 2.0 * xi**2 + xi**3),
                   3.0 * xi**2 - 2.0 * xi**3, h * (-(xi**2) + xi**3)], axis=1)
@@ -194,7 +154,7 @@ def _mesh_forms(profile: DensityProfile, mesh: RadialMesh) -> SimpleNamespace:
                    (6.0 * xi - 6.0 * xi**2) / h, -2.0 * xi + 3.0 * xi**2], axis=1)
     H2 = np.stack([(-6.0 + 12.0 * xi) / h**2, (-4.0 + 6.0 * xi) / h,
                    (6.0 - 12.0 * xi) / h**2, (-2.0 + 6.0 * xi) / h], axis=1)
-    mass = _element_gram(H, w * profile.value(r))
+    mass = _element_gram(H, w * density(r))
     r = r[:, None]
     return SimpleNamespace(
         H=H, H1_r=H1 / r, r2=r**2, w=w,
@@ -357,16 +317,6 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
     return [np.r_[0.0, x] if c is not None else x for x, c in zip(lam, deflate)]
 
 
-def _check_mesh(mesh: RadialMesh) -> None:
-    """Warn, at the caller's caller, on a collar of fewer than four elements."""
-    if mesh.n_collar_elements < 4:
-        warnings.warn(
-            f"collar resolved by only {mesh.n_collar_elements} elements; "
-            "eigenvalues may be inaccurate",
-            stacklevel=3,
-        )
-
-
 def _constant(n: int) -> np.ndarray:
     """The constant function among mode 0's n DOFs: value DOFs 0, 2, 4, ... are 0, 1, 3, ...
 
@@ -375,13 +325,17 @@ def _constant(n: int) -> np.ndarray:
     return np.r_[1.0, np.resize([1.0, 0.0], n - 1)]
 
 
-def merged_spectrum(tau: float, mesh: RadialMesh, j_max: int) -> np.ndarray:
+def merged_spectrum(tau: float, eps: float, j_max: int, n_bulk: int = 40,
+                    n_collar: int = 8) -> np.ndarray:
     """First j_max plate eigenvalues over angular modes 0.._K_CAP, multiplicity two for k >= 1,
-    at the density DensityProfile(mesh.eps)."""
+    for a collar of width eps on `make_radial_mesh(eps, n_bulk, n_collar)`."""
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
-    _check_mesh(mesh)
-    forms = _mesh_forms(DensityProfile(mesh.eps), mesh)
+    nodes = make_radial_mesh(eps, n_bulk, n_collar)
+    if n_collar < 4:
+        warnings.warn(f"collar resolved by only {n_collar} elements; eigenvalues may be inaccurate",
+                      stacklevel=2)
+    forms = _mesh_forms(_density(eps), nodes)
     bands = [_mode_matrices(k, tau, forms) for k in range(_K_CAP + 1)]
     # every mode in one pencil solve, padded to mode 0's length by DOFs with S = 1, M = 0
     S, M = np.zeros((2, len(bands), len(bands[0][0]), _BAND))
@@ -395,6 +349,9 @@ def merged_spectrum(tau: float, mesh: RadialMesh, j_max: int) -> np.ndarray:
     vals.sort()
     if len(vals) < j_max:
         raise NumericalError("angular mode cap too small for requested index range")
+    if vals[0] < 0.0:  # S >= 0: roundoff of the pencil solve has swamped the spectrum
+        raise NumericalError(f"plate eigenvalue {vals[0]:.3e} < 0 at tau={tau}: "
+                             "the pencil solve's roundoff exceeds the eigenvalues")
     return np.array(vals[:j_max])
 
 
@@ -442,8 +399,7 @@ def convergence_sweep(
         )
     rows = []
     for eps in eps_list:
-        mesh = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar)
-        spec = merged_spectrum(tau, mesh, j_max)
+        spec = merged_spectrum(tau, eps, j_max, n_bulk, n_collar)
         for j in j_list:
             lam_eps = float(spec[j - 1])
             lam_lim = limit.eigenvalue(j)

@@ -29,10 +29,12 @@ class StarDomain:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        object.__setattr__(self, "a0", float(self.a0))
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if len(self.center) != 2:
+            raise DomainValidationError(f"center must hold exactly two numbers, got {self.center}")
         if not np.all(np.isfinite(self.center)):
             raise DomainValidationError(f"center must be finite, got {self.center}")
         if not np.all(np.isfinite((self.a0, *self.cos_coeffs, *self.sin_coeffs))):

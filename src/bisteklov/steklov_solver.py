@@ -75,13 +75,6 @@ class TrialBasis:
     def size(self) -> int:
         return 2 * (2 * self.k_max + 1)
 
-    @property
-    def tags(self) -> tuple[tuple[str, int, str], ...]:
-        """(family, angular order k, parity) of every row."""
-        order, is_sin = _block_layout(self.k_max)
-        return tuple((family, int(k), "sin" if s else "cos")
-                     for family in ("harmonic", "bessel") for k, s in zip(order, is_sin))
-
 
 def _block_layout(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Order (r + 1) // 2 of row r of a block, and whether it is a sine row (r even, r > 0)."""

@@ -121,6 +121,16 @@ def cartesian_quotient_2d(f, fp, fpp, k: int, tau: float, n_r: int = 200, n_t: i
     return num / (f1 * f1 * ang)
 
 
+def basis_tags(basis: TrialBasis) -> tuple[tuple[str, int, str], ...]:
+    """(family, angular order k, parity) of every row of a trial basis.
+
+    Each block holds order 0 (cos), then the cos and sin rows of orders 1..k_max;
+    the harmonic block comes before the Bessel one.
+    """
+    block = [(0, "cos")] + [(k, p) for k in range(1, basis.k_max + 1) for p in ("cos", "sin")]
+    return tuple((family, k, p) for family in ("harmonic", "bessel") for k, p in block)
+
+
 def polar_eval_all(
     basis: TrialBasis, pts: np.ndarray, center: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,7 +165,7 @@ def polar_eval_all(
 
     tail_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    for i, (family, k, parity) in enumerate(basis.tags):
+    for i, (family, k, parity) in enumerate(basis_tags(basis)):
         if family == "harmonic":
             pk = powers[k]
             pk1 = powers[k - 1] if k >= 1 else None
@@ -300,7 +310,7 @@ def _hermite_shapes(h: float, xi: np.ndarray):
     return H, H1, H2
 
 
-def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
+def elementwise_mode_matrices(k: int, tau: float, density, nodes):
     """Plate stiffness, mass and kept DOFs for angular mode k, one element at a time.
 
     Reference for `concentration._mode_matrices`, whose bands must equal
@@ -308,7 +318,6 @@ def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
     (bend, shear, ring, tau H1, tau k^2 H/r), each element matrix added into the
     global one by its own scatter.
     """
-    nodes = mesh.nodes
     n_nodes = len(nodes)
     ndof = 2 * n_nodes
     S = np.zeros((ndof, ndof))
@@ -317,7 +326,7 @@ def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
     xi = 0.5 * (gx + 1.0)
     wq = 0.5 * gw
     k2 = float(k * k)
-    for e in range(len(mesh.nodes) - 1):
+    for e in range(len(nodes) - 1):
         a, b = nodes[e], nodes[e + 1]
         h = b - a
         r = a + xi * h
@@ -333,7 +342,7 @@ def elementwise_mode_matrices(k: int, tau: float, profile, mesh):
         Se += tau * np.einsum("ag,g,bg->ab", H1, w, H1)
         if k >= 1:
             Se += tau * k2 * np.einsum("ag,g,bg->ab", H / r, w, H / r)
-        Me = np.einsum("ag,g,bg->ab", H, w * profile.value(r), H)
+        Me = np.einsum("ag,g,bg->ab", H, w * density(r), H)
         idx = [2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]
         S[np.ix_(idx, idx)] += Se
         Mm[np.ix_(idx, idx)] += Me
@@ -392,10 +401,11 @@ def band_to_dense(B: np.ndarray) -> np.ndarray:
     return A
 
 
-def profile_mass(profile) -> float:
-    """Total mass of a `concentration.DensityProfile`, exact for its two constant levels."""
-    r_in = 1.0 - profile.eps
-    return profile.bulk_value * math.pi * r_in**2 + profile.collar_value * math.pi * (1.0 - r_in**2)
+def density_mass(density, eps: float) -> float:
+    """Total mass of a two-level density with its jump at 1 - eps, exact for the two levels."""
+    r_in = 1.0 - eps
+    bulk, collar = density(np.array([0.0, 1.0]))
+    return bulk * math.pi * r_in**2 + collar * math.pi * (1.0 - r_in**2)
 
 
 def dense_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate: np.ndarray | None):

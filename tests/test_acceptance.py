@@ -182,8 +182,7 @@ def test_criterion_7_concentration_convergence(capsys):
     errors = []
     lam1_worst = 0.0
     for eps in eps_seq:
-        mesh = make_radial_mesh(eps)
-        spec = merged_spectrum(tau, mesh, 2)
+        spec = merged_spectrum(tau, eps, 2)
         errors.append(abs(spec[1] - tau))
         lam1_worst = max(lam1_worst, abs(spec[0]))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))

@@ -304,6 +304,16 @@ class TestConcentration:
         assert out == ""
         assert "pencil factorization failed" in err
 
+    @pytest.mark.parametrize("tau,modes", [("1e-9", "3"), ("1e-300", "2")])
+    def test_negative_eigenvalue_exits_1(self, capsys, tau, modes):
+        # roundoff of the pencil solve once printed lambda_1 = lambda_2 < 0 with exit 0
+        code, out, err = run_cli(
+            capsys, "concentration", "--tau", tau, "--eps", "0.2", "--modes", modes
+        )
+        assert code == 1
+        assert out == ""
+        assert "< 0" in err
+
     def test_limit_beyond_mode_cap(self, capsys):
         # the plate modes stop at k = 8; index 18 of the limit has angular order 9
         code, out, err = run_cli(
@@ -399,6 +409,15 @@ class TestExitCodes:
         assert out == ""
         assert f"rho_max={rho_max}" in err
         assert f"tau <= {tau_max}" in err
+
+    @pytest.mark.parametrize("center", ["[0, 0, 5]", "[1]", "5", "[\"x\", 0]"])
+    def test_malformed_center(self, capsys, tmp_path, center):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a0": 1.0, "center": %s}\n' % center)
+        code, out, err = run_cli(capsys, "solve", "--domain", str(bad), "--tau", "1.0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_missing_a0(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,25 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisteklov import (
-    DensityProfile,
     DomainValidationError,
     NumericalError,
-    RadialMesh,
     convergence_sweep,
     make_radial_mesh,
     merged_spectrum,
     sorted_spectrum,
 )
-from bisteklov.concentration import _MASS, _mesh_forms, _mode_matrices, _solve_pencil
+from bisteklov.concentration import _MASS, _density, _mesh_forms, _mode_matrices, _solve_pencil
 
 from oracles import (
     band_to_dense,
     brentq_mesh_nodes,
     cartesian_energy_2d,
     dense_pencil,
+    density_mass,
     elementwise_mode_matrices,
     lower_band,
-    profile_mass,
 )
 
 # converged second eigenvalues at tau = 1, M = 2 pi, obtained from mesh sequences
@@ -48,70 +46,50 @@ def _constrained(k, full):
     return np.delete(full, {0: [1], 1: [0]}.get(k, [0, 1]))
 
 
-def _deflation(k, mesh):
+def _deflation(k, nodes):
     """The deflation vector mode k is solved with: the constant for k = 0."""
     if k:
         return None
-    full = np.zeros(2 * len(mesh.nodes))
+    full = np.zeros(2 * len(nodes))
     full[0::2] = 1.0  # value 1, slope 0 at every node
     return _constrained(0, full)
 
 
-def _mode_eigenvalues(k, tau, profile, mesh, count=6):
+def _mode_eigenvalues(k, tau, density, nodes, count=6):
     """Lowest eigenvalues of angular mode k alone, solved as a stack of one mode."""
-    S, M = _mode_matrices(k, tau, _mesh_forms(profile, mesh))
-    return _solve_pencil(S[None], M[None], count, [_deflation(k, mesh)])[0]
+    S, M = _mode_matrices(k, tau, _mesh_forms(density, nodes))
+    return _solve_pencil(S[None], M[None], count, [_deflation(k, nodes)])[0]
 
 
-class ConstantDensity:
-    """Uniform-density stand-in satisfying the profile interface."""
-
-    def __init__(self, eps: float, value: float):
-        self.eps = eps
-        self._value = value
-
-    def value(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self._value)
-
-
-class TestDensityProfile:
+class TestDensity:
     def test_mass_is_exact(self):
         for eps in (0.2, 0.05, 0.4):
-            p = DensityProfile(eps)
-            assert profile_mass(p) == pytest.approx(2.0 * math.pi, rel=1e-12)
+            assert density_mass(_density(eps), eps) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_collar_dominates_for_small_eps(self):
-        p = DensityProfile(0.05)
-        assert p.collar_value > 10.0 * p.bulk_value
+        bulk, collar = _density(0.05)(np.array([0.0, 1.0]))
+        assert collar > 10.0 * bulk
 
     def test_piecewise_values(self):
-        p = DensityProfile(0.2)
-        r = np.array([0.0, 0.5, 0.79, 0.81, 1.0])
-        v = p.value(r)
-        assert np.all(v[:3] == p.bulk_value)
-        assert np.all(v[3:] == p.collar_value)
-
-    def test_validation(self):
-        with pytest.raises(DomainValidationError):
-            DensityProfile(0.0)
-        with pytest.raises(DomainValidationError):
-            DensityProfile(1.0)
+        v = _density(0.2)(np.array([0.0, 0.5, 0.79, 0.81, 1.0]))
+        assert np.all(v[:3] == 0.2)
+        assert np.all(v[3:] == v[-1])
+        assert v[-1] > 1.0
 
 
 class TestRadialMesh:
     def test_structure(self):
-        mesh = make_radial_mesh(0.2, n_bulk=40, n_collar=8)
-        nodes = mesh.nodes
+        nodes = make_radial_mesh(0.2, n_bulk=40, n_collar=8)
         assert nodes[0] == 0.0
         assert nodes[-1] == 1.0
         assert np.all(np.diff(nodes) > 0.0)
         assert np.any(nodes == 1.0 - 0.2)
         assert len(nodes) - 1 == 48
-        assert mesh.n_collar_elements == 8
+        assert np.count_nonzero(nodes > 1.0 - 0.2) == 8
 
     def test_bulk_grades_toward_interface(self):
-        mesh = make_radial_mesh(0.1, n_bulk=40, n_collar=8)
-        bulk_sizes = np.diff(mesh.nodes[:41])
+        nodes = make_radial_mesh(0.1, n_bulk=40, n_collar=8)
+        bulk_sizes = np.diff(nodes[:41])
         # elements shrink monotonically while approaching the collar
         assert np.all(np.diff(bulk_sizes) < 0.0)
         h_c = 0.1 / 8
@@ -119,8 +97,8 @@ class TestRadialMesh:
 
     def test_uniform_fallback(self):
         # coarse collar: a geometric bulk would overshoot, so it stays uniform
-        mesh = make_radial_mesh(0.8, n_bulk=2, n_collar=2)
-        bulk_sizes = np.diff(mesh.nodes[:3])
+        nodes = make_radial_mesh(0.8, n_bulk=2, n_collar=2)
+        bulk_sizes = np.diff(nodes[:3])
         assert bulk_sizes[0] == pytest.approx(bulk_sizes[1], rel=1e-12)
 
     def test_validation(self):
@@ -129,25 +107,12 @@ class TestRadialMesh:
         with pytest.raises(DomainValidationError):
             make_radial_mesh(0.2, n_bulk=0)
 
-    def test_interface_must_be_a_node(self):
-        # with 1 - eps = 0.9 inside the element (0.87, 0.875 ...), the Gauss rule
-        # integrated across the density jump: lambda_2 read 1.13634 for 1.12934
-        nodes = np.r_[np.linspace(0.0, 0.87, 41), np.linspace(0.875, 1.0, 9)]
-        with pytest.raises(DomainValidationError, match="interface"):
-            RadialMesh(nodes, eps=0.1)
-        for bad in ([0.0, 0.9, 0.5, 1.0], [0.1, 0.9, 1.0], [0.0, 0.9, 0.95],
-                    [0.0, 0.9, np.nan, 1.0]):
-            with pytest.raises(DomainValidationError, match="increase strictly"):
-                RadialMesh(np.array(bad), eps=0.1)
-        mesh = make_radial_mesh(0.1)
-        assert RadialMesh(mesh.nodes, eps=0.1).n_collar_elements == 8
-
     @pytest.mark.parametrize("eps,n_bulk", [(0.025, 103), (1e-3, 500), (1e-4, 5000)])
     def test_many_bulk_elements(self, eps, n_bulk):
         # the growth-ratio bracket once reached g**n_bulk = 1e3**n_bulk, which
         # overflows a float beyond about 102 elements
-        mesh = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=8)
-        bulk_sizes = np.diff(mesh.nodes[: n_bulk + 1])
+        nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=8)
+        bulk_sizes = np.diff(nodes[: n_bulk + 1])
         assert np.all(np.diff(bulk_sizes) < 0.0)
         assert bulk_sizes[-1] == pytest.approx(eps / 8, rel=1e-6)
 
@@ -159,14 +124,14 @@ class TestRadialMesh:
         for eps in np.geomspace(1e-4, 0.9, 25):
             for n_collar in (1, 2, 5, 8, 16, 40, 144, 400):
                 want = brentq_mesh_nodes(eps, n_bulk, n_collar)
-                assert np.array_equal(make_radial_mesh(eps, n_bulk, n_collar).nodes, want)
+                assert np.array_equal(make_radial_mesh(eps, n_bulk, n_collar), want)
 
     def test_nodes_match_brentq_beyond_growth_cap(self):
         # a growth ratio above 1e3 takes the bracket from the largest element size
         eps, n_bulk, n_collar = 0.125, 2, 144
         h_c = eps / n_collar
         assert h_c * (1e3**n_bulk - 1.0) / (1e3 - 1.0) < 1.0 - eps  # the fallback bracket
-        nodes = make_radial_mesh(eps, n_bulk, n_collar).nodes
+        nodes = make_radial_mesh(eps, n_bulk, n_collar)
         assert np.array_equal(nodes, brentq_mesh_nodes(eps, n_bulk, n_collar))
         assert nodes[1] / (nodes[2] - nodes[1]) > 1e3
 
@@ -181,7 +146,7 @@ class TestRadialMesh:
     @example(0.9970089730807575, 3, 1000)  # the same, with few bulk elements
     def test_nodes_or_clean_refusal(self, eps, n_bulk, n_collar):
         try:
-            nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar).nodes
+            nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar)
         except DomainValidationError:
             return
         assert nodes[0] == 0.0
@@ -192,11 +157,11 @@ class TestRadialMesh:
 
 class TestModeAssembly:
     def test_constant_spans_the_kernel(self):
-        profile = DensityProfile(0.1)
-        mesh = make_radial_mesh(0.1)
-        bands = _mode_matrices(0, 1.0, _mesh_forms(profile, mesh))
+        density = _density(0.1)
+        nodes = make_radial_mesh(0.1)
+        bands = _mode_matrices(0, 1.0, _mesh_forms(density, nodes))
         S, M = map(band_to_dense, bands)
-        c = _deflation(0, mesh)
+        c = _deflation(0, nodes)
         assert np.abs(S @ c).max() <= 1e-12 * np.abs(S).max()
         assert c @ M @ c == pytest.approx(_MASS / (2.0 * math.pi), rel=1e-12)
 
@@ -223,12 +188,12 @@ class TestModeAssembly:
             return 2 * c2 + 6 * c3 * r
 
         tau = 1.3
-        profile = DensityProfile(0.3)
-        mesh = make_radial_mesh(0.3, n_bulk=20, n_collar=6)
-        S, _ = _mode_matrices(k, tau, _mesh_forms(profile, mesh))
-        full = np.zeros(2 * len(mesh.nodes))
-        full[0::2] = f(mesh.nodes)
-        full[1::2] = fp(mesh.nodes)
+        density = _density(0.3)
+        nodes = make_radial_mesh(0.3, n_bulk=20, n_collar=6)
+        S, _ = _mode_matrices(k, tau, _mesh_forms(density, nodes))
+        full = np.zeros(2 * len(nodes))
+        full[0::2] = f(nodes)
+        full[1::2] = fp(nodes)
         x = _constrained(k, full)
         angular = 2.0 * math.pi if k == 0 else math.pi
         got = angular * float(x @ band_to_dense(S) @ x)
@@ -247,13 +212,13 @@ class TestElementwiseOracle:
     @pytest.mark.parametrize("eps", [0.2, 0.025])
     @pytest.mark.parametrize("n_bulk,n_collar", ORACLE_MESHES)
     def test_mode_matrices_identical(self, eps, n_bulk, n_collar):
-        profile = DensityProfile(eps)
-        mesh = make_radial_mesh(eps, n_bulk, n_collar)
-        forms = _mesh_forms(profile, mesh)
+        density = _density(eps)
+        nodes = make_radial_mesh(eps, n_bulk, n_collar)
+        forms = _mesh_forms(density, nodes)
         for tau in (0.1, 1.0, 20.0):
             for k in range(9):
                 S, M = _mode_matrices(k, tau, forms)
-                S_ref, M_ref, _ = elementwise_mode_matrices(k, tau, profile, mesh)
+                S_ref, M_ref, _ = elementwise_mode_matrices(k, tau, density, nodes)
                 assert np.array_equal(S, lower_band(S_ref)), (tau, k)
                 assert np.array_equal(M, lower_band(M_ref)), (tau, k)
 
@@ -264,16 +229,16 @@ class TestElementwiseOracle:
     )
     def test_merged_spectrum_identical(self, n_bulk, n_collar, tau):
         # reference sweep: oracle matrices, one pencil solve per mode
-        profile = DensityProfile(0.025)
-        mesh = make_radial_mesh(0.025, n_bulk, n_collar)
+        density = _density(0.025)
+        nodes = make_radial_mesh(0.025, n_bulk, n_collar)
         want = []
         for k in range(9):
-            S, M, keep = elementwise_mode_matrices(k, tau, profile, mesh)
+            S, M, keep = elementwise_mode_matrices(k, tau, density, nodes)
             deflate = np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
             ev = _solve_pencil(lower_band(S)[None], lower_band(M)[None], 6, [deflate])[0]
             want.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         want.sort()
-        assert np.array_equal(merged_spectrum(tau, mesh, 6), want[:6])
+        assert np.array_equal(merged_spectrum(tau, 0.025, 6, n_bulk, n_collar), want[:6])
 
 
 class TestPencil:
@@ -281,10 +246,10 @@ class TestPencil:
 
     @staticmethod
     def _both(n_bulk, n_collar, eps, tau, k, count=6):
-        profile = DensityProfile(eps)
-        mesh = make_radial_mesh(eps, n_bulk, n_collar)
-        S, M = _mode_matrices(k, tau, _mesh_forms(profile, mesh))
-        deflate = _deflation(k, mesh)
+        density = _density(eps)
+        nodes = make_radial_mesh(eps, n_bulk, n_collar)
+        S, M = _mode_matrices(k, tau, _mesh_forms(density, nodes))
+        deflate = _deflation(k, nodes)
         return (_solve_pencil(S[None], M[None], count, [deflate])[0],
                 dense_pencil(band_to_dense(S), band_to_dense(M), count, deflate))
 
@@ -319,15 +284,15 @@ class TestPencil:
         # one stacked solve gives every mode the bits it gets solved alone.  k <= 1
         # modes have one more DOF than k >= 2, which are padded to their length;
         # the tiny meshes exhaust their Krylov spaces before count values exist
-        profile = DensityProfile(eps)
-        mesh = make_radial_mesh(eps, n_bulk, n_collar)
-        forms = _mesh_forms(profile, mesh)
+        density = _density(eps)
+        nodes = make_radial_mesh(eps, n_bulk, n_collar)
+        forms = _mesh_forms(density, nodes)
         bands = [_mode_matrices(k, 1.0, forms) for k in modes]
         S, M = np.zeros((2, len(bands), max(len(Sk) for Sk, _ in bands), 4))
         S[:, :, 0] = 1.0  # decoupled pads: S = 1, M = 0
         for Si, Mi, (Sk, Mk) in zip(S, M, bands):
             Si[:len(Sk)], Mi[:len(Mk)] = Sk, Mk
-        deflate = [_deflation(k, mesh) for k in modes]
+        deflate = [_deflation(k, nodes) for k in modes]
         stacked = _solve_pencil(S, M, count, deflate)
         assert len(stacked) == len(bands)
         for k, (Sk, Mk), c, got in zip(modes, bands, deflate, stacked):
@@ -343,12 +308,12 @@ class TestPencil:
         # error.  n is 56-57: the reference takes about 1.4 s per mode
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        profile = DensityProfile(0.025)
-        mesh = make_radial_mesh(0.025, 20, 8)
-        forms = _mesh_forms(profile, mesh)
+        density = _density(0.025)
+        nodes = make_radial_mesh(0.025, 20, 8)
+        forms = _mesh_forms(density, nodes)
         for k in range(3):
             S, M = _mode_matrices(k, 1.0, forms)
-            deflate = _deflation(k, mesh)
+            deflate = _deflation(k, nodes)
             Sd, Md = band_to_dense(S), band_to_dense(M)
             Ri = mp.inverse(mp.cholesky(mp.matrix(Md.tolist())))
             A = Ri * mp.matrix(Sd.tolist()) * Ri.T
@@ -365,65 +330,76 @@ class TestPencil:
 class TestModeEigenvalues:
     def test_uniform_density_reference(self):
         # rho = 2 everywhere, k = 1: frozen value from a polynomial Galerkin method
-        mesh = make_radial_mesh(0.5, n_bulk=40, n_collar=20)
-        ev = _mode_eigenvalues(1, 1.0, ConstantDensity(0.5, 2.0), mesh, count=2)
+        nodes = make_radial_mesh(0.5, n_bulk=40, n_collar=20)
+        ev = _mode_eigenvalues(1, 1.0, lambda r: np.full_like(r, 2.0), nodes, count=2)
         assert ev[0] == pytest.approx(1.97650753, abs=1e-6)
 
     def test_axisymmetric_leading_eigenvalue_is_exactly_zero(self):
-        profile = DensityProfile(0.1)
-        mesh = make_radial_mesh(0.1)
-        ev = _mode_eigenvalues(0, 1.0, profile, mesh, count=4)
+        density = _density(0.1)
+        nodes = make_radial_mesh(0.1)
+        ev = _mode_eigenvalues(0, 1.0, density, nodes, count=4)
         assert ev[0] == 0.0
         assert ev[1] > 1.0
 
     def test_converged_second_eigenvalues(self):
         for eps, want in LAMBDA2_CONVERGED.items():
-            mesh = make_radial_mesh(eps)
-            spec = merged_spectrum(1.0, mesh, 2)
+            spec = merged_spectrum(1.0, eps, 2)
             assert spec[1] == pytest.approx(want, abs=5e-6), eps
 
     def test_mesh_halving_stability(self):
-        a = merged_spectrum(1.0, make_radial_mesh(0.05, 40, 8), 2)[1]
-        b = merged_spectrum(1.0, make_radial_mesh(0.05, 80, 16), 2)[1]
+        a = merged_spectrum(1.0, 0.05, 2, 40, 8)[1]
+        b = merged_spectrum(1.0, 0.05, 2, 80, 16)[1]
         assert abs(a - b) < 1e-6
 
     def test_coarse_collar_warns(self):
-        mesh = make_radial_mesh(0.2, n_bulk=10, n_collar=2)
-        with pytest.warns(UserWarning) as record_merged:
-            merged_spectrum(1.0, mesh, 2)
+        with pytest.warns(UserWarning, match="only 2 elements") as record_merged:
+            merged_spectrum(1.0, 0.2, 2, n_bulk=10, n_collar=2)
         # attributed to the caller, not to the module
         assert record_merged[0].filename == __file__
 
 
 class TestMergedSpectrum:
     def test_nonaxisymmetric_modes_come_in_pairs(self):
-        mesh = make_radial_mesh(0.2)
-        spec = merged_spectrum(1.0, mesh, 5)
+        spec = merged_spectrum(1.0, 0.2, 5)
         assert spec[0] == 0.0
         assert spec[1] == spec[2]  # k = 1 pair, duplicated exactly
         assert np.all(np.diff(spec) >= 0.0)
 
     def test_matches_per_mode_union(self):
-        profile = DensityProfile(0.2)
-        mesh = make_radial_mesh(0.2)
+        density = _density(0.2)
+        nodes = make_radial_mesh(0.2)
         vals = []
         for k in range(9):
-            ev = _mode_eigenvalues(k, 1.0, profile, mesh, count=6)
+            ev = _mode_eigenvalues(k, 1.0, density, nodes, count=6)
             vals.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         vals.sort()
-        spec = merged_spectrum(1.0, mesh, 6)
+        spec = merged_spectrum(1.0, 0.2, 6)
         assert np.allclose(spec, vals[:6], rtol=0, atol=0)
 
     def test_insufficient_modes_detected(self):
         # modes 0..8 of the 1/1 mesh hold 5 + 2 * 5 + 7 * 2 * 4 = 71 values
         with pytest.warns(UserWarning):  # deliberately tiny mesh
-            mesh = make_radial_mesh(0.2, n_bulk=1, n_collar=1)
             with pytest.raises(NumericalError):
-                merged_spectrum(1.0, mesh, 72)
+                merged_spectrum(1.0, 0.2, 72, n_bulk=1, n_collar=1)
+
+    @pytest.mark.parametrize("tau,j_max", [(1e-9, 3), (1e-300, 2)])
+    def test_negative_eigenvalue_refused(self, tau, j_max):
+        # S >= 0, so no plate eigenvalue is negative; at these tau the pencil's
+        # roundoff once printed lambda_1 = lambda_2 = -1.7e-10 and -7.7e-10
+        with pytest.raises(NumericalError, match="< 0"):
+            merged_spectrum(tau, 0.2, j_max)
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    def test_lowest_eigenvalue_is_the_exact_zero(self, tau):
+        for eps in (0.2, 0.025):
+            assert merged_spectrum(tau, eps, 17)[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(DomainValidationError):
-            merged_spectrum(1.0, make_radial_mesh(0.2), 0)
+            merged_spectrum(1.0, 0.2, 0)
+        for eps in (0.0, 1.0, 1e-300):  # no collar width, no bulk, a collar below 1's ulp
+            with pytest.raises(DomainValidationError, match="eps"):
+                merged_spectrum(1.0, eps, 2)
 
 
 class TestConvergenceSweep:

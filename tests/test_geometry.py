@@ -27,6 +27,12 @@ class TestStarDomain:
         with pytest.raises(DomainValidationError):
             StarDomain(a0=0.0)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 5.0), (1.0,), ()])
+    def test_center_holds_two_numbers(self, center):
+        # a third number was once dropped silently, and a single one raised IndexError
+        with pytest.raises(DomainValidationError, match="exactly two numbers"):
+            StarDomain(a0=1.0, center=center)
+
     @pytest.mark.parametrize("kw", [
         {"a0": np.inf}, {"a0": np.nan}, {"a0": 1.0, "cos_coeffs": (0.0, np.inf)},
         {"a0": 1.0, "sin_coeffs": (-np.inf,)}, {"a0": np.inf, "cos_coeffs": (np.inf,)},

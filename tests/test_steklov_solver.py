@@ -28,8 +28,10 @@ from bisteklov._util import single_blas_thread
 from bisteklov.cli import run
 from bisteklov.geometry import interior_quadrature, min_nodes
 from bisteklov.special_functions import leading_term, ultraspherical_i_tail
-from bisteklov.steklov_solver import TrialBasis, _combine, _eval_all, _evaluate, _trefftz_forms
-from oracles import center_boundary_centroid, interior_stiffness, polar_eval_all
+from bisteklov.steklov_solver import (
+    TrialBasis, _block_layout, _combine, _eval_all, _evaluate, _trefftz_forms,
+)
+from oracles import basis_tags, center_boundary_centroid, interior_stiffness, polar_eval_all
 
 ROOT = Path(__file__).resolve().parents[1]
 DISK = StarDomain(a0=1.0)
@@ -68,13 +70,18 @@ class TestTrialBasis:
     def test_size_and_ordering(self):
         basis = make_trial_basis(3, 1.0)
         assert basis.size == 2 * (2 * 3 + 1)
-        assert len(basis.tags) == basis.size
-        assert basis.tags[0] == ("harmonic", 0, "cos")
-        assert basis.tags[1] == ("harmonic", 1, "cos")
-        assert basis.tags[2] == ("harmonic", 1, "sin")
-        assert basis.tags[7] == ("bessel", 0, "cos")
-        families = {f for f, _, _ in basis.tags}
+        tags = basis_tags(basis)
+        assert len(tags) == basis.size
+        assert tags[0] == ("harmonic", 0, "cos")
+        assert tags[1] == ("harmonic", 1, "cos")
+        assert tags[2] == ("harmonic", 1, "sin")
+        assert tags[7] == ("bessel", 0, "cos")
+        families = {f for f, _, _ in tags}
         assert families == {"harmonic", "bessel"}
+        # the row layout the solver's evaluator uses, block by block
+        order, is_sin = _block_layout(3)
+        layout = [(k, "sin" if s else "cos") for k, s in zip(order, is_sin)]
+        assert [(k, p) for _, k, p in tags] == 2 * layout
 
     def test_validation(self):
         with pytest.raises(DomainValidationError):
@@ -125,7 +132,7 @@ class TestEvalBasis:
 
     def test_bessel_derivatives_by_differencing(self):
         basis = make_trial_basis(3, 2.0)
-        idx = next(i for i, t in enumerate(basis.tags) if t == ("bessel", 2, "cos"))
+        idx = next(i for i, t in enumerate(basis_tags(basis)) if t == ("bessel", 2, "cos"))
         p = np.array([0.55, -0.35])
         h = 1e-5
         v, g, H = eval_one(basis, idx, p)
@@ -151,11 +158,11 @@ class TestEvalBasis:
         tau, h = 2.0, 1e-5
         basis = make_trial_basis(3, tau)
         zero = np.zeros(2)
-        v, g, H = eval_one(basis, basis.tags.index(("bessel", 0, "cos")), zero)
+        v, g, H = eval_one(basis, basis_tags(basis).index(("bessel", 0, "cos")), zero)
         assert v == 0.0
         assert np.all(g == 0.0)
         assert np.allclose(H, 0.5 * tau * np.eye(2), rtol=1e-15, atol=0.0)
-        for idx, (family, k, _) in enumerate(basis.tags):
+        for idx, (family, k, _) in enumerate(basis_tags(basis)):
             if family != "bessel" or k == 0:
                 continue
             v, g, H = eval_one(basis, idx, zero)
@@ -202,8 +209,9 @@ class TestAssemble:
                 return 1.0
             return float(ultraspherical_i_tail(k, 2, np.array([s]))[0][0] / leading_term(k, k, s))
 
-        for i, ti in enumerate(basis.tags):
-            for j, tj in enumerate(basis.tags):
+        tags = basis_tags(basis)
+        for i, ti in enumerate(tags):
+            for j, tj in enumerate(tags):
                 if (ti[1], ti[2]) != (tj[1], tj[2]):
                     assert abs(B[i, j]) < 1e-13, (ti, tj)
                 else:
