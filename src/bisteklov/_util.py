@@ -6,6 +6,8 @@ import contextlib
 import ctypes
 import functools
 
+import numpy as np
+
 
 def parallel_map(fn, items):
     """Map fn over items in order, in the calling thread.
@@ -17,27 +19,122 @@ def parallel_map(fn, items):
 
 
 @functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the thread count of numpy's OpenBLAS, or None for another BLAS."""
-    import numpy as np
+def _openblas():
+    """numpy's OpenBLAS as (library, symbol prefix, symbol suffix), or None for another BLAS.
 
+    numpy's wheels bundle OpenBLAS with every symbol under a scipy_ prefix and, in
+    64-bit integer builds, a trailing 64_: scipy_openblas_set_num_threads64_,
+    scipy_dpbtrf_64_.
+    """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    # numpy's wheels bundle OpenBLAS under the scipy_openblas prefix, 64-bit
-    # integer builds with a trailing 64_
-    for prefix in ("scipy_openblas", "openblas"):
+    for prefix in ("scipy_", ""):
         for suffix in ("64_", ""):
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
+            if hasattr(lib, f"{prefix}openblas_get_num_threads{suffix}"):
+                return lib, prefix, suffix
     return None
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None for another BLAS."""
+    if (found := _openblas()) is None:
+        return None
+    lib, prefix, suffix = found
+    get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+    set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+@functools.cache
+def _banded_lapack():
+    """(dpbtrf, dtbtrs) of numpy's OpenBLAS, or None where it exports no 64-bit integer ones.
+
+    Each takes gfortran's hidden lengths of its character arguments at the end.
+    """
+    found = _openblas()
+    if found is None or found[2] != "64_":
+        return None
+    lib, prefix, _ = found
+    try:
+        pbtrf, tbtrs = (getattr(lib, f"{prefix}{name}_64_") for name in ("dpbtrf", "dtbtrs"))
+    except AttributeError:  # an OpenBLAS built without LAPACK
+        return None
+    int_ = ctypes.POINTER(ctypes.c_int64)
+    pbtrf.restype = tbtrs.restype = None
+    # uplo, n, kd, ab, ldab, info
+    pbtrf.argtypes = [ctypes.c_char_p, int_, int_, ctypes.c_void_p, int_, int_, ctypes.c_size_t]
+    # dtbtrs(uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info) gets no argtypes:
+    # converting against them cost about 2 us a call, a tenth of a 40/8 plate solve
+    # (2 CPUs, Xeon).  `band_solver` builds each argument as a ctypes object of its
+    # type instead, once per factor
+    return pbtrf, tbtrs
+
+
+def _ints(*values):
+    """Pointers to 64-bit integers, as Fortran passes integer arguments."""
+    return [ctypes.byref(ctypes.c_int64(v)) for v in values]
+
+
+def cholesky_band(ab):
+    """Cholesky factor L of a symmetric positive definite matrix A, both as lower bands.
+
+    Row i of the (n, kd + 1) band holds A[i, i] .. A[i + kd, i]; C-contiguous, it
+    is LAPACK's column-major lower band with ldab = kd + 1, so a float64 one is
+    factored in place.  Returns L's band; raises LinAlgError naming the first
+    leading minor that is not positive definite.  Runs LAPACK's dpbtrf from
+    numpy's OpenBLAS, or from scipy on a numpy built without one.
+    """
+    ab = np.require(ab, np.float64, ["C", "W"])
+    if (lapack := _banded_lapack()) is None:
+        from scipy.linalg.lapack import dpbtrf
+
+        c, info = dpbtrf(ab.T, lower=1, overwrite_ab=1)
+        ab = c.T
+    else:
+        info = ctypes.c_int64()
+        n, kd1 = ab.shape
+        lapack[0](b"L", *_ints(n, kd1 - 1), ab.ctypes.data, *_ints(kd1), ctypes.byref(info), 1)
+        info = info.value
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return ab
+
+
+def band_solver(lb):
+    """solve(b, trans) = L^-1 b (trans "N") or L^-T b (trans "T") for the lower-triangular L
+    whose band `cholesky_band` returned, with no zero on its diagonal.
+
+    b is a vector of L's order, left as it is.  The sizes and pointers are set up
+    once per factor, for the many solves of an iteration; a solver writes into its
+    own buffer, so it serves one thread at a time.  Runs LAPACK's dtbtrs from
+    numpy's OpenBLAS, or from scipy on a numpy built without one.
+    """
+    lb = np.require(lb, np.float64, ["C"])
+    n, kd1 = lb.shape
+    if (lapack := _banded_lapack()) is None:
+        from scipy.linalg.lapack import dtbtrs
+
+        return lambda b, trans: dtbtrs(lb.T, b.reshape(n, 1), uplo="L", trans=trans)[0][:, 0]
+    x = np.empty(n)
+    one = ctypes.c_size_t(1)  # the hidden length of each character argument
+    # the data_as pointers keep lb and x alive
+    args = (*_ints(n, kd1 - 1, 1), lb.ctypes.data_as(ctypes.c_void_p), *_ints(kd1),
+            x.ctypes.data_as(ctypes.c_void_p), *_ints(max(n, 1)), ctypes.byref(ctypes.c_int64()),
+            one, one, one)
+
+    def solve(b, trans: str):
+        x[:] = b
+        lapack[1](b"L", trans.encode(), b"N", *args)
+        return x.copy()
+
+    return solve
 
 
 @contextlib.contextmanager
@@ -48,7 +145,9 @@ def single_blas_thread():
     k_max 20) a second thread buys no wall time and doubles the CPU, and one
     thread makes the printed bytes independent of the caller's setting.  The
     count is process-wide, so this suits code that calls BLAS from one Python
-    thread, as every subcommand does.  Under another BLAS it does nothing.
+    thread, as every subcommand does.  It covers LAPACK from numpy's OpenBLAS
+    too, the plate solver's `cholesky_band` and `band_solver` among it.  Under
+    another BLAS it does nothing.
     """
     calls = _openblas_thread_calls()
     before = calls[0]() if calls else 1

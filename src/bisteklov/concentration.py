@@ -16,9 +16,10 @@ All modes' pencils are solved together: one banded Cholesky factor of the
 block-diagonal S + M, and one Lanczos loop that advances every mode's Krylov
 sequence in the same step, for only the few eigenvalues the merged spectrum keeps.
 
-scipy serves only this plate solver, and only `scipy.linalg`, imported inside the
-pencil solve: importing the package, and every other part of it, needs numpy
-alone.  The mesh grading ports scipy's Brent root finder instead.
+The banded Cholesky factor and triangular solves are LAPACK's, called from numpy's
+own OpenBLAS (`_util.cholesky_band`, `_util.band_solver`), so the plate solver, like
+the rest of the package, runs on numpy alone.  The mesh grading ports scipy's
+Brent root finder.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._util import band_solver, cholesky_band
 from .ball_spectrum import sorted_spectrum
 from .errors import DomainValidationError, NumericalError
 
@@ -227,28 +229,33 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
     LARGEST mu.  C is never formed: one factor of the block-diagonal S + M, and one
     Lanczos loop with full reorthogonalisation (two classical Gram-Schmidt passes)
     that advances every mode per step by two banded triangular solves and a banded
-    product with M.  A mode starts from ones on its DOFs, checks its Ritz values
-    after min(dim, max(2 need + 1, 20)) steps and every 4 more, and stops, frozen,
-    once beta |y_last| <= eps |theta| for every value it needs (ARPACK's tol = 0) or
-    its Krylov space is exhausted.  Each operation acts on each mode's rows alone,
+    product with M; the factor and the solves are LAPACK's dpbtrf and dtbtrs from
+    numpy's OpenBLAS (`_util.cholesky_band`, `_util.band_solver`).  A mode starts
+    from ones on its DOFs, checks its Ritz values after min(dim, max(2 need + 1,
+    20)) steps and every 4 more, and stops, frozen, once beta |y_last| <= eps
+    |theta| for every value it needs (ARPACK's tol = 0) or its Krylov space is
+    exhausted.  Each operation acts on each mode's rows alone,
     so a mode's values are the bits it gets solved alone.  A c with S c = 0 is
     deflated exactly: y = L^T c, C's eigenvector with mu = 1, is projected out of
-    the start and the operator, and an exact 0 is prepended.
+    the start and the operator, and an exact 0 is prepended.  A computed lambda
+    carries an error near eps times its mode's squared-pivot spread max/min L_ii^2:
+    a value below 100 times that, a negative one among them, raises
+    NumericalError, as does a spread of 1/eps or more (S + M singular).
     """
-    from scipy.linalg import cholesky_banded
-    from scipy.linalg.lapack import dtbtrs
-
     m, n = S.shape[:2]
     dims = np.count_nonzero(M[:, :, 0], axis=1)  # each mode's DOFs, ahead of its pads
     D = M.transpose(2, 0, 1).copy()  # M's diagonals
     try:
-        L = cholesky_banded((S + M).reshape(-1, _BAND).T, lower=True).T.reshape(m, n, _BAND)
+        L = cholesky_band((S + M).reshape(-1, _BAND)).reshape(m, n, _BAND)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pencil factorization failed: {exc}") from exc
-    for p in (Li[:dim, 0] ** 2 for Li, dim in zip(L, dims)):  # max/min <= cond(S + M)
-        if p.max() * _EPS >= p.min():
+    spread = []  # of each mode's squared pivots: max/min <= cond(S + M)
+    for p in (Li[:dim, 0] ** 2 for Li, dim in zip(L, dims)):
+        hi, lo = p.max(), p.min()
+        if hi * _EPS >= lo:
             raise NumericalError("pencil matrix S + M is singular to working precision "
-                                 f"(squared pivots span {p.max() / p.min():.1e})")
+                                 f"(squared pivots span {hi / lo:.1e})")
+        spread.append(hi / lo)
     U = np.zeros((m, n))  # unit L^T c per deflated mode, 0 elsewhere
     for Ui, Li, c in zip(U, L, deflate):
         if c is not None:
@@ -264,14 +271,10 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
     def project(X: np.ndarray) -> np.ndarray:
         return X - dot(U, X)[:, None] * U
 
-    def solve(X: np.ndarray, trans: str) -> np.ndarray:
-        """L^-1 X (trans "N") or L^-T X (trans "T"), as one vector over all modes."""
-        # the pivot check above leaves no zero on L's diagonal for dtbtrs to report
-        return dtbtrs(L.reshape(-1, _BAND).T, X.reshape(-1, 1), uplo="L", trans=trans)[0][:, 0]
-
     def apply(X: np.ndarray) -> np.ndarray:
-        # M's diagonals run on across modes: the couplings past a mode's end are 0
-        Y, Dd = solve(project(X), "T"), D.reshape(_BAND, -1)
+        # one vector over all live modes; M's diagonals run on across modes: the
+        # couplings past a mode's end are 0
+        Y, Dd = solve(project(X).reshape(-1), "T"), D.reshape(_BAND, -1)
         Z = Dd[0] * Y
         for d in range(1, _BAND):
             Z[d:] += Dd[d, :-d] * Y[:-d]
@@ -283,6 +286,7 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
     first = np.minimum(size, np.maximum(2 * need + 1, 20))
     mu, live = [np.empty(0)] * m, np.flatnonzero(need >= 1)
     L, D, U = L[live], D[:, live], U[live]
+    solve = band_solver(L.reshape(-1, _BAND))  # the pivot check left no zero on L's diagonal
     v = project((np.arange(n) < dims[live, None]).astype(float))
     V = np.zeros((len(live), 24, n))  # grown by chunks of 24 steps
     V[:, 0] = v / np.sqrt(dot(v, v))[:, None]
@@ -298,8 +302,8 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
         beta[:, t - 1] = b = np.sqrt(dot(w, w))
         f = first[live]
         check = np.flatnonzero((t == size[live]) | (b == 0.0) | ((t >= f) & ((t - f) % 4 == 0)))
-        done = np.zeros(len(live), dtype=bool)
         if len(check):
+            done = np.zeros(len(live), dtype=bool)
             T, i = np.zeros((len(check), t, t)), np.arange(t)
             T[:, i, i], T[:, i[1:], i[:-1]] = alpha[check, :t], beta[check, :t - 1]
             for c, theta, Y in zip(check, *np.linalg.eigh(T)):
@@ -307,13 +311,24 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
                 theta, last = theta[::-1][:need[j]], Y[-1, ::-1][:need[j]]
                 if t == size[j] or b[c] == 0.0 or np.all(b[c] * np.abs(last) <= _EPS * theta):
                     mu[j], done[c] = theta, True  # frozen
-            live, L, U, V, alpha, beta, w, b = (
-                a[~done] for a in (live, L, U, V, alpha, beta, w, b))
-            D = D[:, ~done]
+            if done.any():
+                live, L, U, V, alpha, beta, w, b = (
+                    a[~done] for a in (live, L, U, V, alpha, beta, w, b))
+                D = D[:, ~done]
+                solve = band_solver(L.reshape(-1, _BAND))
         if t == V.shape[1]:
             V = np.concatenate([V, np.zeros_like(V[:, :24])], axis=1)
         V[:, t] = w / b[:, None]
     lam = [1.0 / x - 1.0 for x in mu]
+    # a value's roundoff is near eps times its mode's squared-pivot spread: refuse
+    # values it could swamp, naming the worst (a negative one first); each mode's
+    # values ascend, as its mu descend
+    worst = min(((x[0] / s, x[0], s) for x, s in zip(lam, spread) if len(x)), default=None)
+    if worst is not None and worst[0] < 100.0 * _EPS:
+        _, x, s = worst
+        raise NumericalError(
+            f"plate eigenvalue {x:.3e} {'< 0' if x < 0.0 else 'is under 100 times its roundoff'}: "
+            f"eps times its mode's squared-pivot spread is {_EPS * s:.1e}")
     return [np.r_[0.0, x] if c is not None else x for x, c in zip(lam, deflate)]
 
 
@@ -349,9 +364,6 @@ def merged_spectrum(tau: float, eps: float, j_max: int, n_bulk: int = 40,
     vals.sort()
     if len(vals) < j_max:
         raise NumericalError("angular mode cap too small for requested index range")
-    if vals[0] < 0.0:  # S >= 0: roundoff of the pencil solve has swamped the spectrum
-        raise NumericalError(f"plate eigenvalue {vals[0]:.3e} < 0 at tau={tau}: "
-                             "the pencil solve's roundoff exceeds the eigenvalues")
     return np.array(vals[:j_max])
 
 

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisteklov import StarDomain, assemble, make_family, make_trial_basis, solve, sorted_spectrum
+from bisteklov import (
+    StarDomain, _util, assemble, make_family, make_trial_basis, solve, sorted_spectrum,
+)
 from bisteklov.cli import run
 
 DOMAINS = Path(__file__).resolve().parents[1] / "domains"
@@ -313,6 +315,20 @@ class TestConcentration:
         assert code == 1
         assert out == ""
         assert "< 0" in err
+
+    @pytest.mark.parametrize("tau,eps,collar", [("1e-6", "0.025", "8"), ("1e-8", "0.2", "8"),
+                                                ("1e-6", "0.2", "40")])
+    def test_eigenvalue_within_roundoff_exits_1(self, capsys, tau, eps, collar):
+        # these once printed lambda_2 = 1.17 tau, 0.99 tau and 1.0057 tau with exit
+        # 0: positive values within 100 times eps times their mode's squared-pivot
+        # spread, the pencil solve's roundoff
+        code, out, err = run_cli(
+            capsys, "concentration", "--tau", tau, "--eps", eps, "--modes", "3",
+            "--mesh-collar", collar,
+        )
+        assert code == 1
+        assert out == ""
+        assert "is under 100 times its roundoff" in err
 
     def test_limit_beyond_mode_cap(self, capsys):
         # the plate modes stop at k = 8; index 18 of the limit has angular order 9
@@ -653,9 +669,11 @@ def test_module_entry_point():
     assert len(lines) == 7
 
 
-def test_scipy_loads_only_on_the_plate_path():
-    # scipy serves only the concentration plate solver, and only scipy.linalg:
-    # the package and every other subcommand run on numpy alone
+def test_no_subcommand_loads_scipy():
+    # the package and every subcommand run on numpy alone: the plate solver's
+    # banded LAPACK routines come from numpy's own OpenBLAS
+    if _util._banded_lapack() is None:
+        pytest.skip("numpy's BLAS exports no 64-bit integer dpbtrf and dtbtrs; scipy's serve")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -680,16 +698,12 @@ run("solve", "--domain", {domain!r}, "--tau", "1")
 run("criticality", "--domain", {domain!r}, "--tau", "1")
 run("shape-derivative", "--domain", {domain!r}, "--tau", "1", "--field", "cos2", "--validate-fd")
 run("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0.0,0.05")
-assert not scipy_loaded(), scipy_loaded()
 # eps = 0.2 leaves the bulk mesh ungraded; eps = 0.05 grades it, by the
 # package's own Brent root finder
 for eps in ("0.2", "0.05"):
     out = run("concentration", "--tau", "1", "--eps", eps, "--modes", "2")
     assert out.startswith("eps,j,lambda_eps,lambda_limit,abs_error"), out
-# the plate path needs scipy.linalg alone
-loaded = scipy_loaded()
-assert "scipy.linalg" in loaded, loaded
-assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.optimize"))], loaded
+assert not scipy_loaded(), scipy_loaded()
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bisteklov import (
     DomainValidationError,
     NumericalError,
+    _util,
     convergence_sweep,
     make_radial_mesh,
     merged_spectrum,
@@ -325,6 +326,57 @@ class TestPencil:
                 skip = 1 if k == 0 else 0  # the exact 0 against a roundoff-sized reference
                 errors.append(np.max(np.abs(ev[skip:] - ref[skip:]) / ref[skip:]))
             assert errors[0] <= 2.0 * errors[1], (k, errors)
+
+
+def _stacked_band(n_bulk, n_collar, eps, tau=1.0):
+    """S + M of all nine modes stacked as `merged_spectrum` stacks them, as one (n, 4) lower band."""
+    forms = _mesh_forms(_density(eps), make_radial_mesh(eps, n_bulk, n_collar))
+    bands = [_mode_matrices(k, tau, forms) for k in range(9)]
+    K = np.zeros((9, len(bands[0][0]), 4))
+    K[:, :, 0] = 1.0  # decoupled pads: S = 1, M = 0
+    for Ki, (Sk, Mk) in zip(K, bands):
+        Ki[:len(Sk)] = Sk + Mk
+    return K.reshape(-1, 4)
+
+
+class TestBandLapack:
+    """dpbtrf and dtbtrs from numpy's OpenBLAS, and scipy's in their place where it has none."""
+
+    @pytest.mark.parametrize("n_bulk,n_collar", [(40, 8), (100, 100)])
+    def test_binding_matches_scipy(self, n_bulk, n_collar):
+        from scipy.linalg import cholesky_banded
+        from scipy.linalg.lapack import dtbtrs
+
+        if _util._banded_lapack() is None:
+            pytest.skip("numpy's BLAS exports no 64-bit integer dpbtrf and dtbtrs")
+        K = _stacked_band(n_bulk, n_collar, 0.2)
+        want = cholesky_banded(K.T, lower=True).T
+        L = _util.cholesky_band(K.copy())
+        assert np.array_equal(L, want)
+        b = np.random.default_rng(1).standard_normal(len(K))
+        b0 = b.copy()
+        solve = _util.band_solver(L)
+        for trans in "NT":
+            x = solve(b, trans)
+            assert np.array_equal(x, dtbtrs(want.T, b0[:, None], uplo="L", trans=trans)[0][:, 0])
+            assert np.array_equal(b, b0)
+
+    def test_scipy_fallback_gives_the_same_bits(self, monkeypatch):
+        cases = [(tau, eps, mesh) for tau in (0.1, 1.0, 20.0) for eps in (0.2, 0.025)
+                 for mesh in ((40, 8), (100, 100))]
+        default = [merged_spectrum(tau, eps, 17, *mesh) for tau, eps, mesh in cases]
+        monkeypatch.setattr(_util, "_banded_lapack", lambda: None)
+        for (tau, eps, mesh), want in zip(cases, default):
+            assert np.array_equal(merged_spectrum(tau, eps, 17, *mesh), want), (tau, eps, mesh)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_failed_factor_raises(self, monkeypatch, fallback):
+        # defect (b): the k = 0 block of S + M on 100/400 at eps = 0.025
+        if fallback:
+            monkeypatch.setattr(_util, "_banded_lapack", lambda: None)
+        with pytest.raises(NumericalError, match=r"^pencil factorization failed: "
+                                                 r"\d+-th leading minor not positive definite$"):
+            merged_spectrum(1.0, 0.025, 2, 100, 400)
 
 
 class TestModeEigenvalues:
