@@ -18,8 +18,7 @@ sequence in the same step, for only the few eigenvalues the merged spectrum keep
 
 The banded Cholesky factor and triangular solves are LAPACK's, called from numpy's
 own OpenBLAS (`_util.cholesky_band`, `_util.band_solver`), so the plate solver, like
-the rest of the package, runs on numpy alone.  The mesh grading ports scipy's
-Brent root finder.
+the rest of the package, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -59,80 +58,28 @@ def _density(eps: float):
 def make_radial_mesh(eps: float, n_bulk: int = 40, n_collar: int = 8) -> np.ndarray:
     """Nodes rising strictly from 0 to 1: a uniform collar [1-eps, 1] and a bulk graded toward it.
 
-    The collar interface 1-eps is a node, so no element's Gauss rule integrates
-    across the density jump.  Bulk element sizes grow geometrically away from the
-    interface, starting at the collar element size; if the collar elements are
-    already coarser than a uniform bulk would be, the bulk stays uniform.
+    The interface 1-eps is a node, so no Gauss rule integrates across the density
+    jump.  With collar elements q > 1 times finer than a uniform bulk's, bulk sizes
+    shrink geometrically toward the interface by R = q (1 + ln q) in all: for many
+    elements a bulk that starts at the collar size needs q = (R - 1) / ln R, which
+    this R meets to first order as q falls to 1 and to leading order as q grows.
     """
     if not (0.0 < eps < 1.0):
         raise DomainValidationError(f"eps must lie in (0, 1), got {eps}")
     if n_bulk < 1 or n_collar < 1:
         raise DomainValidationError("need at least one element in each region")
-    h_c = eps / n_collar
     L = 1.0 - eps
-
-    # sizes h_c * g^j for j = 0..n-1 moving from the interface toward the center;
-    # solve sum = L for the growth ratio g
-    def total(g: float) -> float:
-        return h_c * (g**n_bulk - 1.0) / (g - 1.0) - L
-
-    # a single bulk element, or collar elements coarser than a uniform bulk, leave
-    # nothing to grade; nor does a ratio g^n below 1 + 1e-6, where total is noise
-    if n_bulk == 1 or h_c * n_bulk >= L or total(1.0 + 1e-6 / n_bulk) >= 0.0:
+    q = L * n_collar / (eps * n_bulk)
+    if n_bulk == 1 or q <= 1.0:
         bulk = np.linspace(0.0, L, n_bulk + 1)
-    else:
-        g_hi = min(1e3, 10.0 ** (300 / n_bulk))  # g**n_bulk finite; 1e3 up to n_bulk = 100
-        if total(g_hi) < 0.0:  # root beyond: the largest size h_c g^(n-1) alone bounds it
-            g_hi = (L / h_c) ** (1.0 / (n_bulk - 1))
-        g = _brentq(total, 1.0 + 1e-12, g_hi)
-        sizes = h_c * g ** np.arange(n_bulk)
-        bulk = L - np.concatenate(([0.0], np.cumsum(sizes)))[::-1]
-        bulk[0] = 0.0
+    else:  # sizes from 1 at the center down to 1/R (0 once it underflows) at the interface
+        sizes = (q * (1.0 + math.log(q))) ** (-np.arange(n_bulk) / (n_bulk - 1))
+        bulk = np.concatenate(([0.0], np.cumsum(sizes))) * (L / sizes.sum())
         bulk[-1] = L
-    collar = np.linspace(L, 1.0, n_collar + 1)
-    nodes = np.concatenate([bulk, collar[1:]])
+    nodes = np.concatenate([bulk, np.linspace(L, 1.0, n_collar + 1)[1:]])
     if not np.all(np.diff(nodes) > 0.0):  # elements below the spacing of floats near 1
         raise DomainValidationError(f"eps={eps} too small for {n_collar} collar elements")
     return nodes
-
-
-def _brentq(f, xpre: float, xcur: float) -> float:
-    """A root of f between xpre and xcur, where f changes sign.
-
-    Brent's method step for step as the C routine of `scipy.optimize.brentq`, at
-    its default tolerances, so the root is the same to the last bit.
-    """
-    xtol, rtol = 2e-12, 4.0 * _EPS
-    xpre, xcur = np.float64(xpre), np.float64(xcur)
-    with np.errstate(all="ignore"):  # as in C, an overflowing trial step just fails its test
-        fpre, fcur = f(xpre), f(xcur)
-        if fpre == 0.0 or fcur == 0.0:
-            return xpre if fpre == 0.0 else xcur
-        if (fpre < 0.0) == (fcur < 0.0):
-            raise NumericalError("root bracket does not change sign")
-        xblk = fblk = spre = scur = 0.0
-        for _ in range(100):
-            if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-                xblk, fblk, spre = xpre, fpre, xcur - xpre
-                scur = spre
-            if abs(fblk) < abs(fcur):  # keep the better end as xcur
-                xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-            delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
-            if fcur == 0.0 or abs(sbis) < delta:
-                return xcur
-            step = (sbis, sbis)  # bisect, unless interpolation takes a good short step
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                    step = (scur, stry)
-            (spre, scur), xpre, fpre = step, xcur, fcur
-            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-            fcur = f(xcur)
-    raise NumericalError("root finder did not converge in 100 steps")
 
 
 def _mesh_forms(density, nodes: np.ndarray) -> SimpleNamespace:

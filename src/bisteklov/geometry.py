@@ -39,7 +39,7 @@ class StarDomain:
             raise DomainValidationError(f"center must be finite, got {self.center}")
         if not np.all(np.isfinite((self.a0, *self.cos_coeffs, *self.sin_coeffs))):
             raise DomainValidationError("radius a0 and coefficients must be finite")
-        with np.errstate(invalid="ignore"):  # coefficients near overflow: nan samples, rejected
+        with np.errstate(all="ignore"):  # coefficients near overflow: inf or nan samples, rejected
             r = self.samples(_POSITIVITY_GRID)
         if not np.all(r > 0.0):
             raise DomainValidationError(

@@ -68,8 +68,8 @@ def make_family(
         params = _DEFAULT_ASPECTS if params is None else params
         out = []
         for aspect in params:
-            if aspect < 1.0:
-                raise DomainValidationError(f"aspect ratio must be >= 1, got {aspect}")
+            if not 1.0 <= aspect < math.inf:
+                raise DomainValidationError(f"aspect ratio must be finite and >= 1, got {aspect}")
             a, b = math.sqrt(aspect), 1.0 / math.sqrt(aspect)
             th = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
             dom = fourier_projection(a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2))

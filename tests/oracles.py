@@ -12,8 +12,9 @@ package's all-elements band assembly must match bit for bit, and their pencil is
 solved densely, every eigenvalue at once, as a reference for the package's
 banded Lanczos solve.  Trigonometric series are summed mode by mode at any angle,
 as a reference for the package's inverse-FFT sampler on the uniform grid.
-The graded radial mesh is also built with `scipy.optimize.brentq`, as a
-reference for the package's own port of Brent's method.
+The plate eigenvalues are also found with no mesh at all, as roots of the exact
+determinant of each angular mode in Bessel functions (mpmath), as a reference
+for the element discretisation.
 Shape derivatives are also differenced eigenvalue by eigenvalue, re-solving each
 perturbed domain and matching its eigenvalues to the cluster by index, and as the
 difference of the full assembled pencils of the perturbed domains, each on a rule
@@ -31,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp
 from scipy.linalg import cholesky, eigh, solve_triangular
-from scipy.optimize import brentq
 
 from bisteklov.ball_spectrum import eigenvalue_of_order, multiplicity_of_order
 from bisteklov.concentration import _GAUSS_PER_ELEMENT
@@ -357,29 +358,60 @@ def elementwise_mode_matrices(k: int, tau: float, density, nodes):
     return S[np.ix_(keep, keep)], Mm[np.ix_(keep, keep)], keep
 
 
-def brentq_mesh_nodes(eps: float, n_bulk: int, n_collar: int) -> np.ndarray:
-    """Nodes of `concentration.make_radial_mesh`, the growth ratio found by `brentq`.
+def exact_plate_modes(tau: float, eps: float, k: int, guesses, dps: int = 30) -> list[float]:
+    """Eigenvalues of angular mode k of the two-level plate, one root of its exact determinant per guess.
 
-    Reference for the package's port of Brent's method: the same sizes h_c g^j
-    from the interface inward, the same bracket and the same uniform fallbacks.
+    Reference for `concentration.merged_spectrum`, with no mesh.  On each level of
+    the density rho (eps in the bulk r < r0 = 1 - eps, the `_density` collar value
+    above it) the mode's ODE factors as (D_k - c1)(D_k - c2) f = 0, with
+    D_k f = f'' + f'/r - k^2 f / r^2 and c1 > 0 > c2 the roots of
+    c^2 - tau c - lambda rho = 0.  So f is a sum of I_k(sqrt(c1) r) and
+    J_k(sqrt(-c2) r) in the bulk (the regular solutions), and of I_k, K_k, J_k and
+    Y_k of the same arguments in the collar.  The six coefficients solve a 6 x 6
+    system: f to f''' continuous at r0, and the free-edge conditions f''(1) = 0
+    and (2 k^2 + tau + 1) f'(1) - 3 k^2 f(1) - f''(1) - f'''(1) = 0.  Its
+    determinant, columns normalised, vanishes at the eigenvalues; `mp.findroot`
+    starts from each guess at `dps` digits.  Radial derivatives come from the
+    order recurrences 2 Z'_n = Z_(n-1) - Z_(n+1) for J and Y, I_(n-1) + I_(n+1)
+    and -(K_(n-1) + K_(n+1)): mpmath's besselk ignores its `derivative` argument.
     """
-    h_c = eps / n_collar
-    L = 1.0 - eps
+    # per kind: the function, Z_(-n) = reflect^n Z_n, and 2 Z'_n = lo Z_(n-1) + hi Z_(n+1)
+    kinds = {"I": (mp.besseli, 1, 1, 1), "K": (mp.besselk, 1, -1, -1),
+             "J": (mp.besselj, -1, 1, -1), "Y": (mp.bessely, -1, 1, -1)}
 
-    def total(g: float) -> float:
-        return h_c * (g**n_bulk - 1.0) / (g - 1.0) - L
+    def derivatives(kind: str, a, r) -> list:
+        """Z_k(a r) and its first three derivatives in r."""
+        fn, reflect, lo, hi = kinds[kind]
+        z = {n: fn(abs(n), a * r) * (reflect ** abs(n) if n < 0 else 1) for n in range(k - 3, k + 4)}
+        out = []
+        for m in range(4):
+            out.append(a**m * z[k])
+            z = {n: (lo * z[n - 1] + hi * z[n + 1]) / 2 for n in z if n - 1 in z and n + 1 in z}
+        return out
 
-    if n_bulk == 1 or h_c * n_bulk >= L or total(1.0 + 1e-6 / n_bulk) >= 0.0:
-        bulk = np.linspace(0.0, L, n_bulk + 1)
-    else:
-        g_hi = min(1e3, 10.0 ** (300 / n_bulk))
-        if total(g_hi) < 0.0:
-            g_hi = (L / h_c) ** (1.0 / (n_bulk - 1))
-        g = brentq(total, 1.0 + 1e-12, g_hi)
-        bulk = L - np.concatenate(([0.0], np.cumsum(h_c * g ** np.arange(n_bulk))))[::-1]
-        bulk[0] = 0.0
-        bulk[-1] = L
-    return np.concatenate([bulk, np.linspace(L, 1.0, n_collar + 1)[1:]])
+    with mp.workdps(dps):
+        tau_, r0 = mp.mpf(tau), 1 - mp.mpf(eps)
+        levels = ((mp.mpf(eps), "IJ"), ((2 - eps * r0**2) / (1 - r0**2), "IKJY"))  # bulk, collar
+
+        def determinant(lam):
+            columns = []
+            for rho, region in levels:
+                root = mp.sqrt(tau_**2 + 4 * lam * rho)  # c1, c2 = (tau +- root) / 2
+                for kind in region:
+                    a = mp.sqrt((tau_ + root) / 2 if kind in "IK" else (root - tau_) / 2)
+                    at_r0 = derivatives(kind, a, r0)
+                    if region == "IJ":
+                        columns.append(at_r0 + [0, 0])
+                        continue
+                    f, f1, f2, f3 = derivatives(kind, a, mp.mpf(1))
+                    edge = (2 * k * k + tau_ + 1) * f1 - 3 * k * k * f - f2 - f3
+                    columns.append([-x for x in at_r0] + [f2, edge])
+            A = mp.matrix(columns).T
+            for j in range(6):
+                A[:, j] /= mp.norm(A[:, j])
+            return mp.det(A)
+
+        return [float(mp.findroot(determinant, mp.mpf(float(g)))) for g in guesses]
 
 
 def lower_band(A: np.ndarray) -> np.ndarray:

@@ -340,7 +340,6 @@ class TestConcentration:
         assert "angular order 9" in err
 
     def test_fine_bulk_mesh(self, capsys):
-        # above 102 bulk elements the mesh grading once overflowed a float
         code, out, _ = run_cli(
             capsys, "concentration", "--tau", "1", "--eps", "0.05,0.025",
             "--mesh-bulk", "103", "--modes", "2",
@@ -669,6 +668,26 @@ def test_module_entry_point():
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["iso-scan", "--family", "ellipse_like", "--tau", "1", "--params", "inf"],
+    ["iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "1e308"],
+    ["solve", "--tau", "1", "--domain", "OVERFLOWING"],
+])
+def test_overflowing_input_prints_its_error_alone(tmp_path, argv):
+    # samples that overflow are refused with no numpy RuntimeWarning before the error
+    domain = tmp_path / "overflowing.json"
+    domain.write_text('{"a0": 1, "cos_coeffs": [1e308, 1e308]}\n')
+    argv = [str(domain) if a == "OVERFLOWING" else a for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bisteklov", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_no_subcommand_loads_scipy():
     # the package and every subcommand run on numpy alone: the plate solver's
     # banded LAPACK routines come from numpy's own OpenBLAS
@@ -698,8 +717,7 @@ run("solve", "--domain", {domain!r}, "--tau", "1")
 run("criticality", "--domain", {domain!r}, "--tau", "1")
 run("shape-derivative", "--domain", {domain!r}, "--tau", "1", "--field", "cos2", "--validate-fd")
 run("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0.0,0.05")
-# eps = 0.2 leaves the bulk mesh ungraded; eps = 0.05 grades it, by the
-# package's own Brent root finder
+# eps = 0.2 leaves the bulk mesh ungraded; eps = 0.05 grades it
 for eps in ("0.2", "0.05"):
     out = run("concentration", "--tau", "1", "--eps", eps, "--modes", "2")
     assert out.startswith("eps,j,lambda_eps,lambda_limit,abs_error"), out

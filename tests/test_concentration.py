@@ -20,22 +20,85 @@ from bisteklov.concentration import _MASS, _density, _mesh_forms, _mode_matrices
 
 from oracles import (
     band_to_dense,
-    brentq_mesh_nodes,
     cartesian_energy_2d,
     dense_pencil,
     density_mass,
     elementwise_mode_matrices,
+    exact_plate_modes,
     lower_band,
 )
 
-# converged second eigenvalues at tau = 1, M = 2 pi, obtained from mesh sequences
-# refined well past the default resolution
-LAMBDA2_CONVERGED = {
-    0.2: 1.2654987952,
-    0.1: 1.1293445393,
-    0.05: 1.0636337793,
-    0.025: 1.0315387513,
+# lambda_2 .. lambda_17 per (tau, eps): roots of the exact determinant
+# (`oracles.exact_plate_modes`, 30 digits) started from the 40/8 values
+EXACT_PLATE = {
+    (0.1, 0.2): (
+        0.12686593737344765, 0.12686593737344765, 10.605666760506903, 10.605666760506903,
+        49.19026030735232, 49.19026030735232, 124.44659678282785, 138.1017804231203,
+        138.1017804231203, 304.2685970207782, 304.2685970207782, 579.4378958367329,
+        579.4378958367329, 721.4269109202854, 721.4269109202854, 1000.2834255550254,
+    ),
+    (0.1, 0.05): (
+        0.10638407510382188, 0.10638407510382188, 8.1362112934643, 8.1362112934643,
+        35.21694109619606, 35.21694109619606, 93.21789581292967, 93.21789581292967,
+        194.94981279639956, 194.94981279639956, 354.17688174782484, 354.17688174782484,
+        434.2593939087146, 585.6189886920889, 585.6189886920889, 904.9541233963447,
+    ),
+    (0.1, 0.025): (
+        0.10315905774070545, 0.10315905774070545, 7.7629614581682365, 7.7629614581682365,
+        33.15004795716131, 33.15004795716131, 86.67451441544398, 86.67451441544398,
+        179.1915413802944, 179.1915413802944, 322.014927042352, 322.014927042352,
+        526.9185817075148, 526.9185817075148, 806.1363605855449, 806.1363605855449,
+    ),
+    (1.0, 0.2): (
+        1.2654987927862333, 1.2654987927862333, 13.202192612647924, 13.202192612647924,
+        53.56020688862058, 53.56020688862058, 144.56260656454577, 144.56260656454577,
+        156.50838136431608, 313.14128032060944, 313.14128032060944, 591.0487794501254,
+        591.0487794501254, 774.3373021430144, 774.3373021430144, 1014.9649704024038,
+    ),
+    (1.0, 0.05): (
+        1.0636337775335436, 1.0636337775335436, 10.136449674215353, 10.136449674215353,
+        38.355428069184974, 38.355428069184974, 97.58121657168729, 97.58121657168729,
+        200.6181779592057, 200.6181779592057, 361.22668490548386, 361.22668490548386,
+        546.1540190933085, 594.1243559579075, 594.1243559579075, 914.9878318366796,
+    ),
+    (1.0, 0.025): (
+        1.0315387498322195, 1.0315387498322195, 9.670608243092802, 9.670608243092802,
+        36.09909162703437, 36.09909162703437, 90.71749139734659, 90.71749139734659,
+        184.3742023391162, 184.3742023391162, 328.3789731500817, 328.3789731500817,
+        534.5032507555351, 534.5032507555351, 814.9793292706446, 814.9793292706446,
+    ),
+    (20.0, 0.2): (
+        24.719536382916832, 24.719536382916832, 67.33334549898746, 67.33334549898746,
+        145.09629429036056, 145.09629429036056, 280.2228988728865, 280.2228988728865,
+        499.7220106798565, 499.7220106798565, 830.9015472254753, 835.4579022214693,
+        835.4579022214693, 1324.2346486239653, 1324.2346486239653, 1873.821749809709,
+    ),
+    (20.0, 0.05): (
+        21.22831321848622, 21.22831321848622, 52.300855359332026, 52.300855359332026,
+        104.41081892128257, 104.41081892128257, 189.35354001556524, 189.35354001556524,
+        319.8329657623276, 319.8329657623276, 509.52970314815985, 509.52970314815985,
+        773.1066356476023, 773.1066356476023, 1126.2049120089096, 1126.2049120089096,
+    ),
+    (20.0, 0.025): (
+        20.619364403290685, 20.619364403290685, 49.85903104249241, 49.85903104249241,
+        98.0818990714631, 98.0818990714631, 175.621922932122, 175.621922932122,
+        293.21416664671614, 293.21416664671614, 462.07795387447305, 462.07795387447305,
+        693.9217092671308, 693.9217092671308, 1000.9351009253593, 1000.9351009253593,
+    ),
 }
+
+# largest relative errors of the 40/8 mesh against EXACT_PLATE, about twice those
+# measured: (lambda_2 and lambda_3, lambda_4 .. lambda_17).  The first pair at
+# tau <= 1, eps <= 0.05 carries the pencil's roundoff (ROADMAP item 15): moving the
+# nodes by 2 ulp moves its error by up to 4.8e-6, so it gets at least 1e-6
+DEFAULT_MESH_RTOL = {
+    (0.1, 0.2): (1e-6, 2.3e-6), (0.1, 0.05): (2e-6, 8e-8), (0.1, 0.025): (1e-5, 1.5e-7),
+    (1.0, 0.2): (1e-6, 2.4e-6), (1.0, 0.05): (1e-6, 8e-8), (1.0, 0.025): (1.5e-6, 1.5e-7),
+    (20.0, 0.2): (1e-6, 6e-6), (20.0, 0.05): (1e-6, 8e-8), (20.0, 0.025): (1e-6, 7e-8),
+}
+
+# second eigenvalues at tau = 1, M = 2 pi: roots of the exact determinant
+LAMBDA2_CONVERGED = {0.1: 1.1293445376} | {eps: EXACT_PLATE[1.0, eps][0] for eps in (0.2, 0.05, 0.025)}
 
 
 def _constrained(k, full):
@@ -91,16 +154,20 @@ class TestRadialMesh:
     def test_bulk_grades_toward_interface(self):
         nodes = make_radial_mesh(0.1, n_bulk=40, n_collar=8)
         bulk_sizes = np.diff(nodes[:41])
-        # elements shrink monotonically while approaching the collar
+        # elements shrink monotonically while approaching the collar, by q (1 + ln q)
+        # in all, q = 1.8 the uniform bulk element size over the collar's
         assert np.all(np.diff(bulk_sizes) < 0.0)
+        assert bulk_sizes[0] / bulk_sizes[-1] == pytest.approx(1.8 * (1.0 + math.log(1.8)), rel=1e-12)
         h_c = 0.1 / 8
         assert bulk_sizes[-1] == pytest.approx(h_c, rel=0.05)
+        assert np.allclose(np.diff(nodes[40:]), 0.1 / 8, rtol=1e-12, atol=0)
 
     def test_uniform_fallback(self):
-        # coarse collar: a geometric bulk would overshoot, so it stays uniform
-        nodes = make_radial_mesh(0.8, n_bulk=2, n_collar=2)
-        bulk_sizes = np.diff(nodes[:3])
-        assert bulk_sizes[0] == pytest.approx(bulk_sizes[1], rel=1e-12)
+        # collar elements no finer than a uniform bulk's, or a single bulk element:
+        # nothing to grade, so the bulk is the uniform one
+        for eps, n_bulk, n_collar in ((0.8, 2, 2), (0.2, 40, 8), (0.01, 1, 8)):
+            nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar)
+            assert np.array_equal(nodes[:n_bulk + 1], np.linspace(0.0, 1.0 - eps, n_bulk + 1))
 
     def test_validation(self):
         with pytest.raises(DomainValidationError):
@@ -110,31 +177,14 @@ class TestRadialMesh:
 
     @pytest.mark.parametrize("eps,n_bulk", [(0.025, 103), (1e-3, 500), (1e-4, 5000)])
     def test_many_bulk_elements(self, eps, n_bulk):
-        # the growth-ratio bracket once reached g**n_bulk = 1e3**n_bulk, which
-        # overflows a float beyond about 102 elements
+        # however many elements, the sizes fall monotonically by q (1 + ln q), to
+        # about the collar element size
         nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=8)
         bulk_sizes = np.diff(nodes[: n_bulk + 1])
         assert np.all(np.diff(bulk_sizes) < 0.0)
-        assert bulk_sizes[-1] == pytest.approx(eps / 8, rel=1e-6)
-
-    @pytest.mark.parametrize("n_bulk", [2, 3, 7, 40, 101, 200])
-    def test_nodes_match_brentq(self, n_bulk):
-        # the growth ratio comes from a port of Brent's method, which must give
-        # scipy's brentq nodes to the last bit: moving them by 6e-13 once moved
-        # lambda_2 on the 80/16 mesh by 8e-7
-        for eps in np.geomspace(1e-4, 0.9, 25):
-            for n_collar in (1, 2, 5, 8, 16, 40, 144, 400):
-                want = brentq_mesh_nodes(eps, n_bulk, n_collar)
-                assert np.array_equal(make_radial_mesh(eps, n_bulk, n_collar), want)
-
-    def test_nodes_match_brentq_beyond_growth_cap(self):
-        # a growth ratio above 1e3 takes the bracket from the largest element size
-        eps, n_bulk, n_collar = 0.125, 2, 144
-        h_c = eps / n_collar
-        assert h_c * (1e3**n_bulk - 1.0) / (1e3 - 1.0) < 1.0 - eps  # the fallback bracket
-        nodes = make_radial_mesh(eps, n_bulk, n_collar)
-        assert np.array_equal(nodes, brentq_mesh_nodes(eps, n_bulk, n_collar))
-        assert nodes[1] / (nodes[2] - nodes[1]) > 1e3
+        q = (1.0 - eps) * 8 / (eps * n_bulk)
+        assert bulk_sizes[0] / bulk_sizes[-1] == pytest.approx(q * (1.0 + math.log(q)), rel=1e-9)
+        assert bulk_sizes[-1] == pytest.approx(eps / 8, rel=0.15)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -142,9 +192,10 @@ class TestRadialMesh:
         st.integers(min_value=1, max_value=5000),
         st.integers(min_value=1, max_value=1000),
     )
-    @example(0.125, 2, 144)  # growth ratio above 1e3
-    @example(0.11818181818181815, 97, 13)  # just short of uniform: total is noise near 1
+    @example(0.125, 2, 144)  # collar elements 504 times finer than a uniform bulk's
+    @example(0.11818181818181815, 97, 13)  # q just above 1: a barely graded bulk
     @example(0.9970089730807575, 3, 1000)  # the same, with few bulk elements
+    @example(1e-6, 5000, 1000)  # bulk sizes falling by q (1 + ln q) = 2.6e6
     def test_nodes_or_clean_refusal(self, eps, n_bulk, n_collar):
         try:
             nodes = make_radial_mesh(eps, n_bulk=n_bulk, n_collar=n_collar)
@@ -408,6 +459,26 @@ class TestModeEigenvalues:
             merged_spectrum(1.0, 0.2, 2, n_bulk=10, n_collar=2)
         # attributed to the caller, not to the module
         assert record_merged[0].filename == __file__
+
+
+class TestExactModes:
+    """The element spectrum against the exact modes of the two-level plate, which need no mesh."""
+
+    @pytest.mark.parametrize("tau,eps", list(EXACT_PLATE))
+    def test_default_mesh_matches_exact_modes(self, tau, eps):
+        spec = merged_spectrum(tau, eps, 17)
+        assert spec[0] == 0.0
+        err = np.abs(spec[1:] / EXACT_PLATE[tau, eps] - 1.0)
+        first_pair, rest = DEFAULT_MESH_RTOL[tau, eps]
+        assert err[:2].max() <= first_pair, err[:2]
+        assert err[2:].max() <= rest, err[2:]
+
+    @pytest.mark.parametrize("tau,eps,j,k", [(1.0, 0.025, 2, 1), (0.1, 0.025, 2, 1), (20.0, 0.05, 4, 2)])
+    def test_oracle_reproduces_the_constants(self, tau, eps, j, k):
+        # lambda_j is the lowest value of mode k; about 1 s per root at 20 digits
+        guess = merged_spectrum(tau, eps, j)[j - 1]
+        want = EXACT_PLATE[tau, eps][j - 2]
+        assert exact_plate_modes(tau, eps, k, [guess], dps=20) == pytest.approx([want], rel=1e-13, abs=0)
 
 
 class TestMergedSpectrum:
