@@ -303,13 +303,12 @@ class EigenSolution:
 
 def _detect_clusters(lam: np.ndarray) -> tuple[tuple[int, int], ...]:
     # near-degenerate groups: split where the gap exceeds the relative threshold.
-    # lambda_1 = 0 (the constants, in the trial space for every domain and tau > 0)
-    # is simple, so it is split off however small the next eigenvalue is
+    # lambda_1 = 0.0 exactly (the constant), so it is split off from any lambda_2 > 0
     clusters = []
     lo = 0
     for i in range(len(lam) - 1):
         gap = lam[i + 1] - lam[i]
-        if i == 0 or gap > _CLUSTER_RELGAP * max(1.0, abs(lam[i + 1])):
+        if gap > _CLUSTER_RELGAP * lam[i + 1]:
             clusters.append((lo + 1, i + 1))
             lo = i + 1
     clusters.append((lo + 1, len(lam)))
@@ -320,15 +319,16 @@ def solve(forms: AssembledForms) -> EigenSolution:
     """Solve the pencil a(u, v) = lambda b(u, v) on the span of the assembled basis.
 
     Pipeline: symmetric diagonal scaling of both matrices, spectral filtering of the
-    combined Gram matrix g = a + b at relative threshold 1e-12 and whitening, then
-    the definite pencil b x = mu g x, whose eigenvalues mu = 1 / (1 + lambda) lie in
-    [0, 1].  Directions with mu below 1e-12 of the largest carry no boundary trace
-    (infinite Steklov eigenvalues; counted in the diagnostics) and are dropped; the
-    rest give lambda = (1 - mu) / mu.  Solving for mu keeps the absolute error of
-    the low eigenvalues at roundoff; a solve for lambda itself, after whitening b,
-    carries the size of the largest spurious eigenvalue into the error of every
-    small one.  Coefficients are returned in the original basis and are orthonormal
-    in the boundary inner product.
+    combined Gram matrix g = a + b at relative threshold 1e-12 and whitening, then one
+    eigen-step on the whitened boundary form, whose eigenvalues mu ~ 1 / (1 + lambda)
+    lie in [0, 1].  Directions with mu below 1e-12 of the largest carry no boundary
+    trace (infinite Steklov eigenvalues; counted in the diagnostics) and are dropped.
+    Each eigenvalue is the Rayleigh quotient of its own column on the assembled forms,
+    an upper bound with relative accuracy at every tau (lambda read off mu has an
+    absolute error); lambda_1 = 0.0 exactly, the constant, and the other columns are
+    b-orthogonal to it.  Coefficients are returned in the original basis with b-norm 1;
+    within a cluster whose mu eigh cannot separate (tau <= 1e-12) they are b-orthogonal
+    only to 3.9e-10 (the disk pair at tau = 1e-12) or 2.3e-5 (at 1e-14).
     """
     A, B = forms.stiffness, forms.boundary_mass
     d = np.sqrt(np.diag(A) + np.diag(B))
@@ -348,27 +348,22 @@ def solve(forms: AssembledForms) -> EigenSolution:
     cond = float(sg[-1] / sg[keep].min())
     P = U[:, keep] / np.sqrt(sg[keep])
 
-    Ap = P.T @ As @ P
     Bp = P.T @ Bs @ P
-    Ap = 0.5 * (Ap + Ap.T)
-    Bp = 0.5 * (Bp + Bp.T)
-
-    # Ap + Bp is the identity only up to the whitening's roundoff; reducing by its
-    # Cholesky factor keeps lambda = (1 - mu) / mu true to the computed Ap and Bp
-    try:
-        Linv = np.linalg.inv(np.linalg.cholesky(Ap + Bp))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"whitened Gram matrix is not definite: {exc}") from exc
-    M = Linv @ Bp @ Linv.T
-    mu, Y = np.linalg.eigh(0.5 * (M + M.T))
-    Z = Linv.T @ Y
+    mu, Z = np.linalg.eigh(0.5 * (Bp + Bp.T))
     keep_b = mu > 1e-12 * mu[-1]
     n_bnull = int((~keep_b).sum())
     if not np.any(keep_b):
         raise NumericalError("boundary form is numerically zero on the filtered space")
-    mu, Z = mu[keep_b][::-1], Z[:, keep_b][:, ::-1]
-    lam = (1.0 - mu) / mu
-    X = (P @ (Z / np.sqrt(mu))) / d[:, None]
+    X = (P @ Z[:, keep_b][:, ::-1]) / d[:, None]
+    # the top mu is the constant: row 0 is h_0 = 1, with no gradient, Hessian or flux,
+    # so it is taken exactly, and the other columns are made b-orthogonal to it
+    X[:, 0] = 0.0
+    X[0, 0] = 1.0
+    X[0, 1:] -= (B[0] @ X[:, 1:]) / B[0, 0]
+    norm2 = np.einsum("ij,ij->j", X, B @ X)
+    lam = np.einsum("ij,ij->j", X, A @ X) / norm2
+    order = np.argsort(lam, kind="stable")
+    lam, X = lam[order], (X / np.sqrt(norm2))[:, order]
 
     diagnostics = SolverDiagnostics(
         basis_size=A.shape[0],

@@ -262,6 +262,20 @@ class TestCriticality:
         assert doc["F"] == [2, 3]
         assert doc["hadamard"] == pytest.approx(-2.0 * float(tau), rel=1e-5)
 
+    def test_distinct_small_eigenvalues_stay_apart(self, capsys):
+        # lambda_2 = 9.26e-7 and lambda_3 = 1.075e-6 lie 16% apart; a threshold
+        # absolute below |lambda| = 1 once joined them, and F = 2 split that cluster
+        domain = str(DOMAINS / "perturbed.json")
+        code, out, err = run_cli(capsys, "solve", "--domain", domain, "--tau", "1e-6")
+        assert code == 0, err
+        assert json.loads(out)["clusters"][:3] == [[1, 1], [2, 2], [3, 3]]
+        code, out, err = run_cli(
+            capsys, "shape-derivative", "--domain", domain, "--tau", "1e-6", "--F", "2",
+            "--field", "cos2",
+        )
+        assert code == 0, err
+        assert json.loads(out)["F"] == [2]
+
 
 class TestConcentration:
     def test_sweep_csv(self, capsys):
@@ -350,9 +364,11 @@ class TestConcentration:
 
 class TestIsoScan:
     # at tau = 1e-5 every margin of the default members is below 1e-7 in absolute
-    # terms; the tie band is relative to tau
-    @pytest.mark.parametrize("args", [("--tau", "1.0", "--params", "0.0,0.08"), ("--tau", "1e-5")],
-                             ids=["tau1", "tau1e-5"])
+    # terms; the tie band is relative to tau.  At 1e-14 and 1e-15 the non-disk
+    # margins, from 1.2e-3 tau, hold only with eigenvalues of relative accuracy
+    @pytest.mark.parametrize("args", [("--tau", "1.0", "--params", "0.0,0.08"), ("--tau", "1e-5"),
+                                      ("--tau", "1e-14"), ("--tau", "1e-15")],
+                             ids=["tau1", "tau1e-5", "tau1e-14", "tau1e-15"])
     def test_verdict_line(self, capsys, args):
         code, out, _ = run_cli(capsys, "iso-scan", "--family", "perturbed_disk", *args)
         assert code == 0
@@ -383,6 +399,16 @@ class TestIsoScan:
         assert code == 2
         assert out == ""
         assert "takes no mode" in err
+
+    def test_ellipse_aspect_beyond_projection(self, capsys):
+        # from 512 samples the member is the ellipse to 3.4e-12 at aspect 10 but
+        # only to 2.6e-6 at 20
+        code, out, err = run_cli(capsys, "iso-scan", "--family", "ellipse_like", "--tau", "1",
+                                 "--params", "20")
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: aspect ratio must lie in [1, 10], got 20.0"]
 
     def test_perturbed_disk_default_mode(self, capsys):
         argv = ("iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "0.0,0.05")

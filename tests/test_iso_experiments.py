@@ -90,8 +90,10 @@ class TestMakeFamily:
                 assert abs(c) < 1e-13
 
     def test_validation(self):
-        with pytest.raises(DomainValidationError):
-            make_family("ellipse_like", parameters=(0.8,))
+        for aspect in (0.8, 10.5, math.inf, math.nan):
+            with pytest.raises(DomainValidationError, match="aspect ratio"):
+                make_family("ellipse_like", parameters=(aspect,))
+        assert make_family("ellipse_like", parameters=(10.0,))[0][0] == 10.0
         with pytest.raises(DomainValidationError):
             make_family("hexagon")
         for family in ("perturbed_disk", "ellipse_like"):
@@ -199,6 +201,24 @@ class TestSmallTauLimit:
         first_order = gaps[0] * taus / taus[0]
         assert np.all(np.abs(gaps - first_order) <= 0.01 * np.abs(first_order) + noise), gaps
 
+    def test_flat_below_roundoff_of_mu(self):
+        # lambda_2 / tau of the non-disk perturbed_disk members holds its tau = 1e-12
+        # value further down; read off mu = 1 / (1 + lambda) it moved by up to 1.1e-1
+        for _, dom in make_family("perturbed_disk")[1:]:
+            r = [solve(assemble(dom, tau, make_trial_basis(10, tau))).eigenvalues[1] / tau
+                 for tau in (1e-12, 1e-13, 1e-14)]
+            assert abs(r[1] - r[0]) <= 1e-12 and abs(r[2] - r[0]) <= 1e-12, r
+
+    def test_upper_bounds_below_roundoff_of_mu(self):
+        # lambda_2 / tau is nonincreasing in tau, and the quotient of a column made
+        # b-orthogonal to the constant is at least the discrete lambda_2: where eigh
+        # mixes an ellipse's unequal pair (tau <= 1e-12) the value may only rise.
+        # Read off mu it fell by up to 1.4e-1
+        for _, dom in make_family("ellipse_like")[1:]:
+            r = [solve(assemble(dom, tau, make_trial_basis(10, tau))).eigenvalues[1] / tau
+                 for tau in (1e-9, 1e-11, 1e-12, 1e-13, 1e-14)]
+            assert all(b >= r[0] * (1.0 - 1e-12) for b in r[1:]), r
+
     def test_measured_limits(self):
         # rho = 1 + 0.1 cos 3 theta at area pi is isotropic; the aspect-1.3 ellipse is not
         (_, pd), = make_family("perturbed_disk", (0.1,))
@@ -220,13 +240,25 @@ class TestEveryTau:
     TAUS = np.array([1e-3, 0.1, 1.0, 10.0, 100.0, 1000.0, 5000.0])
 
     @pytest.fixture(scope="class")
-    def ratios(self):
-        """lambda_j / tau, j = 2..9, an array (tau, j) per case name."""
+    def spectra(self):
+        """The eigenvalues at each of TAUS, a list per case name."""
         return {
-            name: np.array([solve(assemble(dom, tau, make_trial_basis(k_max, tau))).eigenvalues[1:9]
-                            for tau in self.TAUS]) / self.TAUS[:, None]
+            name: [solve(assemble(dom, tau, make_trial_basis(k_max, tau))).eigenvalues
+                   for tau in self.TAUS]
             for name, dom, k_max in TestSmallTauLimit.CASES
         }
+
+    @pytest.fixture(scope="class")
+    def ratios(self, spectra):
+        """lambda_j / tau, j = 2..9, an array (tau, j) per case name."""
+        return {name: np.array([lam[1:9] for lam in s]) / self.TAUS[:, None]
+                for name, s in spectra.items()}
+
+    def test_constant_exact_and_ascending(self, spectra):
+        for name, s in spectra.items():
+            for lam in s:
+                assert lam[0] == 0.0, name
+                assert np.all(np.diff(lam) >= 0.0), name
 
     def test_affine_bound(self, ratios):
         # equality on the disk; roundoff allowed a decade above the worst measured

@@ -405,12 +405,22 @@ class TestDiskSpectrum:
         assert abs(sol.eigenvalues[0]) <= 1e-8 * max(1.0, tau)
         assert np.allclose(sol.eigenvalues[1:21], ref[1:21], rtol=1e-10, atol=0.0)
 
-    def test_cluster_detection(self):
-        sol, _ = solve_domain(DISK, 1.0)
+    # the threshold is relative at every tau: the pair's spread is 1.3e-15 at 1e-14
+    @pytest.mark.parametrize("tau", [1e-14, 1e-9, 1.0, 1000.0])
+    def test_cluster_detection(self, tau):
+        sol, _ = solve_domain(DISK, tau)
         assert sol.cluster_of(1) == (1, 1)
         assert sol.cluster_of(2) == (2, 3)
         assert sol.cluster_of(3) == (2, 3)
         assert sol.cluster_of(4) == (4, 5)
+
+    @pytest.mark.parametrize("tau", [1e-9, 1e-12, 1e-14])
+    def test_small_tau_relative_accuracy(self, tau):
+        # lambda_2 = lambda_3 = tau; read off mu = 1 / (1 + lambda) they were off by
+        # 6.9e-7, 2.4e-4 and 2.1e-2 relative
+        sol, _ = solve_domain(DISK, tau)
+        assert sol.eigenvalues[0] == 0.0
+        assert np.abs(sol.eigenvalues[1:3] / tau - 1.0).max() <= 1e-13
 
     def test_diagnostics(self):
         sol, basis = solve_domain(DISK, 1.0)
@@ -467,6 +477,25 @@ class TestInvariances:
         plus, _ = solve_domain(realize_perturbation(base, field, 1e-3), 0.1)
         minus, _ = solve_domain(realize_perturbation(base, field, -1e-3), 0.1)
         assert np.allclose(plus.eigenvalues[1:9], minus.eigenvalues[1:9], rtol=1e-10)
+
+    @pytest.mark.parametrize("tau", [1e-6, 1.0, 20.0])
+    def test_eigenvalues_are_quotients(self, tau):
+        # each value is the Rayleigh quotient of its own b-normalised column
+        forms = assemble(StarDomain(a0=1.0, cos_coeffs=(0.0, 0.05, 0.03), center=(0.02, -0.01)),
+                         tau, make_trial_basis(14, tau))
+        sol = solve(forms)
+        X, lam = sol.coefficients, sol.eigenvalues
+        A, B = forms.stiffness, forms.boundary_mass
+        num, den = np.diag(X.T @ A @ X), np.diag(X.T @ B @ X)
+        assert lam[0] == 0.0 and num[0] == 0.0
+        assert np.all(np.diff(lam) >= 0.0)
+        # to the roundoff of the two forms, which the top columns of an ill-conditioned
+        # basis raise far above 1e-16 of their values
+        aX = np.abs(X)
+        size = np.diag(aX.T @ np.abs(A) @ aX) + lam * np.diag(aX.T @ np.abs(B) @ aX)
+        assert np.all(np.abs(num - lam * den) <= 1e-14 * size)
+        assert np.abs(den[:12] - 1.0).max() <= 1e-14
+        assert np.abs(num[1:12] / den[1:12] / lam[1:12] - 1.0).max() <= 1e-14
 
     def test_variational_upper_bound(self):
         # u = x - mean(x) is admissible for the first nonzero eigenvalue
