@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import single_blas_thread
 from .ball_spectrum import sorted_spectrum
-from .concentration import convergence_sweep
+from .concentration import _check_mode_cap, convergence_sweep
 from .errors import DomainValidationError, NumericalError
 from .geometry import StarDomain, _check_n_nodes
 from .iso_experiments import iso_scan
@@ -211,6 +211,7 @@ def _cmd_criticality(args) -> int:
 
 def _cmd_concentration(args) -> int:
     eps_list = _parse_float_list(args.eps, "eps")
+    _check_mode_cap(args.modes)  # before the indexes 1..J are built
     j_list = list(range(1, args.modes + 1))
     rows = convergence_sweep(args.tau, eps_list, j_list,
                              n_bulk=args.mesh_bulk, n_collar=args.mesh_collar)

@@ -14,11 +14,12 @@ vectorised per mesh, over all elements at once, straight into each mode's lower
 band (half-bandwidth 3), with the mode-independent Grams formed once per mesh.
 All modes' pencils are solved together: one banded Cholesky factor of the
 block-diagonal S + M, and one Lanczos loop that advances every mode's Krylov
-sequence in the same step, for only the few eigenvalues the merged spectrum keeps.
+sequence in the same step and freezes each mode at its own check, once the few
+eigenvalues the merged spectrum keeps have converged.  Mode 0's constant spans the
+kernel of its stiffness: that eigenvalue, the top of its pencil, is returned as 0.0.
 
-The banded Cholesky factor and triangular solves are LAPACK's, called from numpy's
-own OpenBLAS (`_util.cholesky_band`, `_util.band_solver`), so the plate solver, like
-the rest of the package, runs on numpy alone.
+The banded factor and solves are LAPACK's, called from numpy's own OpenBLAS
+(`_util.cholesky_band`, `_util.band_solver`): the plate solver runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -165,126 +166,98 @@ def _mode_matrices(k: int, tau: float, forms: SimpleNamespace):
     return _assemble(Se, k), forms.mass[min(k, 2)]
 
 
-def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, deflate):
+def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, zeros):
     """Smallest eigenvalues of S x = lambda M x per mode, S >= 0 and M > 0 as lower bands.
 
     The modes come stacked as (modes, n, 4) bands (see `_assemble`), shorter ones
-    padded at the end by decoupled DOFs (S = 1, M = 0), with one `deflate` entry per
-    mode; one spectrum per mode is returned.  With K = S + M = L L^T (banded
-    Cholesky), C = L^-1 M L^-T has eigenvalues mu = 1/(lambda+1), so the smallest
-    lambda, accurate even when the stiffness scale is enormous, are read off the
-    LARGEST mu.  C is never formed: one factor of the block-diagonal S + M, and one
-    Lanczos loop with full reorthogonalisation (two classical Gram-Schmidt passes)
-    that advances every mode per step by two banded triangular solves and a banded
-    product with M; the factor and the solves are LAPACK's dpbtrf and dtbtrs from
-    numpy's OpenBLAS (`_util.cholesky_band`, `_util.band_solver`).  A mode starts
-    from ones on its DOFs, checks its Ritz values after min(dim, max(2 need + 1,
-    20)) steps and every 4 more, and stops, frozen, once beta |y_last| <= eps
-    |theta| for every value it needs (ARPACK's tol = 0) or its Krylov space is
-    exhausted.  Each operation acts on each mode's rows alone,
-    so a mode's values are the bits it gets solved alone.  A c with S c = 0 is
-    deflated exactly: y = L^T c, C's eigenvector with mu = 1, is projected out of
-    the start and the operator, and an exact 0 is prepended.  A computed lambda
+    padded at the end by decoupled DOFs (S = 1, M = 0); one spectrum per mode is
+    returned.  With K = S + M = L L^T, C = L^-1 M L^-T has eigenvalues
+    mu = 1/(lambda+1), so the smallest lambda, accurate even when the stiffness scale
+    is enormous, are read off the LARGEST mu.  C is never formed: one banded factor of
+    the block-diagonal S + M, and one Lanczos loop with full reorthogonalisation (two
+    classical Gram-Schmidt passes) that advances every mode per step by two banded
+    triangular solves and a banded product with M; the factor and the solves are
+    LAPACK's dpbtrf and dtbtrs from numpy's OpenBLAS (`_util`).  A mode starts from
+    ones on its DOFs, checks its Ritz values after min(dim, max(2 count + 1, 20))
+    steps and every 4 more, and is frozen at the first check where beta |y_last| <=
+    eps |theta| for every value it returns (ARPACK's tol = 0) or its Krylov space is
+    exhausted; the loop ends once every mode is frozen.  Each operation acts on each
+    mode's rows alone, so a mode's values are the bits it gets solved alone.  Where
+    `zeros[i]`, S annihilates a vector of mode i: C's exact top eigenvalue mu = 1,
+    which Lanczos finds first, is returned as lambda = 0.0.  A computed lambda
     carries an error near eps times its mode's squared-pivot spread max/min L_ii^2:
-    a value below 100 times that, a negative one among them, raises
+    any other value below 100 times that, a negative one among them, raises
     NumericalError, as does a spread of 1/eps or more (S + M singular).
     """
     m, n = S.shape[:2]
     dims = np.count_nonzero(M[:, :, 0], axis=1)  # each mode's DOFs, ahead of its pads
-    D = M.transpose(2, 0, 1).copy()  # M's diagonals
+    D = M.transpose(2, 0, 1).reshape(_BAND, -1)  # M's diagonals, run on across modes
     try:
-        L = cholesky_band((S + M).reshape(-1, _BAND)).reshape(m, n, _BAND)
+        L = cholesky_band((S + M).reshape(-1, _BAND))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pencil factorization failed: {exc}") from exc
     spread = []  # of each mode's squared pivots: max/min <= cond(S + M)
-    for p in (Li[:dim, 0] ** 2 for Li, dim in zip(L, dims)):
+    for p in (Li[:dim, 0] ** 2 for Li, dim in zip(L.reshape(m, n, _BAND), dims)):
         hi, lo = p.max(), p.min()
         if hi * _EPS >= lo:
             raise NumericalError("pencil matrix S + M is singular to working precision "
                                  f"(squared pivots span {hi / lo:.1e})")
         spread.append(hi / lo)
-    U = np.zeros((m, n))  # unit L^T c per deflated mode, 0 elsewhere
-    for Ui, Li, c in zip(U, L, deflate):
-        if c is not None:
-            c = np.r_[c, np.zeros(n - len(c))]
-            y = Li[:, 0] * c
-            for d in range(1, _BAND):
-                y[:n - d] += Li[:n - d, d] * c[d:]
-            Ui[:] = y / np.linalg.norm(y)
+    solve = band_solver(L)  # the pivot check left no zero on L's diagonal
 
     def dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
-    def project(X: np.ndarray) -> np.ndarray:
-        return X - dot(U, X)[:, None] * U
-
     def apply(X: np.ndarray) -> np.ndarray:
-        # one vector over all live modes; M's diagonals run on across modes: the
-        # couplings past a mode's end are 0
-        Y, Dd = solve(project(X).reshape(-1), "T"), D.reshape(_BAND, -1)
-        Z = Dd[0] * Y
+        # one vector over all modes; the couplings of M past a mode's end are 0
+        Y = solve(X.reshape(-1), "T")
+        Z = D[0] * Y
         for d in range(1, _BAND):
-            Z[d:] += Dd[d, :-d] * Y[:-d]
-            Z[:-d] += Dd[d, :-d] * Y[d:]
-        return project(solve(Z, "N").reshape(X.shape))
+            Z[d:] += D[d, :-d] * Y[:-d]
+            Z[:-d] += D[d, :-d] * Y[d:]
+        return solve(Z, "N").reshape(X.shape)
 
-    has = np.array([c is not None for c in deflate])
-    size, need = dims - has, np.minimum(count, dims) - has  # the deflated 0 is prepended
-    first = np.minimum(size, np.maximum(2 * need + 1, 20))
-    mu, live = [np.empty(0)] * m, np.flatnonzero(need >= 1)
-    L, D, U = L[live], D[:, live], U[live]
-    solve = band_solver(L.reshape(-1, _BAND))  # the pivot check left no zero on L's diagonal
-    v = project((np.arange(n) < dims[live, None]).astype(float))
-    V = np.zeros((len(live), 24, n))  # grown by chunks of 24 steps
+    need, first = np.minimum(count, dims), np.minimum(dims, max(2 * count + 1, 20))
+    mu, frozen = [np.empty(0)] * m, np.zeros(m, dtype=bool)
+    v = (np.arange(n) < dims[:, None]).astype(float)
+    V = np.zeros((m, 24, n))  # grown by chunks of 24 steps
     V[:, 0] = v / np.sqrt(dot(v, v))[:, None]
-    alpha, beta = np.zeros((2, len(live), size.max()))
-    for t in range(1, size.max() + 1):  # t: steps taken, the basis size
-        if not len(live):
-            break
+    alpha, beta = np.zeros((2, m, dims.max()))
+    for t in range(1, dims.max() + 1):  # t: steps taken, the basis size
         w = apply(V[:, t - 1])
         for _ in range(2):
             h = (V[:, :t] @ w[:, :, None])[:, :, 0]
             w = w - (h[:, None, :] @ V[:, :t])[:, 0]
             alpha[:, t - 1] += h[:, -1]
         beta[:, t - 1] = b = np.sqrt(dot(w, w))
-        f = first[live]
-        check = np.flatnonzero((t == size[live]) | (b == 0.0) | ((t >= f) & ((t - f) % 4 == 0)))
+        due = (t == dims) | (b == 0.0) | ((t >= first) & ((t - first) % 4 == 0))
+        check = np.flatnonzero(due & ~frozen)
         if len(check):
-            done = np.zeros(len(live), dtype=bool)
             T, i = np.zeros((len(check), t, t)), np.arange(t)
             T[:, i, i], T[:, i[1:], i[:-1]] = alpha[check, :t], beta[check, :t - 1]
-            for c, theta, Y in zip(check, *np.linalg.eigh(T)):
-                j = live[c]
+            for j, theta, Y in zip(check, *np.linalg.eigh(T)):
                 theta, last = theta[::-1][:need[j]], Y[-1, ::-1][:need[j]]
-                if t == size[j] or b[c] == 0.0 or np.all(b[c] * np.abs(last) <= _EPS * theta):
-                    mu[j], done[c] = theta, True  # frozen
-            if done.any():
-                live, L, U, V, alpha, beta, w, b = (
-                    a[~done] for a in (live, L, U, V, alpha, beta, w, b))
-                D = D[:, ~done]
-                solve = band_solver(L.reshape(-1, _BAND))
+                if t == dims[j] or b[j] == 0.0 or np.all(b[j] * np.abs(last) <= _EPS * theta):
+                    mu[j], frozen[j] = theta, True
+            if frozen.all():
+                break
         if t == V.shape[1]:
             V = np.concatenate([V, np.zeros_like(V[:, :24])], axis=1)
-        V[:, t] = w / b[:, None]
-    lam = [1.0 / x - 1.0 for x in mu]
+        # an exhausted mode keeps a zero row: a NaN would reach every mode through
+        # the stacked solves, as 0 * NaN = NaN where the blocks meet
+        V[:, t] = w / np.where(b > 0.0, b, 1.0)[:, None]
+    lam = [np.r_[0.0, 1.0 / x[1:] - 1.0] if z else 1.0 / x - 1.0 for x, z in zip(mu, zeros)]
     # a value's roundoff is near eps times its mode's squared-pivot spread: refuse
     # values it could swamp, naming the worst (a negative one first); each mode's
     # values ascend, as its mu descend
-    worst = min(((x[0] / s, x[0], s) for x, s in zip(lam, spread) if len(x)), default=None)
+    worst = min(((x[z] / s, x[z], s) for x, s, z in zip(lam, spread, map(int, zeros))
+                 if len(x) > z), default=None)
     if worst is not None and worst[0] < 100.0 * _EPS:
         _, x, s = worst
         raise NumericalError(
             f"plate eigenvalue {x:.3e} {'< 0' if x < 0.0 else 'is under 100 times its roundoff'}: "
             f"eps times its mode's squared-pivot spread is {_EPS * s:.1e}")
-    return [np.r_[0.0, x] if c is not None else x for x, c in zip(lam, deflate)]
-
-
-def _constant(n: int) -> np.ndarray:
-    """The constant function among mode 0's n DOFs: value DOFs 0, 2, 4, ... are 0, 1, 3, ...
-
-    It spans the kernel of mode 0's stiffness, which `_solve_pencil` deflates.
-    """
-    return np.r_[1.0, np.resize([1.0, 0.0], n - 1)]
+    return lam
 
 
 def merged_spectrum(tau: float, eps: float, j_max: int, n_bulk: int = 40,
@@ -304,7 +277,7 @@ def merged_spectrum(tau: float, eps: float, j_max: int, n_bulk: int = 40,
     S[:, :, 0] = 1.0
     for Si, Mi, (Sk, Mk) in zip(S, M, bands):
         Si[:len(Sk)], Mi[:len(Mk)] = Sk, Mk
-    spectra = _solve_pencil(S, M, j_max, [_constant(len(bands[0][0]))] + [None] * _K_CAP)
+    spectra = _solve_pencil(S, M, j_max, [True] + [False] * _K_CAP)
     vals: list[float] = []
     for k, ev in enumerate(spectra):
         vals.extend([float(lam) for lam in ev] * (1 if k == 0 else 2))
@@ -312,6 +285,14 @@ def merged_spectrum(tau: float, eps: float, j_max: int, n_bulk: int = 40,
     if len(vals) < j_max:
         raise NumericalError("angular mode cap too small for requested index range")
     return np.array(vals[:j_max])
+
+
+def _check_mode_cap(j_max: int) -> None:
+    """Refuse a limit index j of angular order j // 2 (order l >= 1 holds 2l and 2l + 1) above
+    _K_CAP: it would be paired with a plate eigenvalue of another mode."""
+    if j_max // 2 > _K_CAP:
+        raise DomainValidationError(f"limit eigenvalue {j_max} has angular order {j_max // 2}, "
+                                    f"above the plate's mode cap {_K_CAP}")
 
 
 @dataclass(frozen=True)
@@ -347,15 +328,8 @@ def convergence_sweep(
     if j_list[0] < 1:
         raise DomainValidationError(f"eigenvalue indexes must be >= 1, got {j_list}")
     j_max = j_list[-1]
+    _check_mode_cap(j_max)
     limit = sorted_spectrum(2, tau, j_max)
-    # merged_spectrum holds angular modes up to _K_CAP only; a limit of higher
-    # order would be paired with a plate eigenvalue of another mode
-    order = max(o for _, _, o in limit.flatten())
-    if order > _K_CAP:
-        raise DomainValidationError(
-            f"limit eigenvalue {j_max} has angular order {order}, above the plate's "
-            f"mode cap {_K_CAP}"
-        )
     rows = []
     for eps in eps_list:
         spec = merged_spectrum(tau, eps, j_max, n_bulk, n_collar)

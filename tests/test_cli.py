@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisteklov import (
-    StarDomain, _util, assemble, make_family, make_trial_basis, solve, sorted_spectrum,
+    StarDomain, _util, assemble, concentration, make_family, make_trial_basis, solve,
+    sorted_spectrum,
 )
 from bisteklov.cli import run
 
@@ -352,6 +353,20 @@ class TestConcentration:
         assert code == 2
         assert out == ""
         assert "angular order 9" in err
+
+    def test_modes_refused_before_the_limit_is_built(self, capsys, monkeypatch):
+        # the limit spectrum up to J costs time and memory in proportion to J
+        def capped(N, tau, j_max):
+            assert j_max <= 17, j_max
+            return sorted_spectrum(N, tau, j_max)
+
+        monkeypatch.setattr(concentration, "sorted_spectrum", capped)
+        code, out, err = run_cli(
+            capsys, "concentration", "--tau", "1", "--eps", "0.2", "--modes", "1000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "above the plate's mode cap 8" in err
 
     def test_fine_bulk_mesh(self, capsys):
         code, out, _ = run_cli(

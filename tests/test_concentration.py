@@ -110,8 +110,8 @@ def _constrained(k, full):
     return np.delete(full, {0: [1], 1: [0]}.get(k, [0, 1]))
 
 
-def _deflation(k, nodes):
-    """The deflation vector mode k is solved with: the constant for k = 0."""
+def _oracle_kernel(k, nodes):
+    """The kernel vector `oracles.dense_pencil` deflates for mode k: the constant for k = 0."""
     if k:
         return None
     full = np.zeros(2 * len(nodes))
@@ -122,7 +122,7 @@ def _deflation(k, nodes):
 def _mode_eigenvalues(k, tau, density, nodes, count=6):
     """Lowest eigenvalues of angular mode k alone, solved as a stack of one mode."""
     S, M = _mode_matrices(k, tau, _mesh_forms(density, nodes))
-    return _solve_pencil(S[None], M[None], count, [_deflation(k, nodes)])[0]
+    return _solve_pencil(S[None], M[None], count, [k == 0])[0]
 
 
 class TestDensity:
@@ -213,7 +213,7 @@ class TestModeAssembly:
         nodes = make_radial_mesh(0.1)
         bands = _mode_matrices(0, 1.0, _mesh_forms(density, nodes))
         S, M = map(band_to_dense, bands)
-        c = _deflation(0, nodes)
+        c = _oracle_kernel(0, nodes)
         assert np.abs(S @ c).max() <= 1e-12 * np.abs(S).max()
         assert c @ M @ c == pytest.approx(_MASS / (2.0 * math.pi), rel=1e-12)
 
@@ -285,9 +285,8 @@ class TestElementwiseOracle:
         nodes = make_radial_mesh(0.025, n_bulk, n_collar)
         want = []
         for k in range(9):
-            S, M, keep = elementwise_mode_matrices(k, tau, density, nodes)
-            deflate = np.asarray([1.0 if i % 2 == 0 else 0.0 for i in keep]) if k == 0 else None
-            ev = _solve_pencil(lower_band(S)[None], lower_band(M)[None], 6, [deflate])[0]
+            S, M, _ = elementwise_mode_matrices(k, tau, density, nodes)
+            ev = _solve_pencil(lower_band(S)[None], lower_band(M)[None], 6, [k == 0])[0]
             want.extend([float(v) for v in ev] * (1 if k == 0 else 2))
         want.sort()
         assert np.array_equal(merged_spectrum(tau, 0.025, 6, n_bulk, n_collar), want[:6])
@@ -301,9 +300,8 @@ class TestPencil:
         density = _density(eps)
         nodes = make_radial_mesh(eps, n_bulk, n_collar)
         S, M = _mode_matrices(k, tau, _mesh_forms(density, nodes))
-        deflate = _deflation(k, nodes)
-        return (_solve_pencil(S[None], M[None], count, [deflate])[0],
-                dense_pencil(band_to_dense(S), band_to_dense(M), count, deflate))
+        return (_solve_pencil(S[None], M[None], count, [k == 0])[0],
+                dense_pencil(band_to_dense(S), band_to_dense(M), count, _oracle_kernel(k, nodes)))
 
     @pytest.mark.parametrize("eps", [0.2, 0.025])
     @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
@@ -329,13 +327,16 @@ class TestPencil:
 
     @pytest.mark.parametrize(
         "n_bulk,n_collar,eps,count",
-        [(40, 8, 0.025, 6), (100, 100, 0.025, 6), (1, 1, 0.2, 30), (2, 2, 0.2, 30)],
+        [(40, 8, 0.025, 6), (100, 100, 0.025, 6), (1, 1, 0.2, 30), (2, 2, 0.2, 30),
+         (40, 8, 0.1, 17)],
     )
     @pytest.mark.parametrize("modes", [range(9), [8, 3, 0, 5], range(2, 9)])
     def test_stacked_modes_match_each_alone(self, n_bulk, n_collar, eps, count, modes):
         # one stacked solve gives every mode the bits it gets solved alone.  k <= 1
         # modes have one more DOF than k >= 2, which are padded to their length;
-        # the tiny meshes exhaust their Krylov spaces before count values exist
+        # the tiny meshes exhaust their Krylov spaces before count values exist, and
+        # at 40/8, eps 0.1 seven modes freeze at step 39 and two at 43, the frozen
+        # ones riding along while the rest iterate
         density = _density(eps)
         nodes = make_radial_mesh(eps, n_bulk, n_collar)
         forms = _mesh_forms(density, nodes)
@@ -344,11 +345,10 @@ class TestPencil:
         S[:, :, 0] = 1.0  # decoupled pads: S = 1, M = 0
         for Si, Mi, (Sk, Mk) in zip(S, M, bands):
             Si[:len(Sk)], Mi[:len(Mk)] = Sk, Mk
-        deflate = [_deflation(k, nodes) for k in modes]
-        stacked = _solve_pencil(S, M, count, deflate)
+        stacked = _solve_pencil(S, M, count, [k == 0 for k in modes])
         assert len(stacked) == len(bands)
-        for k, (Sk, Mk), c, got in zip(modes, bands, deflate, stacked):
-            alone = _solve_pencil(Sk[None], Mk[None], count, [c])[0]
+        for k, (Sk, Mk), got in zip(modes, bands, stacked):
+            alone = _solve_pencil(Sk[None], Mk[None], count, [k == 0])[0]
             assert len(alone) == min(count, len(Sk)), k
             assert np.array_equal(got, alone), k
 
@@ -365,15 +365,14 @@ class TestPencil:
         forms = _mesh_forms(density, nodes)
         for k in range(3):
             S, M = _mode_matrices(k, 1.0, forms)
-            deflate = _deflation(k, nodes)
             Sd, Md = band_to_dense(S), band_to_dense(M)
             Ri = mp.inverse(mp.cholesky(mp.matrix(Md.tolist())))
             A = Ri * mp.matrix(Sd.tolist()) * Ri.T
             ref = sorted(mp.eigsy((A + A.T) / 2, eigvals_only=True))[:6]
             ref = np.array([float(x) for x in ref])
             errors = []
-            for ev in (_solve_pencil(S[None], M[None], 6, [deflate])[0],
-                       dense_pencil(Sd, Md, 6, deflate)):
+            for ev in (_solve_pencil(S[None], M[None], 6, [k == 0])[0],
+                       dense_pencil(Sd, Md, 6, _oracle_kernel(k, nodes))):
                 skip = 1 if k == 0 else 0  # the exact 0 against a roundoff-sized reference
                 errors.append(np.max(np.abs(ev[skip:] - ref[skip:]) / ref[skip:]))
             assert errors[0] <= 2.0 * errors[1], (k, errors)
