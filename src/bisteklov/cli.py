@@ -3,9 +3,10 @@
 Subcommands cover the main computations: ball spectra, the Galerkin solve on a
 star-shaped domain, Hadamard shape derivatives with optional finite-difference
 validation, criticality residuals, the concentrated-mass sweep, and the
-isoperimetric scans.  CSV floats use 12 significant digits in scientific
-notation; JSON floats carry 17 significant digits.  Output is deterministic:
-identical invocations produce identical bytes.
+isoperimetric scans.  Each subcommand returns its report; `run` writes it to
+stdout or to the `--output` file and maps errors to exit codes.  CSV floats use
+12 significant digits in scientific notation; JSON floats carry 17 significant
+digits.  Output is deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ from .steklov_solver import _RULE_GRID, assemble, boundary_rule_size, make_trial
 _DOMAIN_KEYS = {f.name for f in dataclasses.fields(StarDomain)}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_domain(path: str) -> StarDomain:
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise DomainValidationError(f"cannot read domain file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond int()'s digit limit
         raise DomainValidationError(f"domain file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DomainValidationError("domain file must hold an object with an 'a0' field")
@@ -51,11 +56,16 @@ def _load_domain(path: str) -> StarDomain:
         raise DomainValidationError(f"unknown domain fields: {', '.join(unknown)}")
     if "a0" not in raw:
         raise DomainValidationError("domain file is missing the required field 'a0'")
+    for key, value in raw.items():  # StarDomain would take "12" or true as numbers
+        if key == "a0" and not _is_number(value):
+            raise DomainValidationError("domain field 'a0' must be a number")
+        if key != "a0" and not (isinstance(value, list) and all(map(_is_number, value))):
+            raise DomainValidationError(f"domain field '{key}' must be a list of numbers")
     try:
         return StarDomain(**raw)
     except DomainValidationError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainValidationError(f"malformed domain field: {exc}") from exc
 
 
@@ -130,13 +140,19 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_ball_spectrum(args) -> int:
+def _csv(header: str, rows) -> str:
+    """A header line and one line per row; floats in _fnum's format, the rest by str."""
+    lines = (",".join(_fnum(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _json_report(domain: StarDomain, args, **fields) -> str:
+    return _json_value({"domain": dataclasses.asdict(domain), "tau": args.tau, **fields}) + "\n"
+
+
+def _cmd_ball_spectrum(args) -> str:
     spectrum = sorted_spectrum(args.dim, args.tau, args.count)
-    lines = ["index,eigenvalue,angular_order"]
-    for j, lam, order in spectrum.flatten():
-        lines.append(f"{j},{_fnum(lam)},{order}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _csv("index,eigenvalue,angular_order", spectrum.flatten())
 
 
 def _solve_for(args, domain: StarDomain, field_modes: int = 0):
@@ -146,96 +162,51 @@ def _solve_for(args, domain: StarDomain, field_modes: int = 0):
     return solve(assemble(domain, args.tau, basis, n_boundary=n_boundary))
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> str:
     domain = _load_domain(args.domain)
     solution = _solve_for(args, domain)
-    d = solution.diagnostics
-    doc = {
-        "domain": dataclasses.asdict(domain),
-        "tau": args.tau,
-        "k_max": args.kmax,
-        "eigenvalues": [float(v) for v in solution.eigenvalues],
-        "clusters": [list(c) for c in solution.clusters],
-        "diagnostics": {
-            "basis_size": d.basis_size,
-            "filtered_dimension": d.filtered_dimension,
-            "b_null_count": d.b_null_count,
-            "gram_condition": d.gram_condition,
-        },
-    }
-    _emit(_json_value(doc) + "\n", args.output)
-    return 0
+    return _json_report(domain, args, k_max=args.kmax,
+                        eigenvalues=[float(v) for v in solution.eigenvalues],
+                        clusters=[list(c) for c in solution.clusters],
+                        diagnostics=dataclasses.asdict(solution.diagnostics))
 
 
-def _cmd_shape_derivative(args) -> int:
+def _cmd_shape_derivative(args) -> str:
     domain = _load_domain(args.domain)
     field = _parse_field(args.field, domain)
     solution = _solve_for(args, domain, field.max_mode)
     F = _resolve_F(args.F, solution)
     deriv = hadamard_derivative(solution, F, args.s, field)
-    doc = {
-        "domain": dataclasses.asdict(domain),
-        "tau": args.tau,
-        "F": list(F),
-        "s": args.s,
-        "field": args.field,
-        "hadamard": deriv,
-    }
+    fd = {}
     if args.validate_fd:
-        fd = fd_derivative(solution, F, args.s, field)
-        doc["fd_steps"] = list(fd.steps)
-        doc["fd_estimates"] = list(fd.estimates)
-        doc["fd_extrapolated"] = fd.extrapolated
-        doc["fd_discrepancy"] = abs(deriv - fd.extrapolated)
-    _emit(_json_value(doc) + "\n", args.output)
-    return 0
+        result = fd_derivative(solution, F, args.s, field)
+        fd = {f"fd_{k}": v for k, v in dataclasses.asdict(result).items()}
+        fd["fd_discrepancy"] = abs(deriv - result.extrapolated)
+    return _json_report(domain, args, F=list(F), s=args.s, field=args.field, hadamard=deriv, **fd)
 
 
-def _cmd_criticality(args) -> int:
+def _cmd_criticality(args) -> str:
     domain = _load_domain(args.domain)
     solution = _solve_for(args, domain)
     F = _resolve_F(args.F, solution)
     c_best, residual = criticality_residual(solution, F)  # validates F
     lam_f = float(np.mean(solution.eigenvalues[[j - 1 for j in F]]))
-    doc = {
-        "domain": dataclasses.asdict(domain),
-        "tau": args.tau,
-        "F": list(F),
-        "lambda_F": lam_f,
-        "c_best": c_best,
-        "residual": residual,
-    }
-    _emit(_json_value(doc) + "\n", args.output)
-    return 0
+    return _json_report(domain, args, F=list(F), lambda_F=lam_f, c_best=c_best, residual=residual)
 
 
-def _cmd_concentration(args) -> int:
+def _cmd_concentration(args) -> str:
     eps_list = _parse_float_list(args.eps, "eps")
     _check_mode_cap(args.modes)  # before the indexes 1..J are built
-    j_list = list(range(1, args.modes + 1))
-    rows = convergence_sweep(args.tau, eps_list, j_list,
+    rows = convergence_sweep(args.tau, eps_list, range(1, args.modes + 1),
                              n_bulk=args.mesh_bulk, n_collar=args.mesh_collar)
-    lines = ["eps,j,lambda_eps,lambda_limit,abs_error"]
-    for r in rows:
-        lines.append(
-            f"{_fnum(r.eps)},{r.j},{_fnum(r.lambda_eps)},{_fnum(r.lambda_limit)},{_fnum(r.abs_error)}"
-        )
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _csv("eps,j,lambda_eps,lambda_limit,abs_error", map(dataclasses.astuple, rows))
 
 
-def _cmd_iso_scan(args) -> int:
+def _cmd_iso_scan(args) -> str:
     parameters = _parse_float_list(args.params, "parameter") if args.params is not None else None
     result = iso_scan(args.family, parameters, tau=args.tau, mode=args.mode, k_max=args.kmax)
-    lines = ["family,parameter,area,tau,lambda2,ball_bound,margin"]
-    for r in result.rows:
-        lines.append(
-            f"{r.family},{_fnum(r.parameter)},{_fnum(r.area)},{_fnum(r.tau)},"
-            f"{_fnum(r.lambda2)},{_fnum(r.ball_bound)},{_fnum(r.margin)}"
-        )
-    lines.append(f"verdict,{'PASS' if result.verdict else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    rows = [*map(dataclasses.astuple, result.rows), ("verdict", "PASS" if result.verdict else "FAIL")]
+    return _csv("family,parameter,area,tau,lambda2,ball_bound,margin", rows)
 
 
 @functools.cache
@@ -252,14 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2, help="space dimension N (default 2)")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--count", type=int, required=True, help="number of eigenvalues")
-    p.add_argument("--output", help="write to file instead of stdout")
     p.set_defaults(fn=_cmd_ball_spectrum)
 
     p = sub.add_parser("solve", help="Galerkin spectrum on a star-shaped domain")
     p.add_argument("--domain", required=True, help="JSON file with a0/cos_coeffs/sin_coeffs/center")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("shape-derivative", help="Hadamard derivative of a symmetric eigenvalue function")
@@ -272,16 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="normal velocity: const, cosK or sinK")
     p.add_argument("--validate-fd", action="store_true", dest="validate_fd",
                    help="also compute central finite differences of the assembled pencil")
-    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_shape_derivative)
 
     p = sub.add_parser("criticality", help="boundary criticality residual of an eigenvalue cluster")
     p.add_argument("--domain", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--F", default="AUTO")
-    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_criticality)
 
     p = sub.add_parser("concentration", help="concentrated-mass plate eigenvalues against their limits")
@@ -290,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=6, help="report indexes 1..J (default 6)")
     p.add_argument("--mesh-bulk", type=int, default=40, dest="mesh_bulk")
     p.add_argument("--mesh-collar", type=int, default=8, dest="mesh_collar")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_concentration)
 
     p = sub.add_parser("iso-scan", help="fixed-area family scan against the equal-area disk")
@@ -299,9 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="comma-separated amplitudes or aspect ratios")
     p.add_argument("--mode", type=int, help="cosine mode of perturbed_disk (default 3); "
                    "ellipse_like takes none")
-    p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_iso_scan)
+
+    # options shared by several subcommands, after each one's own
+    for name, p in sub.choices.items():
+        if name in ("solve", "shape-derivative", "criticality", "iso-scan"):
+            p.add_argument("--kmax", type=int, default=10, help="angular order cutoff (default 10)")
+        p.add_argument("--output", help="write to file instead of stdout")
 
     return parser
 
@@ -315,7 +282,8 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         with single_blas_thread():
-            return args.fn(args)
+            _emit(args.fn(args), args.output)
+        return 0
     except DomainValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

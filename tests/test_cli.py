@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -430,6 +431,17 @@ class TestIsoScan:
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--mode", "3")
 
 
+# one small call of each subcommand; DISK stands for the unit disk's domain file
+SMALL_CALLS = [
+    ["ball-spectrum", "--tau", "1.0", "--count", "3"],
+    ["solve", "--domain", "DISK", "--tau", "1.0", "--kmax", "3"],
+    ["shape-derivative", "--domain", "DISK", "--tau", "1.0", "--field", "const", "--kmax", "3"],
+    ["criticality", "--domain", "DISK", "--tau", "1.0", "--kmax", "3"],
+    ["concentration", "--tau", "1.0", "--eps", "0.1", "--modes", "2"],
+    ["iso-scan", "--family", "perturbed_disk", "--tau", "1.0", "--params", "0.0", "--kmax", "3"],
+]
+
+
 class TestExitCodes:
     def test_unknown_domain_key(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -471,6 +483,24 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"a0": 1.0, "center": %s}\n' % center)
         code, out, err = run_cli(capsys, "solve", "--domain", str(bad), "--tau", "1.0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"a0": 5, "cos_coeffs": "12"}',  # once solved as 5 + cos + 2 cos 2
+        '{"a0": true, "center": "00"}',  # once solved as the unit disk
+        '{"a0": "1"}',
+        '{"a0": 1, "sin_coeffs": [true]}',
+        '{"a0": 1, "center": [0, false]}',
+        '{"a0": 1%s}' % ("0" * 400),  # once an OverflowError traceback
+        '{"a0": 1%s}' % ("0" * 5000),  # beyond int()'s digit limit: once a ValueError traceback
+    ], ids=["string-coeffs", "bool-a0", "string-a0", "bool-coeff", "bool-center",
+            "int-overflow", "int-digit-limit"])
+    def test_domain_values_must_be_numbers(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "solve", "--domain", str(bad), "--tau", "1.0", "--kmax", "3")
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
@@ -557,14 +587,7 @@ class TestExitCodes:
         assert "finite" in err
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
-    @pytest.mark.parametrize("command", [
-        ["ball-spectrum", "--tau", "1.0", "--count", "3"],
-        ["solve", "--domain", "DISK", "--tau", "1.0", "--kmax", "3"],
-        ["shape-derivative", "--domain", "DISK", "--tau", "1.0", "--field", "const", "--kmax", "3"],
-        ["criticality", "--domain", "DISK", "--tau", "1.0", "--kmax", "3"],
-        ["concentration", "--tau", "1.0", "--eps", "0.1", "--modes", "2"],
-        ["iso-scan", "--family", "perturbed_disk", "--tau", "1.0", "--params", "0.0", "--kmax", "3"],
-    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("command", SMALL_CALLS, ids=lambda c: c[0])
     def test_unwritable_output(self, capsys, tmp_path, disk_file, command, target):
         # once a FileNotFoundError or IsADirectoryError traceback
         argv = [disk_file if a == "DISK" else a for a in command]
@@ -643,6 +666,39 @@ class TestExitCodes:
             "--F", "2", "--field", "const",
         )
         assert code == 2
+
+
+# every subcommand's options in their order in --help: --kmax on the four Galerkin
+# subcommands, --output on all six
+HELP_OPTIONS = {
+    "ball-spectrum": ["-h", "--dim", "--tau", "--count", "--output"],
+    "solve": ["-h", "--domain", "--tau", "--kmax", "--output"],
+    "shape-derivative": ["-h", "--domain", "--tau", "--F", "--s", "--field", "--validate-fd",
+                         "--kmax", "--output"],
+    "criticality": ["-h", "--domain", "--tau", "--F", "--kmax", "--output"],
+    "concentration": ["-h", "--tau", "--eps", "--modes", "--mesh-bulk", "--mesh-collar", "--output"],
+    "iso-scan": ["-h", "--family", "--tau", "--params", "--mode", "--kmax", "--output"],
+}
+
+
+class TestSingleWriter:
+    @pytest.mark.parametrize("command", SMALL_CALLS, ids=lambda c: c[0])
+    def test_output_file_holds_the_printed_bytes(self, capsys, tmp_path, disk_file, command):
+        argv = [disk_file if a == "DISK" else a for a in command]
+        code, printed, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and printed
+        target = tmp_path / "report.txt"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == "" and err == ""
+        assert target.read_bytes() == printed.encode()
+
+    @pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+    def test_help_lists_the_options_in_order(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        options = re.findall(r"^  (--?[\w-]+)", out.split("\noptions:\n", 1)[1], re.M)
+        assert options == HELP_OPTIONS[command]
 
 
 @pytest.fixture
