@@ -70,7 +70,7 @@ def _banded_lapack():
     pbtrf.argtypes = [ctypes.c_char_p, int_, int_, ctypes.c_void_p, int_, int_, ctypes.c_size_t]
     # dtbtrs(uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info) gets no argtypes:
     # converting against them cost about 2 us a call, a tenth of a 40/8 plate solve
-    # (2 CPUs, Xeon).  `band_solver` builds each argument as a ctypes object of its
+    # (2 CPUs, Xeon).  `cholesky_band` builds each argument as a ctypes object of its
     # type instead, once per factor
     return pbtrf, tbtrs
 
@@ -81,60 +81,47 @@ def _ints(*values):
 
 
 def cholesky_band(ab):
-    """Cholesky factor L of a symmetric positive definite matrix A, both as lower bands.
+    """Cholesky factor L of a symmetric positive definite A, both as lower bands, and L's solver.
 
     Row i of the (n, kd + 1) band holds A[i, i] .. A[i + kd, i]; C-contiguous, it
     is LAPACK's column-major lower band with ldab = kd + 1, so a float64 one is
-    factored in place.  Returns L's band; raises LinAlgError naming the first
-    leading minor that is not positive definite.  Runs LAPACK's dpbtrf from
-    numpy's OpenBLAS, or from scipy on a numpy built without one.
+    factored in place.  Returns (L, solve) with solve(b, trans) = L^-1 b (trans
+    "N") or L^-T b (trans "T") for a vector b of L's order, left as it is; raises
+    LinAlgError naming the first leading minor that is not positive definite.
+    solve needs no zero on L's diagonal; its arguments are set up once, for the
+    many solves of an iteration, and it writes into its own buffer, so it serves
+    one thread at a time.  LAPACK's dpbtrf and dtbtrs run from numpy's OpenBLAS,
+    or from scipy on a numpy built without them.
     """
     ab = np.require(ab, np.float64, ["C", "W"])
+    n, kd1 = ab.shape
     if (lapack := _banded_lapack()) is None:
-        from scipy.linalg.lapack import dpbtrf
+        from scipy.linalg.lapack import dpbtrf, dtbtrs
 
         c, info = dpbtrf(ab.T, lower=1, overwrite_ab=1)
         ab = c.T
+
+        def solve(b, trans: str):
+            return dtbtrs(c, b.reshape(n, 1), uplo="L", trans=trans)[0][:, 0]
     else:
-        info = ctypes.c_int64()
-        n, kd1 = ab.shape
+        x, info = np.empty(n), ctypes.c_int64()
         lapack[0](b"L", *_ints(n, kd1 - 1), ab.ctypes.data, *_ints(kd1), ctypes.byref(info), 1)
         info = info.value
+        one = ctypes.c_size_t(1)  # the hidden length of each character argument
+        # the data_as pointers keep ab and x alive
+        args = (*_ints(n, kd1 - 1, 1), ab.ctypes.data_as(ctypes.c_void_p), *_ints(kd1),
+                x.ctypes.data_as(ctypes.c_void_p), *_ints(max(n, 1)), ctypes.byref(ctypes.c_int64()),
+                one, one, one)
+
+        def solve(b, trans: str):
+            x[:] = b
+            lapack[1](b"L", trans.encode(), b"N", *args)
+            return x.copy()
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-    return ab
-
-
-def band_solver(lb):
-    """solve(b, trans) = L^-1 b (trans "N") or L^-T b (trans "T") for the lower-triangular L
-    whose band `cholesky_band` returned, with no zero on its diagonal.
-
-    b is a vector of L's order, left as it is.  The sizes and pointers are set up
-    once per factor, for the many solves of an iteration; a solver writes into its
-    own buffer, so it serves one thread at a time.  Runs LAPACK's dtbtrs from
-    numpy's OpenBLAS, or from scipy on a numpy built without one.
-    """
-    lb = np.require(lb, np.float64, ["C"])
-    n, kd1 = lb.shape
-    if (lapack := _banded_lapack()) is None:
-        from scipy.linalg.lapack import dtbtrs
-
-        return lambda b, trans: dtbtrs(lb.T, b.reshape(n, 1), uplo="L", trans=trans)[0][:, 0]
-    x = np.empty(n)
-    one = ctypes.c_size_t(1)  # the hidden length of each character argument
-    # the data_as pointers keep lb and x alive
-    args = (*_ints(n, kd1 - 1, 1), lb.ctypes.data_as(ctypes.c_void_p), *_ints(kd1),
-            x.ctypes.data_as(ctypes.c_void_p), *_ints(max(n, 1)), ctypes.byref(ctypes.c_int64()),
-            one, one, one)
-
-    def solve(b, trans: str):
-        x[:] = b
-        lapack[1](b"L", trans.encode(), b"N", *args)
-        return x.copy()
-
-    return solve
+    return ab, solve
 
 
 @contextlib.contextmanager
@@ -146,8 +133,8 @@ def single_blas_thread():
     thread makes the printed bytes independent of the caller's setting.  The
     count is process-wide, so this suits code that calls BLAS from one Python
     thread, as every subcommand does.  It covers LAPACK from numpy's OpenBLAS
-    too, the plate solver's `cholesky_band` and `band_solver` among it.  Under
-    another BLAS it does nothing.
+    too, the plate solver's `cholesky_band` and the solves it returns among it.
+    Under another BLAS it does nothing.
     """
     calls = _openblas_thread_calls()
     before = calls[0]() if calls else 1

@@ -5,8 +5,9 @@ star-shaped domain, Hadamard shape derivatives with optional finite-difference
 validation, criticality residuals, the concentrated-mass sweep, and the
 isoperimetric scans.  Each subcommand returns its report; `run` writes it to
 stdout or to the `--output` file and maps errors to exit codes.  CSV floats use
-12 significant digits in scientific notation; JSON floats carry 17 significant
-digits.  Output is deterministic: identical invocations produce identical bytes.
+12 significant digits in scientific notation; JSON floats are Python's shortest
+repr that reads back to the same double.  Output is deterministic: identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -114,21 +115,6 @@ def _fnum(x: float) -> str:
     return "%.12e" % float(x)
 
 
-def _json_value(x):
-    if isinstance(x, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in x.items())
-        return "{" + items + "}"
-    if isinstance(x, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in x) + "]"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return json.dumps(x)
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         try:
@@ -147,7 +133,7 @@ def _csv(header: str, rows) -> str:
 
 
 def _json_report(domain: StarDomain, args, **fields) -> str:
-    return _json_value({"domain": dataclasses.asdict(domain), "tau": args.tau, **fields}) + "\n"
+    return json.dumps({"domain": dataclasses.asdict(domain), "tau": args.tau, **fields}) + "\n"
 
 
 def _cmd_ball_spectrum(args) -> str:

@@ -19,7 +19,7 @@ eigenvalues the merged spectrum keeps have converged.  Mode 0's constant spans t
 kernel of its stiffness: that eigenvalue, the top of its pencil, is returned as 0.0.
 
 The banded factor and solves are LAPACK's, called from numpy's own OpenBLAS
-(`_util.cholesky_band`, `_util.band_solver`): the plate solver runs on numpy alone.
+(`_util.cholesky_band`, which returns both): the plate solver runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._util import band_solver, cholesky_band
+from ._util import cholesky_band
 from .ball_spectrum import sorted_spectrum
 from .errors import DomainValidationError, NumericalError
 
@@ -193,7 +193,7 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, zeros):
     dims = np.count_nonzero(M[:, :, 0], axis=1)  # each mode's DOFs, ahead of its pads
     D = M.transpose(2, 0, 1).reshape(_BAND, -1)  # M's diagonals, run on across modes
     try:
-        L = cholesky_band((S + M).reshape(-1, _BAND))
+        L, solve = cholesky_band((S + M).reshape(-1, _BAND))  # solve waits for the pivot check
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pencil factorization failed: {exc}") from exc
     spread = []  # of each mode's squared pivots: max/min <= cond(S + M)
@@ -203,7 +203,6 @@ def _solve_pencil(S: np.ndarray, M: np.ndarray, count: int, zeros):
             raise NumericalError("pencil matrix S + M is singular to working precision "
                                  f"(squared pivots span {hi / lo:.1e})")
         spread.append(hi / lo)
-    solve = band_solver(L)  # the pivot check left no zero on L's diagonal
 
     def dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]

@@ -227,6 +227,9 @@ def boundary_rule_size(domain: StarDomain, basis: TrialBasis, field_modes: int =
     s = 1.0 + series_tail(float(k), 0.25 * basis.tau * r * r)  # increasing in r
     e = (r / r.max()) ** k * (s / s.max())
     spectrum = np.abs(np.fft.rfft(e * e * np.sqrt(r * r + r1 * r1)))
+    if not 0.0 < spectrum[0] < math.inf:  # r * r under- or overflows
+        raise NumericalError(f"cannot size the boundary rule: the squared top-order trace "
+                             f"sums to {spectrum[0]} on this domain")
     band = int(np.flatnonzero(spectrum > _RULE_SPECTRUM_TOL * spectrum[0])[-1])
     n = 32 * math.ceil(1.25 * 2 * (band + 2 * k + 4 + field_modes) / 32)
     return max(min(max(n, min_nodes(domain, field_modes)), _RULE_GRID), 64, basis.size)
@@ -250,8 +253,11 @@ def assemble(
         )
     if n_boundary is None:
         n_boundary = boundary_rule_size(domain, basis)
-    ev = _evaluate(domain, basis, n_boundary)
-    A, B = _trefftz_forms(ev)
+    with np.errstate(all="ignore"):  # an overflowing basis is refused below, without warnings
+        ev = _evaluate(domain, basis, n_boundary)
+        A, B = _trefftz_forms(ev)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise NumericalError(f"the trial basis overflows on this domain at k_max={basis.k_max}")
     return AssembledForms(stiffness=A, boundary_mass=B, boundary=ev)
 
 

@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisteklov import (
-    StarDomain, _util, assemble, concentration, make_family, make_trial_basis, solve,
-    sorted_spectrum,
+    PerturbationField, StarDomain, _util, assemble, boundary_rule_size, concentration,
+    criticality_residual, fd_derivative, hadamard_derivative, make_family, make_trial_basis,
+    solve, sorted_spectrum,
 )
 from bisteklov.cli import run
 
@@ -701,6 +702,39 @@ class TestSingleWriter:
         assert options == HELP_OPTIONS[command]
 
 
+def test_json_numbers_read_back_bit_for_bit(capsys):
+    # each float of the three JSON reports parses to the double the library computed
+    path = DOMAINS / "perturbed.json"
+    domain, field = StarDomain(**json.loads(path.read_text())), PerturbationField(cos_coeffs=(0.0, 1.0))
+    docs = {}
+    for command, *extra in (("solve",), ("criticality",),
+                            ("shape-derivative", "--field", "cos2", "--validate-fd")):
+        code, out, err = run_cli(capsys, command, "--domain", str(path), "--tau", "0.1", *extra)
+        assert code == 0, err
+        docs[command] = json.loads(out)
+    basis = make_trial_basis(10, 0.1)
+    with _util.single_blas_thread():  # as cli.run computes
+        base, on_field = (solve(assemble(domain, 0.1, basis,
+                                         n_boundary=boundary_rule_size(domain, basis, modes)))
+                          for modes in (0, field.max_mode))
+        lo, hi = base.cluster_of(2)
+        lambda_F = float(np.mean(base.eigenvalues[lo - 1:hi]))
+        c_best, residual = criticality_residual(base, tuple(range(lo, hi + 1)))
+        lo, hi = on_field.cluster_of(2)
+        F = tuple(range(lo, hi + 1))
+        hadamard = hadamard_derivative(on_field, F, 1, field)
+        fd = fd_derivative(on_field, F, 1, field)
+    assert docs["solve"]["eigenvalues"] == base.eigenvalues.tolist()
+    assert docs["solve"]["diagnostics"]["gram_condition"] == base.diagnostics.gram_condition
+    doc = docs["criticality"]
+    assert (doc["lambda_F"], doc["c_best"], doc["residual"]) == (lambda_F, c_best, residual)
+    doc = docs["shape-derivative"]
+    assert doc["hadamard"] == hadamard
+    assert doc["fd_steps"] == list(fd.steps) and doc["fd_estimates"] == list(fd.estimates)
+    assert doc["fd_extrapolated"] == fd.extrapolated
+    assert doc["fd_discrepancy"] == abs(hadamard - fd.extrapolated)
+
+
 @pytest.fixture
 def work_counts(monkeypatch):
     """Calls of the solver's assembly, basis evaluation and solve, in every module holding them."""
@@ -765,24 +799,34 @@ def test_module_entry_point():
     assert len(lines) == 7
 
 
-@pytest.mark.parametrize("argv", [
-    ["iso-scan", "--family", "ellipse_like", "--tau", "1", "--params", "inf"],
-    ["iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "1e308"],
-    ["solve", "--tau", "1", "--domain", "OVERFLOWING"],
-])
-def test_overflowing_input_prints_its_error_alone(tmp_path, argv):
-    # samples that overflow are refused with no numpy RuntimeWarning before the error
-    domain = tmp_path / "overflowing.json"
-    domain.write_text('{"a0": 1, "cos_coeffs": [1e308, 1e308]}\n')
-    argv = [str(domain) if a == "OVERFLOWING" else a for a in argv]
+@pytest.mark.parametrize("argv,domain,code,prefix", [
+    (["iso-scan", "--family", "ellipse_like", "--tau", "1", "--params", "inf"], None, 2, "error: "),
+    (["iso-scan", "--family", "perturbed_disk", "--tau", "1", "--params", "1e308"], None, 2,
+     "error: "),
+    (["solve", "--tau", "1"], {"a0": 1, "cos_coeffs": [1e308, 1e308]}, 2, "error: "),
+    # rows (x + iy)^k and their products beyond the float range: the forms hold inf and NaN
+    (["solve", "--tau", "1e-6", "--kmax", "100"], {"a0": 50}, 1,
+     "numerical failure: the trial basis overflows"),
+    (["solve", "--tau", "1", "--kmax", "400"], {"a0": 3, "cos_coeffs": [0, 0.2]}, 1,
+     "numerical failure: the trial basis overflows"),
+    # r * r underflows: the rule-sizing spectrum is all 0
+    (["solve", "--tau", "1", "--kmax", "2"], {"a0": 1e-200}, 1,
+     "numerical failure: cannot size the boundary rule"),
+], ids=[f"argv{i}" for i in range(6)])
+def test_overflowing_input_prints_its_error_alone(tmp_path, argv, domain, code, prefix):
+    # inputs out of the float range are refused with no numpy RuntimeWarning before the error
+    if domain is not None:
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(domain))
+        argv = [*argv, "--domain", str(path)]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "bisteklov", *argv],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
+    assert proc.returncode == code
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
 
 def test_no_subcommand_loads_scipy():
@@ -940,6 +984,8 @@ def scratch_dir(tmp_path_factory):
 # lambda_F was read before F was checked against the computed indexes (IndexError)
 @example(argv=["criticality", "--tau", "3", "--domain", "{domain}", "--kmax", "1", "--F", "18"],
          domain={"a0": 0.45})
+# r * r underflowed on a tiny domain: the rule-sizing spectrum was empty above 0 (IndexError)
+@example(argv=["solve", "--tau", "1", "--domain", "{domain}", "--kmax", "2"], domain={"a0": 1e-200})
 def test_any_invocation_exits_cleanly(scratch_dir, argv, domain):
     path = scratch_dir / "domain.json"
     path.write_text(json.dumps(domain))

@@ -401,11 +401,10 @@ class TestBandLapack:
             pytest.skip("numpy's BLAS exports no 64-bit integer dpbtrf and dtbtrs")
         K = _stacked_band(n_bulk, n_collar, 0.2)
         want = cholesky_banded(K.T, lower=True).T
-        L = _util.cholesky_band(K.copy())
+        L, solve = _util.cholesky_band(K.copy())
         assert np.array_equal(L, want)
         b = np.random.default_rng(1).standard_normal(len(K))
         b0 = b.copy()
-        solve = _util.band_solver(L)
         for trans in "NT":
             x = solve(b, trans)
             assert np.array_equal(x, dtbtrs(want.T, b0[:, None], uplo="L", trans=trans)[0][:, 0])
