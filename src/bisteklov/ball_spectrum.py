@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainValidationError, NumericalError
+from .errors import DomainValidationError
 from .special_functions import _check_tau, series_derivatives
 
 
@@ -87,37 +87,23 @@ def eigenvalue_of_order(l, N: int, tau: float):
 
 
 @dataclass(frozen=True)
-class SpectrumEntry:
-    eigenvalue: float
-    angular_order: int
-    index_range: tuple[int, int]  # 1-based, inclusive
-
-
-@dataclass(frozen=True)
 class SortedSpectrum:
-    """Ball spectrum listed in ascending order with angular orders and index ranges."""
+    """The first j_max ball eigenvalues in ascending order, multiplicities counted, with the
+    angular order of each; equal eigenvalues are listed by ascending order."""
 
-    N: int
-    tau: float
-    j_max: int
-    entries: tuple[SpectrumEntry, ...]
+    eigenvalues: np.ndarray
+    angular_orders: np.ndarray
 
     def eigenvalue(self, j: int) -> float:
         """The j-th smallest eigenvalue (1-based, multiplicities counted)."""
-        if j < 1 or j > self.j_max:
-            raise DomainValidationError(f"index {j} outside 1..{self.j_max}")
-        for e in self.entries:
-            if e.index_range[0] <= j <= e.index_range[1]:
-                return e.eigenvalue
-        raise NumericalError(f"index {j} not covered; spectrum enumeration bug")
+        if not 1 <= j <= len(self.eigenvalues):
+            raise DomainValidationError(f"index {j} outside 1..{len(self.eigenvalues)}")
+        return float(self.eigenvalues[j - 1])
 
     def flatten(self) -> list[tuple[int, float, int]]:
         """Rows (index, eigenvalue, angular_order) for indexes 1..j_max."""
-        out = []
-        for e in self.entries:
-            for j in range(e.index_range[0], min(e.index_range[1], self.j_max) + 1):
-                out.append((j, e.eigenvalue, e.angular_order))
-        return out
+        return list(zip(range(1, len(self.eigenvalues) + 1), self.eigenvalues.tolist(),
+                        self.angular_orders.tolist()))
 
 
 def sorted_spectrum(N: int, tau: float, j_max: int) -> SortedSpectrum:
@@ -126,22 +112,17 @@ def sorted_spectrum(N: int, tau: float, j_max: int) -> SortedSpectrum:
     lambda_(1) = tau lies below lambda_(2), and lambda_(l) increases in l for
     l >= 2, so the orders up to the first l >= 2 whose multiplicities bring the
     count to j_max hold the j_max smallest eigenvalues.  They are evaluated in one
-    call and sorted.
+    call, sorted stably and repeated by their multiplicities.
     """
     _check_tau(tau)
     if j_max < 1:
         raise DomainValidationError(f"j_max must be >= 1, got {j_max}")
-    mults: list[int] = []
+    mults: list[int] = []  # each capped at j_max, which is all a repeat count needs
     count = 0
     while len(mults) < 3 or count < j_max:
-        mults.append(multiplicity_of_order(len(mults), N))
+        mults.append(min(multiplicity_of_order(len(mults), N), j_max))
         count += mults[-1]
-    lams = eigenvalue_of_order(np.arange(len(mults)), N, tau).tolist()
-    entries = []
-    start = 1
-    for lam, order, mult in sorted(zip(lams, range(len(mults)), mults)):
-        if start > j_max:
-            break
-        entries.append(SpectrumEntry(lam, order, (start, start + mult - 1)))
-        start += mult
-    return SortedSpectrum(N, tau, j_max, tuple(entries))
+    lams = eigenvalue_of_order(np.arange(len(mults)), N, tau)
+    by_value = np.argsort(lams, kind="stable")
+    orders = np.repeat(by_value, np.array(mults)[by_value])[:j_max]
+    return SortedSpectrum(lams[orders], orders)

@@ -277,13 +277,10 @@ def merged_spectrum(tau: float, eps: float, j_max: int, n_bulk: int = 40,
     for Si, Mi, (Sk, Mk) in zip(S, M, bands):
         Si[:len(Sk)], Mi[:len(Mk)] = Sk, Mk
     spectra = _solve_pencil(S, M, j_max, [True] + [False] * _K_CAP)
-    vals: list[float] = []
-    for k, ev in enumerate(spectra):
-        vals.extend([float(lam) for lam in ev] * (1 if k == 0 else 2))
-    vals.sort()
+    vals = np.sort(np.concatenate([spectra[0], *(np.repeat(ev, 2) for ev in spectra[1:])]))
     if len(vals) < j_max:
         raise NumericalError("angular mode cap too small for requested index range")
-    return np.array(vals[:j_max])
+    return vals[:j_max]
 
 
 def _check_mode_cap(j_max: int) -> None:

@@ -83,10 +83,8 @@ def _check_cluster(solution: EigenSolution, F: tuple[int, ...], s: int):
 
 def _trace_integrand(solution: EigenSolution, F: tuple[int, ...], s: int = 1):
     """Rule weights and per-node density (its weighted integral against g gives the
-    derivative of e_s over the group F); None for the trivial group F = (1,)."""
+    derivative of e_s over the group F)."""
     F, w = _check_cluster(solution, F, s)
-    if F == (1,):
-        return None
     tau = solution.boundary.basis.tau
     lam = solution.eigenvalues[[j - 1 for j in F]]
     tr = eigenfunction_boundary_data(solution, F)
@@ -124,18 +122,17 @@ def hadamard_derivative(
         - boundary integral of [ sum_j w_j ( lambda_j (K v_j^2 + 2 v_j dv_j/dnu)
                                              - tau |grad v_j|^2 - |D^2 v_j|^2 ) ] g.
 
-    The trivial group F = {1} (lambda = 0, constant eigenfunction) has an
-    identically vanishing density and returns exactly 0.  The integral runs on the
-    solution's assembly rule; a field whose modes that rule cannot resolve together
-    with the domain's is rejected.
+    The trivial group F = {1} (lambda = 0, its column exactly the constant) has
+    zero gradient, Hessian and normal derivative, so its density is exactly 0 and
+    the derivative 0.0.  The integral runs on the solution's assembly rule; a
+    field whose modes that rule cannot resolve together with the domain's is
+    rejected.
     """
     n_nodes = solution.boundary.quad.weights.size
     _check_n_nodes(solution.boundary.domain, n_nodes, field.max_mode)
-    trace = _trace_integrand(solution, F, s)
-    if trace is None:
-        return 0.0
-    weights, density = trace
-    return -float(np.dot(weights, density * field.samples(n_nodes)))
+    weights, density = _trace_integrand(solution, F, s)
+    # 0.0 - x, not -x: the trivial group's density is exactly 0, and its derivative 0.0
+    return 0.0 - float(np.dot(weights, density * field.samples(n_nodes)))
 
 
 def criticality_residual(solution: EigenSolution, F: tuple[int, ...]) -> tuple[float, float]:
@@ -147,10 +144,7 @@ def criticality_residual(solution: EigenSolution, F: tuple[int, ...]) -> tuple[f
     residual = ||density - c_best||_rms / (|c_best| + 1), on the solution's
     assembly rule.
     """
-    trace = _trace_integrand(solution, F)
-    if trace is None:
-        return 0.0, 0.0
-    weights, density = trace
+    weights, density = _trace_integrand(solution, F)
     L = float(weights.sum())
     c_best = float(np.dot(weights, density) / L)
     dev = density - c_best

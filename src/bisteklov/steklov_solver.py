@@ -258,6 +258,9 @@ def assemble(
         A, B = _trefftz_forms(ev)
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise NumericalError(f"the trial basis overflows on this domain at k_max={basis.k_max}")
+    if not np.all(np.diag(A) + np.diag(B) > 0.0):  # solve scales by their square roots
+        raise NumericalError(f"the trial basis underflows on this domain at k_max={basis.k_max}: "
+                             f"a row (x + iy)^k has identically zero forms")
     return AssembledForms(stiffness=A, boundary_mass=B, boundary=ev)
 
 
@@ -309,16 +312,10 @@ class EigenSolution:
 
 def _detect_clusters(lam: np.ndarray) -> tuple[tuple[int, int], ...]:
     # near-degenerate groups: split where the gap exceeds the relative threshold.
-    # lambda_1 = 0.0 exactly (the constant), so it is split off from any lambda_2 > 0
-    clusters = []
-    lo = 0
-    for i in range(len(lam) - 1):
-        gap = lam[i + 1] - lam[i]
-        if gap > _CLUSTER_RELGAP * lam[i + 1]:
-            clusters.append((lo + 1, i + 1))
-            lo = i + 1
-    clusters.append((lo + 1, len(lam)))
-    return tuple(clusters)
+    # lambda_1 = 0.0 exactly (the constant), so it is split off from any lambda_2 > 0.
+    # Bounds stay Python ints, which json.dumps takes and np.int64 it refuses
+    cuts = [0, *(np.flatnonzero(np.diff(lam) > _CLUSTER_RELGAP * lam[1:]) + 1).tolist(), len(lam)]
+    return tuple(zip([lo + 1 for lo in cuts[:-1]], cuts[1:]))
 
 
 def solve(forms: AssembledForms) -> EigenSolution:
@@ -337,9 +334,7 @@ def solve(forms: AssembledForms) -> EigenSolution:
     only to 3.9e-10 (the disk pair at tau = 1e-12) or 2.3e-5 (at 1e-14).
     """
     A, B = forms.stiffness, forms.boundary_mass
-    d = np.sqrt(np.diag(A) + np.diag(B))
-    if not np.all(d > 0.0):
-        raise NumericalError("assembled forms have an identically zero basis direction")
+    d = np.sqrt(np.diag(A) + np.diag(B))  # positive, as assemble checks
     As = A / d[:, None] / d[None, :]
     Bs = B / d[:, None] / d[None, :]
 

@@ -67,8 +67,8 @@ def test_criterion_1_first_positive_ball_eigenvalue(capsys):
             spec = sorted_spectrum(N, tau, N + 2)
             lam2 = spec.eigenvalue(2)
             worst = max(worst, abs(lam2 - tau) / tau)
-            entry = spec.entries[1]
-            if entry.index_range != (2, N + 1) or spec.eigenvalue(N + 2) <= tau:
+            # indexes 2..N+1 hold order 1, and index N+2 opens order 2 above tau
+            if spec.angular_orders.tolist() != [0, *[1] * N, 2] or spec.eigenvalue(N + 2) <= tau:
                 mult_ok = False
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and mult_ok and elapsed < 1.0

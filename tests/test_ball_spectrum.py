@@ -243,13 +243,12 @@ class TestSortedSpectrum:
     def test_leading_structure(self):
         for N in (2, 3, 4):
             spec = sorted_spectrum(N, 1.5, 10)
-            first, second = spec.entries[0], spec.entries[1]
-            assert first.eigenvalue == 0.0
-            assert first.angular_order == 0
-            assert first.index_range == (1, 1)
-            assert second.eigenvalue == pytest.approx(1.5, rel=1e-13)
-            assert second.angular_order == 1
-            assert second.index_range == (2, 1 + N)
+            lam, orders = spec.eigenvalues, spec.angular_orders
+            assert len(lam) == len(orders) == 10
+            # index 1 is order 0 alone, indexes 2..N+1 share order 1, and index N+2 opens order 2
+            assert lam[0] == 0.0 and orders[0] == 0
+            assert np.all(orders[1:N + 1] == 1) and orders[N + 1] == 2
+            assert np.all(lam[1:N + 1] == lam[1]) and lam[N + 1] > lam[N]
             assert spec.eigenvalue(1) == 0.0
             assert spec.eigenvalue(2) == pytest.approx(1.5, rel=1e-13)
 
@@ -273,7 +272,8 @@ class TestSortedSpectrum:
         start = time.perf_counter()
         spec = sorted_spectrum(2, 1.0, 200_000)
         assert time.perf_counter() - start < 5.0
-        assert spec.entries[-1].angular_order == 100_000
+        assert len(spec.eigenvalues) == len(spec.angular_orders) == 200_000
+        assert spec.angular_orders[-1] == 100_000
 
     def test_ascending(self):
         flat = sorted_spectrum(2, 5.0, 30).flatten()

@@ -812,7 +812,10 @@ def test_module_entry_point():
     # r * r underflows: the rule-sizing spectrum is all 0
     (["solve", "--tau", "1", "--kmax", "2"], {"a0": 1e-200}, 1,
      "numerical failure: cannot size the boundary rule"),
-], ids=[f"argv{i}" for i in range(6)])
+    # rows (x + iy)^k underflow: a row's forms are identically zero
+    (["solve", "--tau", "1"], {"a0": 1e-15}, 1, "numerical failure: the trial basis underflows"),
+    (["solve", "--tau", "1"], {"a0": 1e-20}, 1, "numerical failure: the trial basis underflows"),
+], ids=[f"argv{i}" for i in range(8)])
 def test_overflowing_input_prints_its_error_alone(tmp_path, argv, domain, code, prefix):
     # inputs out of the float range are refused with no numpy RuntimeWarning before the error
     if domain is not None:

@@ -27,6 +27,7 @@ from bisteklov import (
     symmetric_function,
 )
 from bisteklov.geometry import min_nodes
+from bisteklov.shape_calculus import _trace_integrand
 from oracles import assembled_fd_derivative, tracked_fd_derivative
 
 DISK = StarDomain(a0=1.0)
@@ -195,10 +196,18 @@ class TestHadamardDerivative:
             d2 = hadamard_derivative(sol, (2, 3), 2, g)
             assert d2 == pytest.approx(-2.0 * tau**2, rel=1e-9)
 
-    def test_trivial_cluster_returns_zero(self):
-        sol = solved(DISK, 1.0)
-        g = PerturbationField(const=1.0)
-        assert hadamard_derivative(sol, (1,), 1, g) == 0.0
+    @pytest.mark.parametrize("tau", [1e-12, 1.0, 1000.0])
+    def test_trivial_cluster_returns_zero(self, tau):
+        # column 0 is exactly the constant, with no gradient, Hessian or normal derivative,
+        # so the density is exactly 0 and the derivative 0.0, not -0.0, also where the
+        # boundary curvature is negative
+        nonconvex = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.05, 0.2), center=(0.1, -0.05))
+        g = PerturbationField(const=1.0, cos_coeffs=(0.0, 0.0, 1.0))
+        for domain in (DISK, nonconvex):
+            sol = solved(domain, tau)
+            assert not _trace_integrand(sol, (1,))[1].any()
+            d = hadamard_derivative(sol, (1,), 1, g)
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0
 
     @pytest.mark.parametrize("tau", [1e-6, 1e-9])
     def test_small_tau_group_holding_the_zero_eigenvalue(self, tau):

@@ -452,6 +452,22 @@ class TestInvariances:
         s2, _ = solve_domain(moved, 1.0, k_max=8)
         assert np.allclose(s1.eigenvalues[:8], s2.eigenvalues[:8], rtol=1e-9)
 
+    @pytest.mark.parametrize("t", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 20.0])
+    def test_dilation_law(self, tau, t):
+        # lambda_j(t Omega, tau) = t^-3 lambda_j(Omega, t^2 tau): u(x / t) maps the problem
+        # on Omega at t^2 tau onto t Omega at tau, centre included
+        domains = [*ORACLE_DOMAINS[1:],
+                   StarDomain(a0=1.0, cos_coeffs=(0.0, 0.05, 0.03), center=(0.02, -0.01))]
+        for dom in domains:
+            scaled = StarDomain(a0=t * dom.a0, cos_coeffs=tuple(t * c for c in dom.cos_coeffs),
+                                sin_coeffs=tuple(t * c for c in dom.sin_coeffs),
+                                center=(t * dom.center[0], t * dom.center[1]))
+            sol, _ = solve_domain(scaled, tau, k_max=14)
+            ref, _ = solve_domain(dom, t * t * tau, k_max=14)
+            rel = np.abs(sol.eigenvalues[1:12] * t**3 / ref.eigenvalues[1:12] - 1.0)
+            assert rel.max() <= 1e-12, (dom, rel.max())
+
     def test_quadrature_refinement_stability(self):
         domain = StarDomain(a0=1.0, cos_coeffs=(0.0, 0.05))
         s1, _ = solve_domain(domain, 1.0, n_boundary=512)
