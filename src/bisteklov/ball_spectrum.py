@@ -38,7 +38,7 @@ def eigenvalue_of_order(l, N: int, tau: float):
     l : int or ndarray of int
         Angular order(s).  l = 0 gives the trivial eigenvalue 0, l = 1 gives tau.
     N : int
-        Space dimension, N >= 2.
+        Space dimension, 2 <= N <= 2^53.
     tau : float
         Tension parameter, 0 < tau <= 1e4.
 
@@ -73,6 +73,8 @@ def eigenvalue_of_order(l, N: int, tau: float):
     small tau.
     """
     _check_tau(tau)
+    if not 2 <= N <= 2**53:  # beyond, N is inexact as a float and N (2 l + 1) soon leaves int64
+        raise DomainValidationError(f"space dimension N must lie in 2..2^53, got {N}")
     l = np.asarray(l)
     if np.any(l < 0):
         raise DomainValidationError(f"angular order must be nonnegative, got {l}")

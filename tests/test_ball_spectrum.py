@@ -76,6 +76,12 @@ class TestEigenvalueFormula:
             eigenvalue_of_order(2, 2, 2.0e4)
         with pytest.raises(DomainValidationError):
             eigenvalue_of_order(-1, 2, 1.0)
+        # beyond 2^53, N (2 l + 1) wrapped round int64 or overflowed a C long
+        for N in (1, 2**53 + 1, 10**20):
+            with pytest.raises(DomainValidationError):
+                eigenvalue_of_order(2, N, 1.0)
+        with pytest.raises(DomainValidationError, match=r"2\.\.2\^53"):
+            sorted_spectrum(2**53 + 1, 1.0, 4)
 
     @pytest.mark.parametrize("N", [2, 5])
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e4])

@@ -62,6 +62,20 @@ class TestBallSpectrum:
         # lambda = tau has multiplicity N = 3
         assert [r[2] for r in rows] == ["0", "1", "1", "1"]
 
+    @pytest.mark.parametrize("dim", ["1844674407370955161", "100000000000000000000"])
+    def test_dimension_above_2_to_53_refused(self, capsys, dim):
+        # N (2 l + 1) left int64: the first printed -3.689348814742e+18 as lambda_1..4
+        # (order 2) with exit 0, the second ended in an OverflowError traceback
+        code, out, err = run_cli(capsys, "ball-spectrum", "--dim", dim, "--tau", "1", "--count", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: space dimension N must lie in 2..2^53, got {dim}\n"
+
+    def test_dimension_2_to_53_prints(self, capsys):
+        code, out, err = run_cli(capsys, "ball-spectrum", "--dim", str(2**53), "--tau", "1", "--count", "4")
+        assert code == 0, err
+        rows = ["1,0.000000000000e+00,0"] + [f"{j},1.000000000000e+00,1" for j in (2, 3, 4)]
+        assert out.splitlines()[1:] == rows
+
     @staticmethod
     def _eigenvalues(out):
         return [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]

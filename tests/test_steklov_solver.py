@@ -1,5 +1,6 @@
 """Tests for the Galerkin eigensolver on star-shaped planar domains."""
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -232,6 +233,29 @@ class TestAssemble:
         # Re(w) has zero Hessian and unit gradient: energy tau * area
         assert A[1, 1] == pytest.approx(tau * np.pi, rel=1e-12)
 
+    # each entry takes the Hessian and flux of its earlier row, so the constant's row
+    # is exactly 0 and x, y meet the other rows only through tau int dx/dnu u, which is
+    # O(tau); averaged with the later row's order the three tests below read 4.3e-31,
+    # 2.6e-14 and 1.3e-32 on the unit disk at tau = 1e-16
+    @pytest.fixture(scope="class")
+    def small_tau_disk(self):
+        """The stiffness of the unit disk at tau = 1e-16, k_max 10, and its rows' tags."""
+        basis = make_trial_basis(10, 1e-16)
+        return assemble(DISK, 1e-16, basis).stiffness, basis_tags(basis)
+
+    def test_constant_row_is_exactly_zero(self, small_tau_disk):
+        A, _ = small_tau_disk
+        assert not A[0].any()
+
+    def test_rigid_rows_against_harmonic_rows(self, small_tau_disk):
+        A, tags = small_tau_disk
+        harmonic = [j for j, (family, k, _) in enumerate(tags) if family == "harmonic" and k >= 2]
+        assert np.abs(A[1:3][:, harmonic]).max() < 1e-30
+
+    def test_rigid_rows_against_the_order_0_bessel_row(self, small_tau_disk):
+        A, tags = small_tau_disk
+        assert np.abs(A[1:3, tags.index(("bessel", 0, "cos"))]).max() < 1e-40
+
     @pytest.mark.parametrize("k_max, n_boundary", [(3, 64), (10, 224), (14, 400)])
     @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=["disk", "perturbed", "offcentre"])
     def test_projected_forms_match_the_assembled_forms(self, domain, k_max, n_boundary):
@@ -421,6 +445,18 @@ class TestDiskSpectrum:
         sol, _ = solve_domain(DISK, tau)
         assert sol.eigenvalues[0] == 0.0
         assert np.abs(sol.eigenvalues[1:3] / tau - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("threads", [contextlib.nullcontext, single_blas_thread],
+                             ids=["caller-threads", "one-thread"])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.03, -0.02)])
+    @pytest.mark.parametrize("k_max", [10, 14, 20])
+    def test_pair_at_tau_1e16(self, k_max, center, threads):
+        # the forms' rigid rows are exact (test_rigid_rows_exact_at_small_tau), so what
+        # is left is eigh's: 3.8e-12 at worst, against 3.6e-10 with the forms averaged
+        tau = 1e-16
+        with threads():
+            sol, _ = solve_domain(StarDomain(a0=1.0, center=center), tau, k_max=k_max)
+        assert np.abs(sol.eigenvalues[1:3] / tau - 1.0).max() <= 2e-11
 
     def test_diagnostics(self):
         sol, basis = solve_domain(DISK, 1.0)
